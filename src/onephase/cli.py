@@ -6,8 +6,8 @@ geometry, and free-boundary scans.  Options come from flags or a JSON
 config (flags win); outputs are CSV and JSON artifacts that reproduce
 byte-for-byte on reruns.  Every JSON embeds the tool version and a
 sha256 of the resolved option set.  `sweep` repeats a subcommand over
-an eps list into per-eps subdirectories, in parallel when the
-ONEPHASE_THREADS environment variable allows, and merges one summary.
+an eps list, one run after another, into per-eps subdirectories and
+merges one summary.
 
 Exit codes: 0 on success, 1 with an error JSON on stdout when an
 operation fails, 2 when the command line or config cannot be parsed.
@@ -19,9 +19,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -456,12 +454,13 @@ def _run_cone(args, out: Path, resolved: dict) -> Path:
         curve = extract_interface(u, level)
         save_curve(curve, out / "interface.csv")
         expected = 0.0 if args.kind == "halfplane" else 1.0 / args.radius
-        good = ~curve.singular
+        errors = np.abs(curve.curvature[~curve.singular] - expected)
         payload["interface"] = {
             "vertices": len(curve),
             "closed": curve.closed,
             "H_expected": expected,
-            "max_abs_H_error": float(np.max(np.abs(curve.curvature[good] - expected))),
+            # None when no regular vertex exists to measure.
+            "max_abs_H_error": float(np.max(errors)) if len(errors) else None,
             "singular_vertices": int(np.count_nonzero(curve.singular)),
         }
     if args.x is not None:
@@ -491,30 +490,30 @@ def _run_sweep(args, out: Path, resolved: dict) -> Path:
     eps_list = _floats(args.eps)
     if not eps_list:
         raise ConfigError("sweep needs a nonempty --eps list")
+    names = [f"eps_{eps:g}" for eps in eps_list]
+    clash = sorted({name for name in names if names.count(name) > 1})
+    if clash:
+        raise ConfigError(f"eps values collide in directory names {clash}")
 
-    def sub_argv(eps: float) -> list[str]:
-        argv = [command]
-        if args.sub_config is not None:
-            argv += ["--config", args.sub_config]
-        if command == "check" and args.check_what is not None:
-            argv += ["--what", args.check_what]
-        sub_dir = out / f"eps_{eps:g}"
-        sub_dir.mkdir(parents=True, exist_ok=True)
-        argv += ["--eps", repr(eps), "--out", str(sub_dir)]
-        return argv
-
-    threads = max(1, int(os.environ.get("ONEPHASE_THREADS", "1")))
-    with ThreadPoolExecutor(max_workers=min(threads, len(eps_list))) as pool:
-        codes = list(pool.map(main, [sub_argv(e) for e in eps_list]))
+    base = [command]
+    if args.sub_config is not None:
+        base += ["--config", args.sub_config]
+    if command == "check" and args.check_what is not None:
+        base += ["--what", args.check_what]
+    # One run at a time: the work holds the GIL, and only runs that do not
+    # overlap share the in-process profile cache.
+    codes = [
+        main(base + ["--eps", repr(eps), "--out", str(out / name)])
+        for eps, name in zip(eps_list, names)
+    ]
     if any(code != 0 for code in codes):
         bad = [f"{e:g}" for e, c in zip(eps_list, codes) if c != 0]
         raise RuntimeError(f"sweep entries failed for eps in {{{', '.join(bad)}}}")
 
     entries = []
-    for eps in eps_list:
-        sub_dir = out / f"eps_{eps:g}"
-        report = json.loads((sub_dir / "report.json").read_text(encoding="utf-8"))
-        entries.append({"eps": eps, "dir": sub_dir.name, "report": report})
+    for eps, name in zip(eps_list, names):
+        report = json.loads((out / name / "report.json").read_text(encoding="utf-8"))
+        entries.append({"eps": eps, "dir": name, "report": report})
     target = out / "summary.json"
     _write_json(target, {"command": command, "eps": eps_list, "entries": entries}, resolved)
     return target

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.ndimage import binary_dilation, maximum_filter1d
 from scipy.spatial import cKDTree
 
-from .field import GridSpec, ScalarField, gradient, integrate, sample
+from .field import GridSpec, ScalarField, _shift, gradient, integrate, sample
 from .potentials import F_eps, ReactionTerm, make_reference
 
 __all__ = [
@@ -186,21 +186,6 @@ def level_region(
     )
 
 
-def _shift_axis(a: np.ndarray, k: int, axis: int, fill: float) -> np.ndarray:
-    """Shift so that out[i] = a[i + k] along axis, padding with fill."""
-    if k == 0:
-        return a
-    out = np.full_like(a, fill)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    if k > 0:
-        src[axis], dst[axis] = slice(k, None), slice(None, -k)
-    else:
-        src[axis], dst[axis] = slice(None, k), slice(-k, None)
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
 def _row_halfwidths(r: float, h: float) -> np.ndarray:
     """Integer x-halfwidth of the disc of radius r at each row offset."""
     m = int(r / h + 1e-9)
@@ -217,7 +202,7 @@ def _ball_max(values: np.ndarray, r: float, h: float) -> np.ndarray:
     out = np.full_like(values, -np.inf)
     for di, w in zip(offs, widths):
         row = maximum_filter1d(values, 2 * w + 1, axis=1, mode="constant", cval=-np.inf)
-        np.maximum(out, _shift_axis(row, di, 0, -np.inf), out=out)
+        np.maximum(out, _shift(row, di, 0, -np.inf), out=out)
     return out
 
 
@@ -241,7 +226,7 @@ def _ball_count(mask: np.ndarray, r: float, h: float) -> np.ndarray:
     offs, widths = _row_halfwidths(r, h)
     out = np.zeros_like(dense)
     for di, w in zip(offs, widths):
-        out += _shift_axis(_window_sum(dense, w, 1), di, 0, 0.0)
+        out += _shift(_window_sum(dense, w, 1), di, 0, 0.0)
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
     "interior_mask",
     "integrate",
     "sample",
+    "tables",
     "evaluate",
     "jacobian",
     "hessian",
@@ -189,6 +191,21 @@ def interior_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
+def _shift(a: np.ndarray, k: int, axis: int, fill) -> np.ndarray:
+    """Shift so that out[i] = a[i + k] along axis, padding with fill."""
+    if k == 0:
+        return a
+    out = np.full_like(a, fill)
+    src = [slice(None)] * a.ndim
+    dst = [slice(None)] * a.ndim
+    if k > 0:
+        src[axis], dst[axis] = slice(k, None), slice(None, -k)
+    else:
+        src[axis], dst[axis] = slice(None, k), slice(-k, None)
+    out[tuple(dst)] = a[tuple(src)]
+    return out
+
+
 def integrate(u: ScalarField) -> float:
     """Tensor-product trapezoid rule over the whole grid domain."""
     acc = u.values
@@ -235,7 +252,8 @@ def sample(
     Args:
         u: field to sample.
         p: point of shape (dim,) or batch of shape (n, dim).
-        method: "linear" (default) or "cubic" for a tensor cubic spline.
+        method: "linear" (default), or "cubic" or "quintic" for an
+            interpolating tensor spline of that degree.
 
     Returns:
         Scalar for a single point, 1D array for a batch.
@@ -300,70 +318,34 @@ class VectorFieldSpec:
         object.__setattr__(self, "components", tuple(self.components))
 
 
-def _bump_factors(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # psi and derivatives, zeroed outside |y| < 1 where the formulas lie.
-    inside = np.abs(y) < 1.0
-    q = 1.0 - y * y
-    psi = np.where(inside, q**4, 0.0)
-    dpsi = np.where(inside, -8.0 * y * q**3, 0.0)
-    ddpsi = np.where(inside, 8.0 * q * q * (7.0 * y * y - 1.0), 0.0)
-    return psi, dpsi, ddpsi
+# Row a of _DIFF @ (1, y, y^2, y^3) is d/dy y^a = a * y^(a - 1).
+_DIFF = np.diag([1.0, 2.0, 3.0], k=-1)
 
 
-def _powers(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    one = np.ones_like(y)
-    zero = np.zeros_like(y)
-    pw = np.stack([one, y, y * y, y**3], axis=-1)
-    dpw = np.stack([zero, one, 2.0 * y, 3.0 * y * y], axis=-1)
-    ddpw = np.stack([zero, zero, 2.0 * one, 6.0 * y], axis=-1)
-    return pw, dpw, ddpw
+def _axis_factors(y: np.ndarray, order: int) -> list[np.ndarray]:
+    """Tables g[m][a] = d^m/dy^m [y^a psi(y)] for m <= order, shape (4, n).
 
-
-def _component_tables(comp: PolyBump, pts: np.ndarray, order: int):
-    """Value and x-derivatives of one component at pts (n, dim)."""
-    dim = len(comp.center)
-    w = np.asarray(comp.halfwidths)
-    y = (pts - np.asarray(comp.center)) / w
-    psi = [_bump_factors(y[:, k]) for k in range(dim)]
-    pw = [_powers(y[:, k]) for k in range(dim)]
-    c = comp.coeffs
-
-    def poly(der: tuple[int, ...]) -> np.ndarray:
-        if dim == 1:
-            return pw[0][der[0]] @ c
-        return np.einsum("ab,na,nb->n", c, pw[0][der[0]], pw[1][der[1]])
-
-    def bump(der: tuple[int, ...]) -> np.ndarray:
-        out = psi[0][der[0]]
-        for k in range(1, dim):
-            out = out * psi[k][der[k]]
-        return out
-
-    e = [tuple(1 if k == ax else 0 for k in range(dim)) for ax in range(dim)]
-    zero = (0,) * dim
-    val = poly(zero) * bump(zero)
-    if order == 0:
-        return val, None, None
-
-    grad = np.empty((pts.shape[0], dim))
-    for j in range(dim):
-        grad[:, j] = (poly(e[j]) * bump(zero) + poly(zero) * bump(e[j])) / w[j]
-    if order == 1:
-        return val, grad, None
-
-    hess = np.empty((pts.shape[0], dim, dim))
-    for j in range(dim):
-        for k in range(j, dim):
-            der = tuple(e[j][m] + e[k][m] for m in range(dim))
-            hjk = (
-                poly(der) * bump(zero)
-                + poly(e[j]) * bump(e[k])
-                + poly(e[k]) * bump(e[j])
-                + poly(zero) * bump(der)
-            ) / (w[j] * w[k])
-            hess[:, j, k] = hjk
-            hess[:, k, j] = hjk
-    return val, grad, hess
+    Every derivative of psi = q^4, q = 1 - y^2, carries a factor q, so
+    setting q = 0 for |y| >= 1 zeroes all rows outside the bump.
+    """
+    q = np.where(np.abs(y) < 1.0, 1.0 - y * y, 0.0)
+    q2 = q * q
+    psi = [q2 * q2]
+    if order >= 1:
+        psi.append(-8.0 * y * q2 * q)
+    if order >= 2:
+        psi.append(8.0 * q2 * (7.0 * y * y - 1.0))
+    pw = np.stack([np.ones_like(y), y, y * y, y * y * y])
+    g = [pw * psi[0]]
+    for m in range(1, order + 1):
+        # Leibniz rule for the m-th derivative of the product y^a * psi.
+        g.append(
+            sum(
+                math.comb(m, r) * (np.linalg.matrix_power(_DIFF, r) @ pw) * psi[m - r]
+                for r in range(m + 1)
+            )
+        )
+    return g
 
 
 def _as_batch(spec: VectorFieldSpec, p) -> tuple[np.ndarray, bool]:
@@ -375,29 +357,71 @@ def _as_batch(spec: VectorFieldSpec, p) -> tuple[np.ndarray, bool]:
     return pts, single
 
 
+def tables(spec: VectorFieldSpec, p, order: int) -> list[np.ndarray]:
+    """X and its exact partials up to the given order, in one pass.
+
+    Component i is P_i(y) * prod_k psi(y_k) with y = (x - center) / w, so
+    D^alpha X^i = sum_ab c_ab g_a^(alpha_1)(y_1) g_b^(alpha_2)(y_2) / w^alpha
+    with the per-axis tables g of _axis_factors.  Only points strictly
+    inside support_box(spec) are evaluated; every other point gets exact
+    zeros.
+
+    Args:
+        spec: deformation field.
+        p: point of shape (dim,) or batch of shape (n, dim).
+        order: highest derivative order, 0, 1 or 2.
+
+    Returns:
+        [X, DX, D2X][:order + 1] with X[i] = X^i, DX[i, j] = dX^i/dx_j and
+        D2X[i, j, k] = d^2 X^i / dx_j dx_k; batches carry a leading n axis.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    pts, single = _as_batch(spec, p)
+    dim = spec.dim
+    lo, hi = support_box(spec)
+    inside = np.all((pts > np.asarray(lo)) & (pts < np.asarray(hi)), axis=-1)
+    # Flow stages pass points that are all inside; skip the gather and scatter.
+    everywhere = bool(inside.all())
+    q = pts if everywhere else pts[inside]
+    compact = [np.empty((len(q),) + (dim,) * (k + 1)) for k in range(order + 1)]
+    for i, comp in enumerate(spec.components):
+        w = np.asarray(comp.halfwidths)
+        y = (q - np.asarray(comp.center)) / w
+        g = [_axis_factors(y[:, k], order) for k in range(dim)]
+        parts: dict[tuple[int, ...], np.ndarray] = {}
+        for k in range(order + 1):
+            for idx in np.ndindex(*(dim,) * k):
+                der = tuple(idx.count(ax) for ax in range(dim))
+                if der not in parts:
+                    val = comp.coeffs.T @ g[0][der[0]]
+                    if dim == 2:
+                        val = np.sum(val * g[1][der[1]], axis=0)
+                    parts[der] = val / np.prod(w**der)
+                compact[k][(slice(None), i) + idx] = parts[der]
+    out = []
+    for arr in compact:
+        if not everywhere:
+            full = np.zeros((len(pts),) + arr.shape[1:])
+            full[inside] = arr
+            arr = full
+        out.append(arr[0] if single else arr)
+    return out
+
+
 def evaluate(spec: VectorFieldSpec, p) -> np.ndarray:
     """X at one point (returns shape (dim,)) or a batch (returns (n, dim))."""
-    pts, single = _as_batch(spec, p)
-    out = np.stack(
-        [_component_tables(comp, pts, 0)[0] for comp in spec.components], axis=-1
-    )
-    return out[0] if single else out
+    return tables(spec, p, 0)[0]
 
 
 def jacobian(spec: VectorFieldSpec, p) -> np.ndarray:
     """Exact Jacobian J[i, j] = dX^i/dx_j at p; batched shape (n, dim, dim)."""
-    pts, single = _as_batch(spec, p)
-    rows = [_component_tables(comp, pts, 1)[1] for comp in spec.components]
-    out = np.stack(rows, axis=1)
-    return out[0] if single else out
+    return tables(spec, p, 1)[1]
 
 
 def hessian(spec: VectorFieldSpec, p) -> np.ndarray:
     """Exact second partials H[i, j, k] = d^2 X^i / dx_j dx_k at p."""
-    pts, single = _as_batch(spec, p)
-    rows = [_component_tables(comp, pts, 2)[2] for comp in spec.components]
-    out = np.stack(rows, axis=1)
-    return out[0] if single else out
+    return tables(spec, p, 2)[2]
 
 
 def divergence(spec: VectorFieldSpec, p) -> float | np.ndarray:

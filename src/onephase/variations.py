@@ -24,15 +24,16 @@ import numpy as np
 from .field import (
     ScalarField,
     VectorFieldSpec,
+    _shift,
     evaluate,
     gradient,
-    hessian,
     integrate,
     jacobian,
     max_norm,
     pullback,
     sample,
     support_box,
+    tables,
 )
 from .potentials import F_eps, ReactionTerm, f_eps
 from .solver import energy
@@ -156,21 +157,6 @@ def _require_interior_support(u: ScalarField, spec: VectorFieldSpec) -> None:
         raise ValueError("support of X must lie strictly inside the grid domain")
 
 
-def _shift(a: np.ndarray, ax: int, k: int, fill) -> np.ndarray:
-    """Array of neighbor values a[.. i+k ..], padded with fill at the edge."""
-    if k == 0:
-        return a
-    out = np.full_like(a, fill)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    if k > 0:
-        src[ax], dst[ax] = slice(k, None), slice(0, -k)
-    else:
-        src[ax], dst[ax] = slice(0, k), slice(-k, None)
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
 def _phase_gradient(values: np.ndarray, h: float, mask: np.ndarray) -> np.ndarray:
     """Gradient restricted to a phase: stencils never cross the mask edge.
 
@@ -181,10 +167,10 @@ def _phase_gradient(values: np.ndarray, h: float, mask: np.ndarray) -> np.ndarra
     dim = values.ndim
     out = np.zeros((dim,) + values.shape)
     for ax in range(dim):
-        vp, vm = _shift(values, ax, 1, 0.0), _shift(values, ax, -1, 0.0)
-        vpp, vmm = _shift(values, ax, 2, 0.0), _shift(values, ax, -2, 0.0)
-        mp, mm = _shift(mask, ax, 1, False), _shift(mask, ax, -1, False)
-        mpp, mmm = _shift(mask, ax, 2, False), _shift(mask, ax, -2, False)
+        vp, vm = _shift(values, 1, ax, 0.0), _shift(values, -1, ax, 0.0)
+        vpp, vmm = _shift(values, 2, ax, 0.0), _shift(values, -2, ax, 0.0)
+        mp, mm = _shift(mask, 1, ax, False), _shift(mask, -1, ax, False)
+        mpp, mmm = _shift(mask, 2, ax, False), _shift(mask, -2, ax, False)
         d = np.where(
             mp & mm,
             (vp - vm) / (2.0 * h),
@@ -275,12 +261,9 @@ def second_inner_variation(
     grid = u.grid
     g = _energy_gradient(u, eps)
     e = np.sum(g * g, axis=0) + F_eps(term, eps, u.values)
-    pts = grid.nodes()
-    shp = grid.shape
-    d = grid.dim
-    xv = evaluate(spec, pts).reshape(shp + (d,))
-    jac = jacobian(spec, pts).reshape(shp + (d, d))
-    hes = hessian(spec, pts).reshape(shp + (d, d, d))
+    xv, jac, hes = (
+        t.reshape(grid.shape + t.shape[1:]) for t in tables(spec, grid.nodes(), 2)
+    )
     div = np.einsum("...ii->...", jac)
     graddiv = np.einsum("...iik->...k", hes)
     q1 = np.einsum("i...,j...,...ij->...", g, g, jac)
@@ -333,9 +316,10 @@ def inner_variation_fd(
         dt = default_fd_step(spec)
     elif not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    # At t = 0 the pullback moves no node, so its energy is that of u.
     vals = [
         energy(
-            pullback(u, spec, k * dt, max(abs(k), 1) * n_steps, method="quintic"),
+            pullback(u, spec, k * dt, abs(k) * n_steps, method="quintic") if k else u,
             term,
             eps,
         )

@@ -205,6 +205,14 @@ def test_cone_radial_curvature_matches_radius(tmp_path):
     assert report["interface"]["max_abs_H_error"] <= 2e-2
 
 
+def test_cone_empty_interface_reports_null_error(tmp_path):
+    argv = ["cone", "--kind", "halfplane", "--h", "0.02", "--level", "5"]
+    assert main(argv + ["--emit-interface", "--out", str(tmp_path)]) == 0
+    interface = _read(tmp_path / "report.json")["interface"]
+    assert interface["vertices"] == 0
+    assert interface["max_abs_H_error"] is None
+
+
 def test_cone_surface_forms_with_deformation(tmp_path):
     spec = _spec_file(tmp_path)
     rc = main(
@@ -364,6 +372,13 @@ def test_sweep_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("ONEPHASE_THREADS", "1")
     assert main(argv) == 0
     assert _tree_hashes(tmp_path) == parallel
+
+
+def test_sweep_rejects_colliding_directories(tmp_path, capsys):
+    argv = ["sweep", "--check", "l1", "--eps", "0.1,0.1000001", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "eps_0.1" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):

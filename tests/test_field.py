@@ -27,6 +27,7 @@ from onephase.field import (
     save_field,
     save_vector_spec,
     support_box,
+    tables,
 )
 
 
@@ -157,6 +158,13 @@ def test_vector_field_vanishes_outside_support_box():
     assert np.all(evaluate(spec, pts) == 0.0)
     assert np.all(jacobian(spec, pts) == 0.0)
     assert np.all(hessian(spec, pts) == 0.0)
+    assert all(np.all(t == 0.0) for t in tables(spec, pts, 2))
+    # Inside the union box but outside the box of one component: that
+    # component and its partials vanish exactly, the other one does not.
+    for p, off in (((0.6, 0.0), 1), ((0.0, 0.45), 0)):
+        x, dx, ddx = tables(spec, np.array(p), 2)
+        assert x[off] == 0.0 and np.all(dx[off] == 0.0) and np.all(ddx[off] == 0.0)
+        assert x[1 - off] != 0.0
 
 
 def _fd_jacobian(spec, pts, delta):
@@ -192,6 +200,15 @@ def _fd_hessian(spec, pts, delta):
     return out
 
 
+def _assert_tables_match_views(spec, pts):
+    for p in (pts, pts[0], pts[len(pts) // 2]):
+        x, dx, ddx = tables(spec, p, 2)
+        assert np.array_equal(x, evaluate(spec, p))
+        assert np.array_equal(dx, jacobian(spec, p))
+        assert np.array_equal(ddx, hessian(spec, p))
+        assert np.array_equal(tables(spec, p, 1)[1], dx)
+
+
 def test_analytic_derivatives_match_finite_differences():
     spec = _bump_spec()
     rng = np.random.default_rng(11)
@@ -201,6 +218,9 @@ def test_analytic_derivatives_match_finite_differences():
     div = divergence(spec, pts)
     tr = np.trace(jacobian(spec, pts), axis1=-2, axis2=-1)
     assert np.array_equal(div, tr)
+    _assert_tables_match_views(spec, pts)
+    with pytest.raises(ValueError):
+        tables(spec, pts, 3)
 
 
 def test_analytic_derivatives_one_dimensional():
@@ -218,6 +238,7 @@ def test_analytic_derivatives_one_dimensional():
     assert np.max(np.abs(jacobian(spec, pts) - _fd_jacobian(spec, pts, 1e-5))) < 1e-8
     assert np.max(np.abs(hessian(spec, pts) - _fd_hessian(spec, pts, 1e-5))) < 1e-5
     assert max_norm(spec) == pytest.approx(0.8, rel=0.1)
+    _assert_tables_match_views(spec, pts)
 
 
 def test_flow_identity_and_frozen_outside_support():
