@@ -57,7 +57,7 @@ from .ode1d import (
     solve_wedge,
 )
 from .potentials import make_reference, make_tabulated, term_to_json, validate
-from .solver import SolveConfig, minimize, report_to_json
+from .solver import SolveConfig, energy, minimize, report_to_json
 from .variations import (
     cjk_form,
     extract_interface,
@@ -138,7 +138,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--boundary", default="profile", help="field source or CSV path")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=20_000)
-    p.add_argument("--method", default="gauss-seidel-newton")
 
     p = sub("vary", "inner variations of a stored field under a stored deformation")
     p.add_argument("--T", type=float, default=1.0)
@@ -319,16 +318,17 @@ def _run_solve(args, out: Path, resolved: dict) -> Path:
     term = make_reference(args.T)
     grid = _grid_from_args(args)
     boundary = _field_from_source(args.boundary, grid, args.eps, term, args)
-    cfg = SolveConfig(
-        eps=args.eps,
-        tol_residual=args.tol,
-        max_iter=args.max_iter,
-        method=args.method,
-    )
+    # From this spacing on the node Newton divisor 2d/h^2 + f'(u/eps)/eps^2
+    # changes sign (min f' = -2/T^2) and the sweeps do not converge.
+    h, dim = boundary.grid.h, boundary.grid.dim
+    bound = math.sqrt(dim) * term.T * args.eps
+    if not h < bound:
+        raise ConfigError(f"grid spacing h = {h:g} must be below sqrt(d)*T*eps = {bound:g}")
+    cfg = SolveConfig(eps=args.eps, tol_residual=args.tol, max_iter=args.max_iter)
     u, report = minimize(boundary, boundary, term, cfg)
     save_field(u, out / "solution.csv")
     payload = report_to_json(report)
-    payload["energy"] = float(report.energy_trace[-1])
+    payload["energy"] = energy(u, term, args.eps)
     payload["grid"] = {"lo": list(grid.origin), "h": grid.h, "shape": list(grid.shape)}
     target = out / "report.json"
     _write_json(target, payload, resolved)

@@ -12,7 +12,6 @@ exact inner-variation integrands without stencil noise.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -162,6 +161,17 @@ def gradient(u: ScalarField) -> np.ndarray:
     return np.stack(g, axis=0)
 
 
+def _neighbour_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of the 2*dim axis neighbours of every interior node of v."""
+    dim = v.ndim
+    acc = np.zeros_like(v[(slice(1, -1),) * dim])
+    for ax in range(dim):
+        lo = tuple(slice(0, -2) if k == ax else slice(1, -1) for k in range(dim))
+        hi = tuple(slice(2, None) if k == ax else slice(1, -1) for k in range(dim))
+        acc = acc + v[lo] + v[hi]
+    return acc
+
+
 def laplacian(u: ScalarField) -> ScalarField:
     """5-point (3-point in 1D) laplacian; boundary nodes are set to 0.
 
@@ -169,18 +179,8 @@ def laplacian(u: ScalarField) -> ScalarField:
     """
     v = u.values
     out = np.zeros_like(v)
-    h2 = u.grid.h**2
     core = (slice(1, -1),) * u.grid.dim
-    acc = -2.0 * u.grid.dim * v[core]
-    for ax in range(u.grid.dim):
-        lo = tuple(
-            slice(0, -2) if k == ax else slice(1, -1) for k in range(u.grid.dim)
-        )
-        hi = tuple(
-            slice(2, None) if k == ax else slice(1, -1) for k in range(u.grid.dim)
-        )
-        acc = acc + v[lo] + v[hi]
-    out[core] = acc / h2
+    out[core] = (_neighbour_sum(v) - 2.0 * u.grid.dim * v[core]) / u.grid.h**2
     return ScalarField(grid=u.grid, values=out)
 
 
@@ -524,20 +524,13 @@ def save_field(u: ScalarField, path: str | Path) -> None:
     Floats use 17 significant digits so reload is bit-exact.
     """
     path = Path(path)
-    axes = u.grid.axes()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if u.grid.dim == 1:
-            writer.writerow(["i", "x", "u"])
-            for i, (x, v) in enumerate(zip(axes[0], u.values)):
-                writer.writerow([i, f"{x:.17g}", f"{v:.17g}"])
-        else:
-            writer.writerow(["i", "j", "x", "y", "u"])
-            for i, x in enumerate(axes[0]):
-                for j, y in enumerate(axes[1]):
-                    writer.writerow(
-                        [i, j, f"{x:.17g}", f"{y:.17g}", f"{u.values[i, j]:.17g}"]
-                    )
+    dim = u.grid.dim
+    index = np.indices(u.grid.shape).reshape(dim, -1)
+    coords = [a.ravel() for a in np.meshgrid(*u.grid.axes(), indexing="ij")]
+    rows = np.column_stack([*index, *coords, u.values.ravel()])
+    header = ",".join(["i", "j"][:dim] + ["x", "y"][:dim] + ["u"])
+    fmt = ["%d"] * dim + ["%.17g"] * (dim + 1)
+    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
     sidecar = {
         "dim": u.grid.dim,
         "origin": list(u.grid.origin),

@@ -13,7 +13,6 @@ a-posteriori oracle for the fixed-step integrator.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -252,11 +251,8 @@ def rescale(p: Profile1D, eps_new: float) -> Profile1D:
 def save_profile(p: Profile1D, path: str | Path) -> None:
     """Write the profile as CSV "t,V,Vp" plus a JSON metadata sidecar."""
     path = Path(path)
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "V", "Vp"])
-        for t, v, vp in zip(p.t, p.V, p.Vp):
-            writer.writerow([f"{t:.17g}", f"{v:.17g}", f"{vp:.17g}"])
+    rows = np.column_stack([p.t, p.V, p.Vp])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="t,V,Vp", comments="")
     sidecar = {"eps": p.eps, "kind": p.kind, "s": p.s, "h": p.h, "T": p.T}
     path.with_suffix(".json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n"

@@ -2,21 +2,30 @@
 
 The functional is I_eps(v) = integral of |grad v|^2 + F_eps(v); stationary
 points solve the semilinear equation Delta u = f_eps(u).  Minimization runs
-over nonnegative interior values with fixed Dirichlet boundary data, either
-by projected gradient descent with backtracking or by damped node-wise
-Newton sweeps in red-black order.  Convergence is declared on the PDE
-residual, not the energy decrement, because downstream variation tests
-need genuinely small residuals.
+over nonnegative interior values with fixed Dirichlet boundary data by
+red-black Gauss-Seidel-Newton sweeps: each node solves its 5-point equation
+with frozen neighbours, is projected to u >= 0, and is over-relaxed by a
+factor chosen from the grid.  Convergence is declared on the PDE residual,
+not the energy decrement, because downstream variation tests need genuinely
+small residuals.  For the reference family the node Newton divisor
+2*dim/h^2 + f'(u/eps)/eps^2 changes sign once h >= sqrt(dim)*T*eps; runs
+on such grids end unconverged, which is reported, not raised.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 import numpy as np
 
-from .field import ScalarField, gradient, integrate, interior_mask, laplacian
+from .field import (
+    ScalarField,
+    _neighbour_sum,
+    gradient,
+    integrate,
+    interior_mask,
+    laplacian,
+)
 from .potentials import F_eps, ReactionTerm, f_eps
 
 __all__ = [
@@ -30,11 +39,9 @@ __all__ = [
     "report_to_json",
 ]
 
-_METHODS = ("projected-gradient", "gauss-seidel-newton")
-# One reported iteration of the sweep method bundles this many red-black
-# sweeps; energy and residual are measured per bundle.
+# One reported iteration bundles this many red-black sweeps; energy and
+# residual are measured per bundle.
 _SWEEPS_PER_ITERATION = 8
-_MAX_BACKTRACKS = 40
 # Bundles without a 2% residual improvement before a relaxation phase is
 # declared floored and the next one starts.
 _STALL_BUNDLES = 60
@@ -47,18 +54,12 @@ class SolveConfig:
     Attributes:
         eps: phase-transition scale, positive.
         tol_residual: stop once max |Delta u - f_eps(u)| falls below this.
-        max_iter: iteration cap.
-        method: "projected-gradient" or "gauss-seidel-newton".
-        step: gradient step (projected-gradient) or Newton damping factor
-            (gauss-seidel-newton); "auto" picks h^2/8 for the former and an
-            over-relaxation factor from the grid for the latter.
+        max_iter: cap on iterations, each a bundle of red-black sweeps.
     """
 
     eps: float
     tol_residual: float = 1e-8
     max_iter: int = 10_000
-    method: str = "gauss-seidel-newton"
-    step: float | str = "auto"
 
     def __post_init__(self) -> None:
         if not self.eps > 0.0:
@@ -67,18 +68,16 @@ class SolveConfig:
             raise ValueError("tol_residual must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.step != "auto" and not float(self.step) > 0.0:
-            raise ValueError("step must be positive or 'auto'")
 
 
 @dataclasses.dataclass(frozen=True)
 class SolveReport:
     """Outcome of one minimize call.
 
-    energy_trace holds the energy after every accepted iteration (the
-    initial state first) and is non-increasing by construction.
+    energy_trace holds the energy of the starting field, then the energy at
+    each iteration checkpoint that did not rise above the last entry, so
+    it is non-increasing but may skip checkpoints; its last entry need not
+    be the energy of the returned field.
     """
 
     iterations: int
@@ -126,19 +125,6 @@ def residual(u: ScalarField, term: ReactionTerm, eps: float) -> float:
     return float(np.max(np.abs(defect[interior_mask(u.grid)])))
 
 
-def _interior_residual_field(
-    values: np.ndarray, h: float, term: ReactionTerm, eps: float
-) -> np.ndarray:
-    dim = values.ndim
-    core = (slice(1, -1),) * dim
-    acc = -2.0 * dim * values[core]
-    for ax in range(dim):
-        lo = tuple(slice(0, -2) if k == ax else slice(1, -1) for k in range(dim))
-        hi = tuple(slice(2, None) if k == ax else slice(1, -1) for k in range(dim))
-        acc = acc + values[lo] + values[hi]
-    return acc / h**2 - f_eps(term, eps, values[core])
-
-
 def _checkerboard(shape: tuple[int, ...]) -> np.ndarray:
     idx = np.indices(tuple(n - 2 for n in shape))
     return idx.sum(axis=0) % 2 == 0
@@ -152,16 +138,10 @@ def _sweep(
     omega: float,
     parity: np.ndarray,
 ) -> None:
-    dim = values.ndim
-    core = (slice(1, -1),) * dim
-    diag = 2.0 * dim / h**2
+    core = (slice(1, -1),) * values.ndim
+    diag = 2.0 * values.ndim / h**2
     for color in (parity, ~parity):
-        neigh = np.zeros_like(values[core])
-        for ax in range(dim):
-            lo = tuple(slice(0, -2) if k == ax else slice(1, -1) for k in range(dim))
-            hi = tuple(slice(2, None) if k == ax else slice(1, -1) for k in range(dim))
-            neigh = neigh + values[lo] + values[hi]
-        neigh = neigh / h**2
+        neigh = _neighbour_sum(values) / h**2
         # Converge each node equation with frozen neighbors, then relax
         # toward the exact node minimizer; relaxing an inexact target can
         # push the energy uphill, the exact one cannot.
@@ -190,7 +170,7 @@ def minimize(
         init: starting guess on the same grid, agreeing with boundary on
             the boundary nodes.
         term: reaction term.
-        cfg: method, tolerances, and step control.
+        cfg: scale, residual tolerance and iteration cap.
 
     Returns:
         (solution field, report).  Non-convergence is reported, not raised.
@@ -215,64 +195,39 @@ def minimize(
     res = residual(field, term, cfg.eps)
     iterations = 0
 
-    if cfg.method == "projected-gradient":
-        step0 = grid.h**2 / 8.0 if cfg.step == "auto" else float(cfg.step)
-        core = (slice(1, -1),) * grid.dim
+    omega = _auto_omega(grid)
+    parity = _checkerboard(grid.shape)
+    # Over-relaxed sweeps amplify arithmetic noise by ~1/(2 - omega)
+    # and can floor the residual near 1e-8 at fine h; plain sweeps damp
+    # that high-frequency floor.  Healthy over-relaxation contracts the
+    # residual by >= 2% within a handful of bundles on any grid solvable
+    # under the iteration cap, while the floor only wobbles, so a long
+    # stretch without a new low marks the floor and triggers the switch.
+    for relax in (omega, 1.0):
+        best = res
+        stale = 0
         while res > cfg.tol_residual and iterations < cfg.max_iter:
-            r = _interior_residual_field(u, grid.h, term, cfg.eps)
-            step = step0
-            accepted = False
-            for _ in range(_MAX_BACKTRACKS):
-                cand = u.copy()
-                # descent direction is minus the variational derivative,
-                # i.e. +2 * (Delta u - f_eps(u))
-                cand[core] = np.maximum(0.0, u[core] + step * 2.0 * r)
-                cand_field = ScalarField(grid=grid, values=cand)
-                e_new = energy(cand_field, term, cfg.eps)
-                if e_new <= trace[-1]:
-                    u, field = cand, cand_field
-                    trace.append(e_new)
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
+            for _ in range(_SWEEPS_PER_ITERATION):
+                _sweep(u, grid.h, term, cfg.eps, relax, parity)
+            field = ScalarField(grid=grid, values=u)
+            # The sweeps contract the 5-point residual; the quadrature
+            # energy (centered gradient) is a different discretization
+            # and can tick up at the h^2 level mid-run, so checkpoints
+            # enter the trace only when they have not risen.
+            e_new = energy(field, term, cfg.eps)
+            if e_new <= trace[-1]:
+                trace.append(e_new)
             iterations += 1
             res = residual(field, term, cfg.eps)
-    else:
-        omega = _auto_omega(grid) if cfg.step == "auto" else float(cfg.step)
-        parity = _checkerboard(grid.shape)
-        # Over-relaxed sweeps amplify arithmetic noise by ~1/(2 - omega)
-        # and can floor the residual near 1e-8 at fine h; plain sweeps damp
-        # that high-frequency floor.  Healthy over-relaxation contracts the
-        # residual by >= 2% within a handful of bundles on any grid solvable
-        # under the iteration cap, while the floor only wobbles, so a long
-        # stretch without a new low marks the floor and triggers the switch.
-        for relax in (omega, 1.0):
-            best = res
-            stale = 0
-            while res > cfg.tol_residual and iterations < cfg.max_iter:
-                for _ in range(_SWEEPS_PER_ITERATION):
-                    _sweep(u, grid.h, term, cfg.eps, relax, parity)
-                field = ScalarField(grid=grid, values=u)
-                # The sweeps contract the 5-point residual; the quadrature
-                # energy (centered gradient) is a different discretization
-                # and can tick up at the h^2 level mid-run, so checkpoints
-                # enter the trace only when they have not risen.
-                e_new = energy(field, term, cfg.eps)
-                if e_new <= trace[-1]:
-                    trace.append(e_new)
-                iterations += 1
-                res = residual(field, term, cfg.eps)
-                if res < 0.98 * best:
-                    best = res
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= _STALL_BUNDLES:
-                        break
-            if res <= cfg.tol_residual:
-                break
+            if res < 0.98 * best:
+                best = res
+                stale = 0
+            else:
+                stale += 1
+                if stale >= _STALL_BUNDLES:
+                    break
+        if res <= cfg.tol_residual:
+            break
 
     converged = res <= cfg.tol_residual
     report = SolveReport(
@@ -289,8 +244,6 @@ def config_to_json(cfg: SolveConfig) -> dict:
         "eps": cfg.eps,
         "tol_residual": cfg.tol_residual,
         "max_iter": cfg.max_iter,
-        "method": cfg.method,
-        "step": cfg.step,
     }
 
 

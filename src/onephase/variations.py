@@ -14,7 +14,6 @@ a curvature-weighted integral along the extracted interface polyline.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -732,19 +731,8 @@ def save_curve(curve: InterfaceCurve, path: str | Path) -> None:
     Rows are "x,y,nu_x,nu_y,H" in chain order with 17 significant digits.
     """
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "nu_x", "nu_y", "H"])
-        for p, nu, hval in zip(curve.points, curve.normals, curve.curvature):
-            writer.writerow(
-                [
-                    f"{p[0]:.17g}",
-                    f"{p[1]:.17g}",
-                    f"{nu[0]:.17g}",
-                    f"{nu[1]:.17g}",
-                    f"{hval:.17g}",
-                ]
-            )
+    rows = np.column_stack([curve.points, curve.normals, curve.curvature])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="x,y,nu_x,nu_y,H", comments="")
     sidecar = {
         "closed": curve.closed,
         "singular": [int(k) for k in np.nonzero(curve.singular)[0]],

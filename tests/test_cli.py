@@ -22,6 +22,8 @@ from onephase.field import (
     save_vector_spec,
 )
 from onephase.ode1d import load_profile
+from onephase.potentials import make_reference
+from onephase.solver import energy
 
 
 def _read(path: Path) -> dict:
@@ -158,6 +160,15 @@ def test_solve_writes_solution_and_report(tmp_path):
     assert u.grid.shape == (101, 101)
     trace = report["energy_trace"]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+    assert report["energy"] == energy(u, make_reference(1.0), 0.2)
+
+
+def test_solve_rejects_grid_coarser_than_layer(tmp_path, capsys):
+    # h = 0.02 >= sqrt(2) * T * eps = 0.0170: the node Newton cannot converge.
+    rc = main(["solve", "--eps", "0.012", "--n", "101", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "sqrt(d)*T*eps" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
 
 
 def test_cone_halfplane_interface_is_flat(tmp_path):

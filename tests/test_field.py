@@ -312,6 +312,7 @@ def test_field_csv_round_trip(tmp_path):
     assert np.array_equal(v.values, u.values)
     assert v.grid == u.grid
     assert path.read_text().splitlines()[0] == "i,j,x,y,u"
+    assert path.read_text().splitlines()[1] == f"0,0,0,-0.5,{u.values[0, 0]:.17g}"
 
 
 def test_field_csv_round_trip_1d(tmp_path):
@@ -322,6 +323,7 @@ def test_field_csv_round_trip_1d(tmp_path):
     v = load_field(path)
     assert np.array_equal(v.values, u.values)
     assert path.read_text().splitlines()[0] == "i,x,u"
+    assert path.read_text().splitlines()[1] == "0,0,0"
 
 
 def test_vector_spec_json_round_trip(tmp_path):

@@ -171,40 +171,6 @@ def test_minimize_energy_refines_at_second_order():
     assert ratio < 6.0
 
 
-def test_projected_gradient_descends_monotonically():
-    term = _term()
-    eps = 0.3
-    grid = make_grid(-1.0, 1.0, 101)
-    x = grid.axes()[0]
-    exact = _profile_on_axis(term, eps, x)
-    boundary = ScalarField(grid=grid, values=exact)
-    cfg = SolveConfig(
-        eps=eps, tol_residual=1e-8, max_iter=1500, method="projected-gradient"
-    )
-    u, report = minimize(boundary, boundary, term, cfg)
-    trace = np.asarray(report.energy_trace)
-    assert np.all(np.diff(trace) <= 0.0)
-    assert report.final_residual < residual(boundary, term, eps)
-    assert np.min(u.values) >= 0.0
-    if not report.converged:
-        assert report.iterations == 1500
-
-
-def test_projected_gradient_converges_on_small_grid():
-    term = _term()
-    eps = 0.5
-    grid = make_grid(-1.0, 1.0, 21)
-    x = grid.axes()[0]
-    exact = _profile_on_axis(term, eps, x)
-    boundary = ScalarField(grid=grid, values=exact)
-    cfg = SolveConfig(
-        eps=eps, tol_residual=1e-8, max_iter=100_000, method="projected-gradient"
-    )
-    u, report = minimize(boundary, boundary, term, cfg)
-    assert report.converged
-    assert report.final_residual <= 1e-8
-
-
 def test_minimize_validates_inputs():
     term = _term()
     g1 = make_grid(-1.0, 1.0, 21)
@@ -228,11 +194,7 @@ def test_config_validation_and_json():
         SolveConfig(eps=0.1, tol_residual=0.0)
     with pytest.raises(ValueError):
         SolveConfig(eps=0.1, max_iter=0)
-    with pytest.raises(ValueError):
-        SolveConfig(eps=0.1, method="sor")
-    with pytest.raises(ValueError):
-        SolveConfig(eps=0.1, step=-1.0)
-    cfg = SolveConfig(eps=0.25, tol_residual=1e-9, max_iter=77, step=1.5)
+    cfg = SolveConfig(eps=0.25, tol_residual=1e-9, max_iter=77)
     assert config_from_json(config_to_json(cfg)) == cfg
     with pytest.raises(ValueError):
         config_from_json({"eps": 0.1, "bogus": 1})
