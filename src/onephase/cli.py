@@ -57,7 +57,8 @@ from .ode1d import (
     solve_wedge,
 )
 from .potentials import make_reference, make_tabulated, term_to_json, validate
-from .solver import SolveConfig, energy, minimize, report_to_json
+from .records import read_json, to_json, write_json
+from .solver import SolveConfig, energy, minimize
 from .variations import (
     cjk_form,
     extract_interface,
@@ -67,7 +68,6 @@ from .variations import (
     second_inner_variation,
     surface_second_variation,
     variation_report,
-    report_to_json as variation_to_json,
 )
 
 __all__ = ["main", "entry"]
@@ -195,7 +195,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _load_config(path: str) -> dict:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = read_json(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -214,10 +214,7 @@ def _config_hash(resolved: dict) -> str:
 
 
 def _write_json(path: Path, payload: dict, resolved: dict) -> None:
-    body = dict(payload)
-    body["version"] = __version__
-    body["config_sha256"] = _config_hash(resolved)
-    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path, {**payload, "version": __version__, "config_sha256": _config_hash(resolved)})
 
 
 _PROFILE_CACHE: dict[float, object] = {}
@@ -327,9 +324,10 @@ def _run_solve(args, out: Path, resolved: dict) -> Path:
     cfg = SolveConfig(eps=args.eps, tol_residual=args.tol, max_iter=args.max_iter)
     u, report = minimize(boundary, boundary, term, cfg)
     save_field(u, out / "solution.csv")
-    payload = report_to_json(report)
+    payload = to_json(report)
     payload["energy"] = energy(u, term, args.eps)
-    payload["grid"] = {"lo": list(grid.origin), "h": grid.h, "shape": list(grid.shape)}
+    # The grid the solve ran on: a CSV boundary brings its own.
+    payload["grid"] = {"lo": list(u.grid.origin), "h": u.grid.h, "shape": list(u.grid.shape)}
     target = out / "report.json"
     _write_json(target, payload, resolved)
     return target
@@ -348,7 +346,7 @@ def _run_vary(args, out: Path, resolved: dict) -> Path:
         save_curve(curve, out / "interface.csv")
     report = variation_report(u, spec, term, args.eps, dt=args.dt, curve=curve)
     target = out / "report.json"
-    _write_json(target, variation_to_json(report), resolved)
+    _write_json(target, to_json(report), resolved)
     return target
 
 
@@ -512,7 +510,7 @@ def _run_sweep(args, out: Path, resolved: dict) -> Path:
 
     entries = []
     for eps, name in zip(eps_list, names):
-        report = json.loads((out / name / "report.json").read_text(encoding="utf-8"))
+        report = read_json(out / name / "report.json")
         entries.append({"eps": eps, "dir": name, "report": report})
     target = out / "summary.json"
     _write_json(target, {"command": command, "eps": eps_list, "entries": entries}, resolved)

@@ -24,6 +24,7 @@ from scipy.spatial import cKDTree
 
 from .field import GridSpec, ScalarField, _shift, gradient, integrate, sample
 from .potentials import F_eps, ReactionTerm, make_reference
+from .records import from_json, to_json
 
 __all__ = [
     "LevelRegion",
@@ -593,29 +594,17 @@ def blowdown(u: ScalarField, eps: float, target_grid: GridSpec) -> ScalarField:
 
 
 def check_to_json(report: CheckReport) -> dict:
-    """Serialize a CheckReport to a JSON-ready dict."""
-    return {
-        "check": report.check,
-        "params": list(report.params),
-        "values": list(report.values),
-        "worst": report.worst,
-        "threshold": report.threshold,
-        "pass": report.passed,
-        "sense": report.sense,
-    }
+    """Serialize a CheckReport; the passed field is stored as "pass"."""
+    payload = to_json(report)
+    payload["pass"] = payload.pop("passed")
+    return payload
 
 
 def check_from_json(payload: dict) -> CheckReport:
     """Rebuild a CheckReport from its JSON dict."""
-    return CheckReport(
-        check=payload["check"],
-        params=tuple(payload["params"]),
-        values=tuple(payload["values"]),
-        worst=payload["worst"],
-        threshold=payload["threshold"],
-        passed=payload["pass"],
-        sense=payload.get("sense", "min"),
-    )
+    fields = dict(payload)
+    fields["passed"] = fields.pop("pass")
+    return from_json(CheckReport, fields)
 
 
 def save_region(region: LevelRegion, path) -> None:

@@ -13,7 +13,6 @@ exact inner-variation integrands without stencil noise.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,6 +23,8 @@ from scipy.interpolate import (
     RegularGridInterpolator,
     make_interp_spline,
 )
+
+from .records import from_json, read_json, to_json, write_json
 
 __all__ = [
     "DomainError",
@@ -86,6 +87,8 @@ class GridSpec:
             raise ValueError(f"spacing must be positive, got {self.h}")
         if any(n < 3 for n in self.shape):
             raise ValueError(f"need at least 3 nodes per axis, got {self.shape}")
+        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
+        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
 
     @property
     def hi(self) -> tuple[float, ...]:
@@ -214,23 +217,21 @@ def integrate(u: ScalarField) -> float:
     return float(acc)
 
 
-_SPLINE_DEGREE = {"cubic": 3, "quintic": 5}
-
-
 def _interpolator(u: ScalarField, method: str = "linear"):
     if method == "linear":
         return RegularGridInterpolator(
             u.grid.axes(), u.values, method="linear", bounds_error=True
         )
-    # Interpolating tensor splines.  RegularGridInterpolator's own cubic and
-    # quintic modes are only second-order accurate between nodes, which is
+    if method != "quintic":
+        raise ValueError(f"unknown sampling method: {method!r}")
+    # Interpolating quintic tensor spline.  RegularGridInterpolator's own
+    # quintic mode is only second-order accurate between nodes, which is
     # not good enough when the samples feed difference quotients.
-    k = _SPLINE_DEGREE[method]
     axes = u.grid.axes()
     if u.grid.dim == 1:
-        spline = make_interp_spline(axes[0], u.values, k=k)
+        spline = make_interp_spline(axes[0], u.values, k=5)
         return lambda pts: spline(pts[:, 0])
-    spline2 = RectBivariateSpline(axes[0], axes[1], u.values, kx=k, ky=k)
+    spline2 = RectBivariateSpline(axes[0], axes[1], u.values, kx=5, ky=5)
     return lambda pts: spline2.ev(pts[:, 0], pts[:, 1])
 
 
@@ -252,8 +253,8 @@ def sample(
     Args:
         u: field to sample.
         p: point of shape (dim,) or batch of shape (n, dim).
-        method: "linear" (default), or "cubic" or "quintic" for an
-            interpolating tensor spline of that degree.
+        method: "linear" (default), or "quintic" for an interpolating
+            quintic tensor spline.
 
     Returns:
         Scalar for a single point, 1D array for a batch.
@@ -499,7 +500,7 @@ def pullback(
         n_steps: RK4 step count for the flow.
         method: interpolation used to sample u at the flowed points.  Linear
             sampling adds grid-scale noise that is fine for energies but
-            ruins difference quotients in t; pass "cubic" when the result
+            ruins difference quotients in t; pass "quintic" when the result
             feeds a finite-difference derivative.
 
     Returns:
@@ -531,64 +532,29 @@ def save_field(u: ScalarField, path: str | Path) -> None:
     header = ",".join(["i", "j"][:dim] + ["x", "y"][:dim] + ["u"])
     fmt = ["%d"] * dim + ["%.17g"] * (dim + 1)
     np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
-    sidecar = {
-        "dim": u.grid.dim,
-        "origin": list(u.grid.origin),
-        "h": u.grid.h,
-        "shape": list(u.grid.shape),
-    }
-    with open(path.with_suffix(".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path.with_suffix(".json"), to_json(u.grid))
 
 
 def load_field(path: str | Path) -> ScalarField:
     """Read a field written by save_field."""
     path = Path(path)
-    with open(path.with_suffix(".json")) as fh:
-        meta = json.load(fh)
-    grid = GridSpec(
-        dim=int(meta["dim"]),
-        origin=tuple(float(v) for v in meta["origin"]),
-        h=float(meta["h"]),
-        shape=tuple(int(n) for n in meta["shape"]),
-    )
+    grid = from_json(GridSpec, read_json(path.with_suffix(".json")))
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return ScalarField(grid=grid, values=data[:, -1].reshape(grid.shape))
 
 
 def spec_to_json(spec: VectorFieldSpec) -> dict:
-    return {
-        "dim": spec.dim,
-        "components": [
-            {
-                "coeffs": comp.coeffs.tolist(),
-                "center": list(comp.center),
-                "halfwidths": list(comp.halfwidths),
-            }
-            for comp in spec.components
-        ],
-    }
+    return to_json(spec)
 
 
 def spec_from_json(payload: dict) -> VectorFieldSpec:
-    comps = tuple(
-        PolyBump(
-            coeffs=np.asarray(entry["coeffs"], dtype=float),
-            center=tuple(float(v) for v in entry["center"]),
-            halfwidths=tuple(float(v) for v in entry["halfwidths"]),
-        )
-        for entry in payload["components"]
-    )
-    return VectorFieldSpec(dim=int(payload["dim"]), components=comps)
+    comps = tuple(from_json(PolyBump, entry) for entry in payload["components"])
+    return from_json(VectorFieldSpec, {**payload, "components": comps})
 
 
 def save_vector_spec(spec: VectorFieldSpec, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec_to_json(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, spec_to_json(spec))
 
 
 def load_vector_spec(path: str | Path) -> VectorFieldSpec:
-    with open(path) as fh:
-        return spec_from_json(json.load(fh))
+    return spec_from_json(read_json(path))

@@ -13,13 +13,13 @@ a-posteriori oracle for the fixed-step integrator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .potentials import ReactionTerm
+from .records import from_json, read_json, write_json
 
 __all__ = [
     "IntegrationFailure",
@@ -143,15 +143,12 @@ def solve_wedge(
     s: float,
     t_max: float,
     h: float,
-    method: str = "first-integral",
 ) -> Profile1D:
     """Integrate the even wedge profile V'' = f_eps(V) with slope s at infinity.
 
-    The default route fixes the initial height from the first integral,
-    V(0) = eps * Finv(1 - s^2), V'(0) = 0, and integrates forward, mirroring
-    onto [-t_max, 0].  The "shooting" route instead bisects on V(0) until the
-    measured asymptotic slope matches s, and exists to cross-validate the
-    first-integral construction.
+    The initial height comes from the first integral, V(0) = eps *
+    Finv(1 - s^2), V'(0) = 0; the profile is integrated forward and
+    mirrored onto [-t_max, 0].
 
     Args:
         term: reaction term.
@@ -159,7 +156,6 @@ def solve_wedge(
         s: asymptotic slope, strictly inside (0, 1).
         t_max: half-span of the sample grid, positive.
         h: step size, positive.
-        method: "first-integral" (default) or "shooting".
 
     Returns:
         Profile1D with kind "wedge"; V(-t) = V(t) by construction.
@@ -173,8 +169,6 @@ def solve_wedge(
         raise ValueError(f"eps must be positive, got {eps}")
     if not (t_max > 0 and h > 0):
         raise ValueError("t_max and h must be positive")
-    if method not in ("first-integral", "shooting"):
-        raise ValueError(f"unknown wedge method: {method!r}")
 
     def rhs(v: float) -> float:
         return term.f(v / eps) / eps
@@ -182,21 +176,7 @@ def solve_wedge(
     n_pos = int(np.ceil(t_max / h - 1e-9))
     neg_tol = 1e-9 * term.T * eps
 
-    if method == "first-integral":
-        v0 = eps * term.Finv(1.0 - s * s)
-    else:
-        # Shoot on the initial height: the terminal slope is monotone
-        # decreasing in V(0), so plain bisection is safe.
-        lo, hi = 0.0, term.T * eps
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            V_try, W_try = _rk4_scan(rhs, mid, 0.0, h, n_pos, neg_tol)
-            if W_try[-1] > s:
-                lo = mid
-            else:
-                hi = mid
-        v0 = 0.5 * (lo + hi)
-
+    v0 = eps * term.Finv(1.0 - s * s)
     V_fwd, W_fwd = _rk4_scan(rhs, v0, 0.0, h, n_pos, neg_tol)
     t = np.arange(-n_pos, n_pos + 1) * h
     V = np.concatenate([V_fwd[::-1], V_fwd[1:]])
@@ -254,23 +234,12 @@ def save_profile(p: Profile1D, path: str | Path) -> None:
     rows = np.column_stack([p.t, p.V, p.Vp])
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="t,V,Vp", comments="")
     sidecar = {"eps": p.eps, "kind": p.kind, "s": p.s, "h": p.h, "T": p.T}
-    path.with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(path.with_suffix(".json"), sidecar)
 
 
 def load_profile(path: str | Path) -> Profile1D:
     """Read a profile written by save_profile."""
     path = Path(path)
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    meta = json.loads(path.with_suffix(".json").read_text())
-    return Profile1D(
-        eps=float(meta["eps"]),
-        kind=str(meta["kind"]),
-        s=None if meta["s"] is None else float(meta["s"]),
-        t=rows[:, 0],
-        V=rows[:, 1],
-        Vp=rows[:, 2],
-        h=float(meta["h"]),
-        T=float(meta["T"]),
-    )
+    meta = read_json(path.with_suffix(".json"))
+    return from_json(Profile1D, {**meta, "t": rows[:, 0], "V": rows[:, 1], "Vp": rows[:, 2]})

@@ -34,9 +34,6 @@ __all__ = [
     "energy",
     "residual",
     "minimize",
-    "config_from_json",
-    "config_to_json",
-    "report_to_json",
 ]
 
 # One reported iteration bundles this many red-black sweeps; energy and
@@ -238,27 +235,3 @@ def minimize(
     )
     return field, report
 
-
-def config_to_json(cfg: SolveConfig) -> dict:
-    return {
-        "eps": cfg.eps,
-        "tol_residual": cfg.tol_residual,
-        "max_iter": cfg.max_iter,
-    }
-
-
-def config_from_json(payload: dict) -> SolveConfig:
-    known = {f.name for f in dataclasses.fields(SolveConfig)}
-    extra = set(payload) - known
-    if extra:
-        raise ValueError(f"unknown solve config keys: {sorted(extra)}")
-    return SolveConfig(**payload)
-
-
-def report_to_json(report: SolveReport) -> dict:
-    return {
-        "iterations": report.iterations,
-        "final_residual": report.final_residual,
-        "energy_trace": list(report.energy_trace),
-        "converged": report.converged,
-    }

@@ -15,7 +15,6 @@ a curvature-weighted integral along the extracted interface polyline.
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +34,7 @@ from .field import (
     tables,
 )
 from .potentials import F_eps, ReactionTerm, f_eps
+from .records import read_json, write_json
 from .solver import energy
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
     "surface_second_variation",
     "cjk_form",
     "variation_report",
-    "report_to_json",
-    "report_from_json",
     "save_curve",
     "load_curve",
 ]
@@ -64,6 +62,10 @@ _PROBE_FAR = 5.0
 # A vertex whose extrapolated curvature exceeds this many inverse grid
 # spacings is below the resolvable radius and flagged singular.
 _SINGULAR_CURVATURE = 10.0
+# RK4 substeps per unit dt in the FD oracle, so its five pullbacks share one
+# step size.  Reusing a single map keeps the integrator error a smooth
+# function of t instead of five unrelated perturbations.
+_FD_STEPS = 16
 
 
 class NotClassicalSolutionError(ValueError):
@@ -285,7 +287,6 @@ def inner_variation_fd(
     term: ReactionTerm,
     eps: float,
     dt: float | None = None,
-    n_steps: int = 16,
 ) -> tuple[float, float]:
     """Finite-difference oracle for both inner variations.
 
@@ -302,9 +303,6 @@ def inner_variation_fd(
         term: reaction term.
         eps: nonnegative scale.
         dt: differencing step; None picks 1e-2 * support width / max |X|.
-        n_steps: RK4 substeps per unit dt, so the five pullbacks share one
-            step size.  Reusing a single map keeps the integrator error a
-            smooth function of t instead of five unrelated perturbations.
 
     Returns:
         (first, second) derivative estimates; the step actually used is
@@ -318,7 +316,7 @@ def inner_variation_fd(
     # At t = 0 the pullback moves no node, so its energy is that of u.
     vals = [
         energy(
-            pullback(u, spec, k * dt, abs(k) * n_steps, method="quintic") if k else u,
+            pullback(u, spec, k * dt, abs(k) * _FD_STEPS, method="quintic") if k else u,
             term,
             eps,
         )
@@ -693,38 +691,6 @@ def variation_report(
     )
 
 
-def report_to_json(report: VariationReport) -> dict:
-    return {
-        "first_analytic": report.first_analytic,
-        "second_analytic": report.second_analytic,
-        "first_fd": report.first_fd,
-        "second_fd": report.second_fd,
-        "dt": report.dt,
-        "classical_second": report.classical_second,
-        "surface_second": report.surface_second,
-    }
-
-
-def report_from_json(payload: dict) -> VariationReport:
-    return VariationReport(
-        first_analytic=float(payload["first_analytic"]),
-        second_analytic=float(payload["second_analytic"]),
-        first_fd=float(payload["first_fd"]),
-        second_fd=float(payload["second_fd"]),
-        dt=float(payload["dt"]),
-        classical_second=(
-            None
-            if payload.get("classical_second") is None
-            else float(payload["classical_second"])
-        ),
-        surface_second=(
-            None
-            if payload.get("surface_second") is None
-            else float(payload["surface_second"])
-        ),
-    )
-
-
 def save_curve(curve: InterfaceCurve, path: str | Path) -> None:
     """Write an interface polyline as CSV plus a topology sidecar JSON.
 
@@ -737,16 +703,13 @@ def save_curve(curve: InterfaceCurve, path: str | Path) -> None:
         "closed": curve.closed,
         "singular": [int(k) for k in np.nonzero(curve.singular)[0]],
     }
-    with open(path.with_suffix(".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path.with_suffix(".json"), sidecar)
 
 
 def load_curve(path: str | Path) -> InterfaceCurve:
     """Read a curve written by save_curve."""
     path = Path(path)
-    with open(path.with_suffix(".json")) as fh:
-        meta = json.load(fh)
+    meta = read_json(path.with_suffix(".json"))
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.size == 0:
         data = data.reshape(0, 5)

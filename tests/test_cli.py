@@ -17,8 +17,11 @@ import pytest
 from onephase.cli import main
 from onephase.field import (
     PolyBump,
+    ScalarField,
     VectorFieldSpec,
     load_field,
+    make_grid,
+    save_field,
     save_vector_spec,
 )
 from onephase.ode1d import load_profile
@@ -161,6 +164,20 @@ def test_solve_writes_solution_and_report(tmp_path):
     trace = report["energy_trace"]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
     assert report["energy"] == energy(u, make_reference(1.0), 0.2)
+
+
+def test_solve_report_states_boundary_csv_grid(tmp_path):
+    grid = make_grid(0.0, 1.0, 21)
+    save_field(ScalarField(grid=grid, values=np.linspace(0.0, 1.0, 21)), tmp_path / "bc.csv")
+    out = tmp_path / "out"
+    rc = main(["solve", "--eps", "0.5", "--boundary", str(tmp_path / "bc.csv"), "--out", str(out)])
+    assert rc == 0
+    sidecar = _read(out / "solution.json")
+    assert _read(out / "report.json")["grid"] == {
+        "lo": sidecar["origin"],
+        "h": sidecar["h"],
+        "shape": sidecar["shape"],
+    }
 
 
 def test_solve_rejects_grid_coarser_than_layer(tmp_path, capsys):

@@ -322,6 +322,7 @@ def test_field_csv_round_trip_1d(tmp_path):
     save_field(u, path)
     v = load_field(path)
     assert np.array_equal(v.values, u.values)
+    assert v.grid == u.grid
     assert path.read_text().splitlines()[0] == "i,x,u"
     assert path.read_text().splitlines()[1] == "0,0,0"
 

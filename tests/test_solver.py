@@ -6,14 +6,12 @@ import pytest
 from onephase.field import ScalarField, make_grid
 from onephase.ode1d import solve_monotone
 from onephase.potentials import make_reference
+from onephase.records import from_json, to_json
 from onephase.solver import (
     SolveConfig,
     SolveReport,
-    config_from_json,
-    config_to_json,
     energy,
     minimize,
-    report_to_json,
     residual,
 )
 
@@ -195,9 +193,7 @@ def test_config_validation_and_json():
     with pytest.raises(ValueError):
         SolveConfig(eps=0.1, max_iter=0)
     cfg = SolveConfig(eps=0.25, tol_residual=1e-9, max_iter=77)
-    assert config_from_json(config_to_json(cfg)) == cfg
-    with pytest.raises(ValueError):
-        config_from_json({"eps": 0.1, "bogus": 1})
+    assert from_json(SolveConfig, to_json(cfg)) == cfg
 
 
 def test_report_rejects_increasing_trace():
@@ -211,6 +207,6 @@ def test_report_rejects_increasing_trace():
     rep = SolveReport(
         iterations=1, final_residual=0.5, energy_trace=(2.0, 1.0), converged=False
     )
-    payload = report_to_json(rep)
+    payload = to_json(rep)
     assert payload["energy_trace"] == [2.0, 1.0]
     assert payload["converged"] is False

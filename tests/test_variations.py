@@ -17,6 +17,7 @@ from onephase.field import (
 )
 from onephase.ode1d import solve_monotone
 from onephase.potentials import f_eps, make_reference
+from onephase.records import from_json, to_json
 from onephase.solver import SolveConfig, minimize
 from onephase.variations import (
     InterfaceCurve,
@@ -29,8 +30,6 @@ from onephase.variations import (
     first_inner_variation,
     inner_variation_fd,
     lie_derivative,
-    report_from_json,
-    report_to_json,
     save_curve,
     load_curve,
     second_inner_variation,
@@ -403,8 +402,8 @@ def test_variation_report_roundtrip():
     report = variation_report(u, spec, term, 0.5, dt=0.1)
     assert report.classical_second is not None
     assert report.surface_second is None
-    payload = report_to_json(report)
-    again = report_from_json(json.loads(json.dumps(payload)))
+    payload = to_json(report)
+    again = from_json(VariationReport, json.loads(json.dumps(payload)))
     assert again == report
 
 
