@@ -65,7 +65,12 @@ class Profile1D:
 
 
 def _rk4_scan(rhs, v0: float, w0: float, step: float, n_steps: int, neg_tol: float):
-    """Integrate V'' = rhs(V) with RK4; stops once V underflows below 1e-14."""
+    """Integrate V'' = rhs(V) with RK4; stops once V underflows below 1e-14.
+
+    rhs must return a Python float for a Python float argument: the loop
+    then runs on plain floats, and the reference term's f takes its fast
+    scalar branch at every stage.
+    """
     V = np.zeros(n_steps + 1)
     W = np.zeros(n_steps + 1)
     V[0], W[0] = v0, w0

@@ -69,6 +69,9 @@ def _bisect_inverse(F: Callable[[float], float], T: float) -> Callable[[float], 
         lo, hi = 0.0, T
         while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                # lo and hi are adjacent floats (spacing(T) > _BISECT_TOL).
+                break
             if F(mid) < y:
                 lo = mid
             else:
@@ -87,6 +90,13 @@ def make_reference(T: float) -> ReactionTerm:
     constant compatible with f(s)/s = (6/T^4)(T - s)^2 on [0, tau]; at
     T = 1 this gives c0 = 1/6.
 
+    For a Python float argument f skips numpy and returns a Python float.
+    The RK4 profile integrators call f once per stage, and the numpy
+    round trip (asarray, where, float) costs about 10 us per call.  The
+    plain-float branch returns the same bits as the array path does for a
+    0-d input, so a profile does not depend on which path f takes.  Any
+    other input, numpy scalars included, takes the array path.
+
     Args:
         T: support endpoint, must be positive.
 
@@ -102,6 +112,9 @@ def make_reference(T: float) -> ReactionTerm:
     a = 6.0 / T**4
 
     def f(s: Any) -> Any:
+        if type(s) is float:
+            # `** 2` (C pow), not `d * d`: the 0-d numpy power below calls pow too.
+            return a * s * (T - s) ** 2 if 0.0 < s < T else 0.0
         s_arr = np.asarray(s, dtype=float)
         inside = (s_arr > 0.0) & (s_arr < T)
         val = a * s_arr * (T - s_arr) ** 2

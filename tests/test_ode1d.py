@@ -56,6 +56,49 @@ def test_monotone_exponential_tail_bound():
     assert np.all(p.V[tail] <= bound * (1.0 + 1e-9))
 
 
+def _exact_time(V, T):
+    # Reference family: V' = sqrt(F(V)) integrates in closed form,
+    # t(V) = T (G(V/T) - G(1)).
+    r6 = np.sqrt(6.0)
+
+    def G(v):
+        root = np.sqrt(3.0 * v * v - 8.0 * v + 6.0)
+        return -np.log((12.0 - 8.0 * v + 2.0 * r6 * root) / v) / r6
+
+    return T * (G(V / T) - G(1.0))
+
+
+@pytest.mark.parametrize("T", [1.0, 2.0])
+def test_monotone_matches_closed_form_near_the_layer(T):
+    # Only t >= -2T: deeper in the tail the backward RK4 drifts off the
+    # stable manifold of the saddle at 0 (6.6e-4 in t at t = -6, T = 1).
+    p = solve_monotone(make_reference(T), t_min=-30.0, t_max=30.0, h=1e-3)
+    window = (p.t >= -2.0 * T) & (p.t <= 0.0)
+    assert np.max(np.abs(_exact_time(p.V[window], T) - p.t[window])) <= 1e-10
+
+
+def test_default_monotone_profile_bits_are_pinned():
+    # The CLI promises byte-identical profile CSVs, so any reordering of the
+    # RK4 sums or of f must show here.  The tail samples carry the most
+    # accumulated roundoff; below t = -7.312 the tail is zero-filled.
+    p = solve_monotone(_term(), t_min=-30.0, t_max=30.0, h=1e-3)
+    assert p.t.shape == (60_001,)
+    pinned = {
+        -12.0: ("0x0.0p+0", "0x0.0p+0"),
+        -7.312: ("0x1.a8e60a38dcc42p-34", "0x1.d7fde2e868452p-23"),
+        -7.0: ("0x1.4495812e611cap-24", "0x1.348c5a34071b0p-22"),
+        -5.0: ("0x1.b21f6ddc55216p-17", "0x1.09d952b8dd0d0p-15"),
+        -1.0: ("0x1.9d0fe081c45fbp-3", "0x1.b6885d7de669bp-2"),
+        -0.001: ("0x1.ff7ced91698c0p-1", "0x1.ffffffeed5408p-1"),
+        0.5: ("0x1.7ffffffffff08p+0", "0x1.0000000000000p+0"),
+        10.0: ("0x1.5fffffffffe8ep+3", "0x1.0000000000000p+0"),
+    }
+    for t, (v_hex, vp_hex) in pinned.items():
+        i = int(np.argmin(np.abs(p.t - t)))
+        assert (float(p.V[i]).hex(), float(p.Vp[i]).hex()) == (v_hex, vp_hex), t
+    assert int(np.count_nonzero(p.V == 0.0)) == 22_688
+
+
 def test_monotone_rejects_bad_span_and_step():
     term = _term()
     with pytest.raises(ValueError):

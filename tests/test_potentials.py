@@ -5,6 +5,7 @@ import pytest
 
 from onephase.potentials import (
     F_eps,
+    _bisect_inverse,
     f_eps,
     make_reference,
     make_tabulated,
@@ -96,6 +97,52 @@ def test_Finv_round_trip_and_small_values():
         assert term.Finv(term.F(v)) == pytest.approx(v, abs=1e-10)
     v_small = term.Finv(0.0199)  # 1 - s^2 at s = 0.99
     assert 0.0 < v_small < 0.1
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+def test_reference_scalar_branch_is_the_array_path_bit_for_bit(T):
+    # The oracle is the 0-d array path, so an RK4 profile does not depend on
+    # which path f takes.  (A length-1 array is not an oracle: numpy turns
+    # `** 2` on arrays into `square`, which differs from the 0-d `pow` in
+    # the last bit at about 1 point in 2500.)
+    term = make_reference(T)
+    rng = np.random.default_rng(6)
+    points = rng.uniform(-0.5 * T, 1.5 * T, 100_000).tolist()
+    points += (T * (1.0 + rng.uniform(-1e-6, 1e-6, 2_000))).tolist()
+    points += (T * rng.uniform(-1e-6, 1e-6, 2_000)).tolist()
+    points += [
+        0.0,
+        -0.0,
+        T,
+        float(np.nextafter(T, 0.0)),
+        float(np.nextafter(T, 2.0 * T)),
+        5e-324,
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+    ]
+    for x in points:
+        got = term.f(x)
+        assert type(got) is float
+        assert got.hex() == float(term.f(np.asarray(x))).hex(), x
+
+
+def test_Finv_returns_when_bisection_reaches_adjacent_floats():
+    # At T = 1e5 adjacent floats near T are further apart than the absolute
+    # bisection tolerance; the loop must stop there instead of spinning.
+    big = make_reference(1e5)
+    calls = 0
+
+    def counted_F(v):
+        nonlocal calls
+        calls += 1
+        if calls > 200:
+            raise RuntimeError("Finv bisection does not terminate")
+        return big.F(v)
+
+    v = _bisect_inverse(counted_F, big.T)(0.5)
+    assert v / 1e5 == pytest.approx(make_reference(1.0).Finv(0.5), rel=1e-12)
+    assert big.Finv(0.5) == v
 
 
 def test_validate_reference_passes_for_all_supports():
