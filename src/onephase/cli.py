@@ -287,12 +287,14 @@ def _run_profile(args, out: Path, resolved: dict) -> Path:
         if (args.s is None) == (args.s2 is None):
             raise ConfigError("wedge profiles need exactly one of --s or --s2")
         s = args.s if args.s is not None else math.sqrt(args.s2)
-        t_max = args.t_max if args.t_max is not None else 30.0 * eps
-        h = args.h if args.h is not None else 1e-3 * eps
+        # The layer is T*eps wide, so the default span and step scale with
+        # it; at T = 1 they are 30*eps and 1e-3*eps to the bit.
+        t_max = args.t_max if args.t_max is not None else 30.0 * args.T * eps
+        h = args.h if args.h is not None else 1e-3 * args.T * eps
         prof = solve_wedge(term, eps, s, t_max, h)
     else:
-        t_max = args.t_max if args.t_max is not None else 30.0
-        h = args.h if args.h is not None else 1e-3
+        t_max = args.t_max if args.t_max is not None else 30.0 * args.T
+        h = args.h if args.h is not None else 1e-3 * args.T
         prof = solve_monotone(term, -t_max, t_max, h)
         if eps != 1.0:
             prof = rescale(prof, eps)

@@ -41,8 +41,6 @@ __all__ = [
     "blowdown",
     "check_to_json",
     "check_from_json",
-    "save_region",
-    "load_region",
 ]
 
 # Relative height below which a node of a limit field counts as zero.
@@ -605,29 +603,3 @@ def check_from_json(payload: dict) -> CheckReport:
     fields = dict(payload)
     fields["passed"] = fields.pop("pass")
     return from_json(CheckReport, fields)
-
-
-def save_region(region: LevelRegion, path) -> None:
-    """Write a region as a CSV index list with the band in the header."""
-    dim = region.indices.shape[1]
-    cols = ",".join(f"i{k}" for k in range(dim))
-    meta = f"# lo={region.lo!r} hi={region.hi!r} eps={region.eps!r} theta={region.theta!r}"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(meta + "\n" + cols + "\n")
-        np.savetxt(fh, region.indices, fmt="%d", delimiter=",")
-
-
-def load_region(path) -> LevelRegion:
-    """Read a region written by save_region."""
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = fh.readline().strip()
-        fh.readline()
-        body = np.loadtxt(fh, delimiter=",", dtype=int, ndmin=2)
-    fields = dict(tok.split("=") for tok in meta.lstrip("# ").split())
-    return LevelRegion(
-        indices=body,
-        lo=float(fields["lo"]),
-        hi=float(fields["hi"]),
-        eps=float(fields["eps"]),
-        theta=float(fields["theta"]),
-    )

@@ -164,14 +164,28 @@ def gradient(u: ScalarField) -> np.ndarray:
     return np.stack(g, axis=0)
 
 
-def _neighbour_sum(v: np.ndarray) -> np.ndarray:
-    """Sum of the 2*dim axis neighbours of every interior node of v."""
-    dim = v.ndim
-    acc = np.zeros_like(v[(slice(1, -1),) * dim])
-    for ax in range(dim):
-        lo = tuple(slice(0, -2) if k == ax else slice(1, -1) for k in range(dim))
-        hi = tuple(slice(2, None) if k == ax else slice(1, -1) for k in range(dim))
-        acc = acc + v[lo] + v[hi]
+def _neighbour_sum(v: np.ndarray, block: tuple[slice, ...] | None = None) -> np.ndarray:
+    """Sum of the 2*dim axis neighbours of the interior nodes of v in block.
+
+    block holds one slice per axis with explicit start >= 1, stop <= n - 1
+    and step 1 or 2; the default is the whole interior.  A slice moved by
+    one node selects the neighbours of every node it held, so the laplacian
+    (step 1) and a red-black colour block (step 2) share this sum.  It is
+    accumulated from zero as + lower + upper per axis for every block, so a
+    node's sum has the same bits whichever block it is taken in.
+    """
+    if block is None:
+        block = tuple(slice(1, n - 1) for n in v.shape)
+
+    def moved(ax: int, k: int) -> tuple[slice, ...]:
+        return tuple(
+            slice(b.start + k, b.stop + k, b.step) if i == ax else b
+            for i, b in enumerate(block)
+        )
+
+    acc = np.zeros_like(v[block])
+    for ax in range(v.ndim):
+        acc = acc + v[moved(ax, -1)] + v[moved(ax, 1)]
     return acc
 
 

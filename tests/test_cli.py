@@ -124,6 +124,17 @@ def test_profile_wedge_slope_squared(tmp_path):
     assert prof.V[center] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_profile_default_span_scales_with_T(tmp_path):
+    # The layer widens in proportion to T; a span fixed at 30*eps ends the
+    # wedge long before its slope reaches s.
+    rc = main(
+        ["profile", "--wedge", "--s2", "0.25", "--T", "100000", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    report = _read(tmp_path / "report.json")
+    assert report["slope_end"] == pytest.approx(0.5, abs=1e-6)
+
+
 def test_profile_monotone_rescales(tmp_path):
     rc = main(["profile", "--eps", "0.25", "--out", str(tmp_path)])
     assert rc == 0
@@ -425,6 +436,40 @@ def test_rerun_is_byte_identical(tmp_path):
     assert len(first) == 5
     assert main(argv) == 0
     assert _tree_hashes(tmp_path) == first
+
+
+@pytest.mark.parametrize(
+    "argv, csv_sha256, iterations, residual_hex, energy_hex",
+    [
+        (
+            ["--eps", "0.2", "--n", "41"],
+            "26ba891039f3f3e54e51a9e73ed6ce682e59d9cb14a098c6187dd6abcfd1ed36",
+            14,
+            "0x1.d3a9da2800000p-28",
+            "0x1.245bed9daafacp+2",
+        ),
+        (
+            ["--eps", "0.1", "--lo=-1", "--hi=1", "--n", "81"],
+            "c41507134b6ffa86c761c69e8a989b4b4cb58af319315025f6adb3c96b913ef9",
+            27,
+            "0x1.6331affffffffp-28",
+            "0x1.122ddfe81f045p+1",
+        ),
+    ],
+    ids=["2d-41", "1d-81"],
+)
+def test_solve_output_bits_are_pinned(
+    tmp_path, argv, csv_sha256, iterations, residual_hex, energy_hex
+):
+    # A rerun of one tree cannot notice a solver change that moves bits;
+    # these pins can.
+    assert main(["solve", *argv, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "solution.csv").read_bytes()).hexdigest()
+    assert digest == csv_sha256
+    report = _read(tmp_path / "report.json")
+    assert report["iterations"] == iterations
+    assert float.hex(report["final_residual"]) == residual_hex
+    assert float.hex(report["energy"]) == energy_hex
 
 
 def test_config_supplies_defaults_flags_override(tmp_path):

@@ -25,10 +25,8 @@ from onephase.fbcheck import (
     l1_gap,
     level_region,
     lipschitz_constant,
-    load_region,
     nondegeneracy_scan,
     poincare_ratio,
-    save_region,
     zero_phase_density,
 )
 from onephase.ode1d import solve_monotone, solve_wedge
@@ -123,17 +121,6 @@ def test_level_region_validation():
         level_region(u, TERM, 0.1, "Z", TERM.T + 0.1)
     with pytest.raises(ValueError):
         level_region(u, TERM, 0.0, "Z", TAU)
-
-
-def test_save_load_region_roundtrip(tmp_path):
-    u = _halfplane(51)
-    region = level_region(u, TERM, 0.1, "Z", TAU)
-    path = tmp_path / "region.csv"
-    save_region(region, path)
-    again = load_region(path)
-    assert np.array_equal(again.indices, region.indices)
-    assert again.lo == region.lo and again.hi == region.hi
-    assert again.eps == region.eps and again.theta == region.theta
 
 
 def test_nondegeneracy_halfplane_discrete_constant():

@@ -5,11 +5,13 @@ import pytest
 
 from onephase.field import ScalarField, make_grid
 from onephase.ode1d import solve_monotone
-from onephase.potentials import make_reference
+from onephase.potentials import f_eps, make_reference, make_tabulated
 from onephase.records import from_json, to_json
 from onephase.solver import (
     SolveConfig,
     SolveReport,
+    _colour_blocks,
+    _sweep,
     energy,
     minimize,
     residual,
@@ -210,3 +212,61 @@ def test_report_rejects_increasing_trace():
     payload = to_json(rep)
     assert payload["energy_trace"] == [2.0, 1.0]
     assert payload["converged"] is False
+
+
+def _masked_sweep(values, h, term, eps, omega):
+    """Reference red-black sweep: Newton on every interior node, then keep
+    the nodes of the active colour (interior index sum even, then odd)."""
+    dim = values.ndim
+    core = (slice(1, -1),) * dim
+    parity = np.indices(tuple(n - 2 for n in values.shape)).sum(axis=0) % 2 == 0
+    diag = 2.0 * dim / h**2
+    for color in (parity, ~parity):
+        neigh = np.zeros_like(values[core])
+        for ax in range(dim):
+            lo = tuple(slice(0, -2) if k == ax else slice(1, -1) for k in range(dim))
+            hi = tuple(slice(2, None) if k == ax else slice(1, -1) for k in range(dim))
+            neigh = neigh + values[lo] + values[hi]
+        neigh = neigh / h**2
+        w = values[core].copy()
+        for _ in range(3):
+            r = neigh - diag * w - f_eps(term, eps, w)
+            w = w + r / (diag + term.fprime(w / eps) / eps**2)
+        target = np.maximum(0.0, w)
+        cand = np.maximum(0.0, values[core] + omega * (target - values[core]))
+        values[core] = np.where(color, cand, values[core])
+
+
+def _tabulated_term():
+    s = np.linspace(0.0, 1.5, 61)
+    return make_tabulated(np.column_stack([s, 1.1 * np.asarray(make_reference(1.5).f(s))]))
+
+
+@pytest.mark.parametrize(
+    "make_term",
+    [lambda: make_reference(1.0), lambda: make_reference(2.0), _tabulated_term],
+    ids=["reference-T1", "reference-T2", "tabulated"],
+)
+@pytest.mark.parametrize(
+    "shape",
+    [(3,), (4,), (7,), (1001,), (3, 3), (3, 4), (4, 5), (8, 9), (41, 40), (5, 4, 6), (6, 6, 6)],
+)
+def test_colour_block_sweep_is_the_masked_sweep_bit_for_bit(make_term, shape):
+    term = make_term()
+    rng = np.random.default_rng(sum(shape) * 7919 + len(shape))
+    colours = _colour_blocks(shape)
+    moved = False
+    for eps in (0.5, 0.1):
+        # h below sqrt(dim)*T*eps keeps every node Newton divisor positive.
+        h = 0.5 * eps * term.T
+        start = rng.uniform(0.0, 2.0 * term.T * eps, shape)
+        start[rng.random(shape) < 0.2] = 0.0
+        for omega in (1.7, 1.0):
+            got, want = start.copy(), start.copy()
+            for _ in range(5):
+                _sweep(got, h, term, eps, omega, colours)
+                _masked_sweep(want, h, term, eps, omega)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            moved = moved or not np.array_equal(got, start)
+    assert moved
