@@ -58,7 +58,7 @@ from .ode1d import (
 )
 from .potentials import make_reference, make_tabulated, term_to_json, validate
 from .records import read_json, to_json, write_json
-from .solver import SolveConfig, energy, minimize
+from .solver import SolveConfig, minimize
 from .variations import (
     cjk_form,
     extract_interface,
@@ -221,9 +221,11 @@ _PROFILE_CACHE: dict[float, object] = {}
 
 
 def _base_profile(term):
-    if term.T not in _PROFILE_CACHE:
-        _PROFILE_CACHE[term.T] = solve_monotone(term, -30.0, 30.0, 1e-3)
-    return _PROFILE_CACHE[term.T]
+    # The layer is T wide: span and step scale with T, the step count not.
+    T = term.T
+    if T not in _PROFILE_CACHE:
+        _PROFILE_CACHE[T] = solve_monotone(term, -30.0 * T, 30.0 * T, 1e-3 * T)
+    return _PROFILE_CACHE[T]
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -327,7 +329,7 @@ def _run_solve(args, out: Path, resolved: dict) -> Path:
     u, report = minimize(boundary, boundary, term, cfg)
     save_field(u, out / "solution.csv")
     payload = to_json(report)
-    payload["energy"] = energy(u, term, args.eps)
+    payload["energy"] = report.energy_trace[-1]  # the energy of u
     # The grid the solve ran on: a CSV boundary brings its own.
     payload["grid"] = {"lo": list(u.grid.origin), "h": u.grid.h, "shape": list(u.grid.shape)}
     target = out / "report.json"

@@ -42,7 +42,6 @@ __all__ = [
     "evaluate",
     "jacobian",
     "hessian",
-    "divergence",
     "support_box",
     "max_norm",
     "flow",
@@ -437,13 +436,6 @@ def jacobian(spec: VectorFieldSpec, p) -> np.ndarray:
 def hessian(spec: VectorFieldSpec, p) -> np.ndarray:
     """Exact second partials H[i, j, k] = d^2 X^i / dx_j dx_k at p."""
     return tables(spec, p, 2)[2]
-
-
-def divergence(spec: VectorFieldSpec, p) -> float | np.ndarray:
-    """div X at p, from the analytic Jacobian trace."""
-    pts, single = _as_batch(spec, p)
-    div = np.trace(jacobian(spec, pts), axis1=-2, axis2=-1)
-    return float(div[0]) if single else div
 
 
 def support_box(spec: VectorFieldSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:

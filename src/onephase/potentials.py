@@ -153,8 +153,8 @@ def make_tabulated(
 ) -> ReactionTerm:
     """Build a reaction term from (s, f(s)) rows by linear interpolation.
 
-    F is the cumulative trapezoid antiderivative of 2f, clamped outside the
-    sample span; no normalization is enforced (validate reports it).
+    F is the exact (piecewise quadratic) antiderivative of 2f, clamped outside
+    the sample span; no normalization is enforced (validate reports it).
 
     Args:
         samples: iterable of (s, f(s)) pairs covering [0, T], s increasing.
@@ -189,7 +189,9 @@ def make_tabulated(
 
     def F(v: Any) -> Any:
         v_arr = np.asarray(v, dtype=float)
-        val = np.interp(v_arr, s_grid, cumulative)
+        idx = np.clip(np.searchsorted(s_grid, v_arr, side="right") - 1, 0, len(slopes) - 1)
+        d = np.maximum(v_arr - s_grid[idx], 0.0)
+        val = cumulative[idx] + d * (2.0 * f_grid[idx] + slopes[idx] * d)
         return _scalarize(np.where(v_arr >= T, F_top, np.where(v_arr <= 0.0, 0.0, val)))
 
     def fprime(s: Any) -> Any:

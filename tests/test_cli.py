@@ -19,12 +19,13 @@ from onephase.field import (
     PolyBump,
     ScalarField,
     VectorFieldSpec,
+    interior_mask,
     load_field,
     make_grid,
     save_field,
     save_vector_spec,
 )
-from onephase.ode1d import load_profile
+from onephase.ode1d import load_profile, solve_monotone
 from onephase.potentials import make_reference
 from onephase.solver import energy
 
@@ -189,6 +190,19 @@ def test_solve_report_states_boundary_csv_grid(tmp_path):
         "h": sidecar["h"],
         "shape": sidecar["shape"],
     }
+
+
+def test_solve_profile_boundary_scales_with_T(tmp_path):
+    # The layer of V_T is T wide: V_T(t) = T * V_1(t / T), so the boundary
+    # data eps * V_T(y / eps) must be eps*T * V_1(y / (eps*T)) at every y.
+    assert main(["solve", "--T", "100", "--eps", "0.01", "--n", "21", "--out", str(tmp_path)]) == 0
+    u = load_field(tmp_path / "solution.csv")
+    y = np.meshgrid(*u.grid.axes(), indexing="ij")[1]
+    base = solve_monotone(make_reference(1.0), -30.0, 30.0, 1e-3)
+    scale = 0.01 * 100.0
+    want = scale * np.interp(y / scale, base.t, base.V)
+    edge = ~interior_mask(u.grid)
+    assert np.max(np.abs(u.values[edge] - want[edge])) < 1e-9
 
 
 def test_solve_rejects_grid_coarser_than_layer(tmp_path, capsys):
@@ -446,14 +460,14 @@ def test_rerun_is_byte_identical(tmp_path):
             "26ba891039f3f3e54e51a9e73ed6ce682e59d9cb14a098c6187dd6abcfd1ed36",
             14,
             "0x1.d3a9da2800000p-28",
-            "0x1.245bed9daafacp+2",
+            "0x1.249a5ec9ffe77p+2",
         ),
         (
             ["--eps", "0.1", "--lo=-1", "--hi=1", "--n", "81"],
             "c41507134b6ffa86c761c69e8a989b4b4cb58af319315025f6adb3c96b913ef9",
             27,
             "0x1.6331affffffffp-28",
-            "0x1.122ddfe81f045p+1",
+            "0x1.124d2bef6754bp+1",
         ),
     ],
     ids=["2d-41", "1d-81"],

@@ -9,7 +9,6 @@ from onephase.field import (
     PolyBump,
     ScalarField,
     VectorFieldSpec,
-    divergence,
     evaluate,
     flow,
     gradient,
@@ -215,9 +214,6 @@ def test_analytic_derivatives_match_finite_differences():
     pts = rng.uniform((-0.8, -0.9), (0.9, 0.7), size=(40, 2))
     assert np.max(np.abs(jacobian(spec, pts) - _fd_jacobian(spec, pts, 1e-5))) < 1e-8
     assert np.max(np.abs(hessian(spec, pts) - _fd_hessian(spec, pts, 1e-5))) < 1e-5
-    div = divergence(spec, pts)
-    tr = np.trace(jacobian(spec, pts), axis1=-2, axis2=-1)
-    assert np.array_equal(div, tr)
     _assert_tables_match_views(spec, pts)
     with pytest.raises(ValueError):
         tables(spec, pts, 3)

@@ -203,3 +203,17 @@ def test_tabulated_tracks_reference_family():
     report = validate(tab, n_samples=4001)
     assert report["conditions"]["nonnegativity"]["passed"]
     assert report["conditions"]["support"]["passed"]
+
+
+def test_tabulated_F_is_the_exact_antiderivative_of_its_f():
+    tab = make_tabulated([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+    # f(s) = s, so F(v) = v^2 between the samples, not the chord of it.
+    assert tab.F(0.25) == pytest.approx(0.0625, abs=1e-15)
+    assert tab.F(0.75) == pytest.approx(0.5625, abs=1e-15)
+    assert tab.F(0.5) == pytest.approx(0.25, abs=1e-15)
+    s = np.linspace(0.0, 1.5, 61)
+    tab = make_tabulated(np.column_stack([s, np.asarray(make_reference(1.5).f(s))]))
+    v = np.linspace(0.013, 1.49, 97)
+    dv = 1e-6
+    slope = (np.asarray(tab.F(v + dv)) - np.asarray(tab.F(v - dv))) / (2.0 * dv)
+    assert np.max(np.abs(slope - 2.0 * np.asarray(tab.f(v)))) < 1e-8
