@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import binary_dilation, maximum_filter1d
-from scipy.spatial import cKDTree
 
 from .field import GridSpec, ScalarField, _shift, gradient, integrate, sample
 from .potentials import F_eps, ReactionTerm, make_reference
@@ -192,40 +190,81 @@ def _row_halfwidths(r: float, h: float) -> np.ndarray:
     return di, np.floor(np.sqrt(np.maximum(r**2 - (di * h) ** 2, 0.0)) / h + 1e-9).astype(int)
 
 
+def _widening_maxes(values: np.ndarray, w_max: int, axis: int):
+    """Yield the running max along axis of halfwidth w = 0, 1, ..., w_max.
+
+    Each window is the previous one widened by a node on each side, so a
+    step is two shifted maxima, exact, with -inf outside the array.  Every
+    yield equals scipy.ndimage.maximum_filter1d(size=2w+1, mode="constant",
+    cval=-inf), up to the sign of a zero tie.
+    """
+    row = values
+    yield row
+    for w in range(1, w_max + 1):
+        row = np.maximum(
+            row,
+            np.maximum(_shift(values, w, axis, -np.inf), _shift(values, -w, axis, -np.inf)),
+        )
+        yield row
+
+
 def _ball_max(values: np.ndarray, r: float, h: float) -> np.ndarray:
-    """Max of values over the closed ball of radius r around each node."""
+    """Max of values over the closed ball of radius r around each node.
+
+    In 2D the disc is a stack of row segments.  The running max along the
+    rows widens one node at a time (_widening_maxes), and each row offset
+    takes it, shifted, once it reaches that offset's halfwidth: O(r/h)
+    array passes for the whole disc, the order of the offset loop itself.
+    The van Herk / Gil-Werman block max (van Herk, Pattern Recognit. Lett.
+    13, 1992; Gil & Werman, IEEE TPAMI 15, 1993) is O(1) per window but
+    needs one run per halfwidth, which measured 3-4x slower on 201^2 and
+    401^2 grids at r = 0.25 and 0.5.
+    """
     if values.ndim == 1:
-        m = int(r / h + 1e-9)
-        return maximum_filter1d(values, 2 * m + 1, mode="constant", cval=-np.inf)
+        *_, row = _widening_maxes(values, int(r / h + 1e-9), 0)
+        return row
     offs, widths = _row_halfwidths(r, h)
     out = np.full_like(values, -np.inf)
-    for di, w in zip(offs, widths):
-        row = maximum_filter1d(values, 2 * w + 1, axis=1, mode="constant", cval=-np.inf)
-        np.maximum(out, _shift(row, di, 0, -np.inf), out=out)
+    for w, row in enumerate(_widening_maxes(values, int(widths.max()), 1)):
+        for di in offs[widths == w]:
+            np.maximum(out, _shift(row, di, 0, -np.inf), out=out)
     return out
 
 
-def _window_sum(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """Sum of arr over the centered window of halfwidth w along axis."""
-    n = arr.shape[axis]
-    csum = np.cumsum(arr, axis=axis, dtype=float)
-    pad_shape = list(arr.shape)
-    pad_shape[axis] = 1
-    csum = np.concatenate([np.zeros(pad_shape), csum], axis=axis)
+def _prefix_sum(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Cumulative sum along axis with a leading zero slice."""
+    pad = [(0, 0)] * arr.ndim
+    pad[axis] = (1, 0)
+    return np.pad(np.cumsum(arr, axis=axis, dtype=float), pad)
+
+
+def _window_sum(csum: np.ndarray, w: int, axis: int) -> np.ndarray:
+    """Sum over the centered window of halfwidth w along axis, from the
+    _prefix_sum of the summed array."""
+    n = csum.shape[axis] - 1
     hi = np.clip(np.arange(n) + w + 1, 0, n)
     lo = np.clip(np.arange(n) - w, 0, n)
     return np.take(csum, hi, axis=axis) - np.take(csum, lo, axis=axis)
 
 
 def _ball_count(mask: np.ndarray, r: float, h: float) -> np.ndarray:
-    """Node count of mask inside the closed ball of radius r, per center."""
+    """Node count of mask inside the closed ball of radius r, per center.
+
+    In 2D, as in _ball_max: one prefix sum along the rows per call, one
+    window sum per distinct halfwidth, added at each row offset that has
+    it.  Counts are integer-valued floats, so every sum is exact in any
+    order.
+    """
     dense = mask.astype(float)
     if mask.ndim == 1:
-        return _window_sum(dense, int(r / h + 1e-9), 0)
+        return _window_sum(_prefix_sum(dense, 0), int(r / h + 1e-9), 0)
+    csum = _prefix_sum(dense, 1)
     offs, widths = _row_halfwidths(r, h)
     out = np.zeros_like(dense)
-    for di, w in zip(offs, widths):
-        out += _shift(_window_sum(dense, w, 1), di, 0, 0.0)
+    for w in np.unique(widths):
+        row = _window_sum(csum, int(w), 1)
+        for di in offs[widths == w]:
+            out += _shift(row, di, 0, 0.0)
     return out
 
 
@@ -372,11 +411,19 @@ def _zero_mask(values: np.ndarray) -> np.ndarray:
     return values <= _ZERO_REL_TOL * max(top, 0.0)
 
 
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """Mask grown by one node along each axis (the cross), False outside."""
+    out = mask.copy()
+    for axis in range(mask.ndim):
+        out |= _shift(mask, 1, axis, False) | _shift(mask, -1, axis, False)
+    return out
+
+
 def _limit_boundary(values: np.ndarray) -> np.ndarray:
     """Nodes adjacent (including themselves) to both phases."""
     zero = _zero_mask(values)
     pos = ~zero
-    return (zero & binary_dilation(pos)) | (pos & binary_dilation(zero))
+    return (zero & _dilate(pos)) | (pos & _dilate(zero))
 
 
 def zero_phase_density(u: ScalarField, radii, threshold: float = 0.0) -> CheckReport:
@@ -562,6 +609,8 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray, h: float) -> float:
         pb = pb.reshape(-1, 1)
     if pa.size == 0 or pb.size == 0:
         raise ValueError("both node sets must be nonempty")
+    from scipy.spatial import cKDTree  # only this check needs scipy
+
     d_ab = float(np.max(cKDTree(pb).query(pa)[0]))
     d_ba = float(np.max(cKDTree(pa).query(pb)[0]))
     return h * max(d_ab, d_ba)

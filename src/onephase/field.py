@@ -18,11 +18,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.interpolate import (
-    RectBivariateSpline,
-    RegularGridInterpolator,
-    make_interp_spline,
-)
 
 from .records import from_json, read_json, to_json, write_json
 
@@ -230,16 +225,45 @@ def integrate(u: ScalarField) -> float:
     return float(acc)
 
 
+def _multilinear(u: ScalarField, pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation, bit for bit scipy's RegularGridInterpolator.
+
+    Cell index and weight per axis follow scipy's find_indices: the cell is
+    the last node <= x, clipped to the last cell, so the upper corner lands
+    in the last cell at weight 1.  The corner products are formed and summed
+    in the order of scipy's linear kernels, starting from a 0.0 accumulator
+    as they do (it turns a sum of -0.0 terms into +0.0).
+    """
+    idx, wts = [], []
+    for ax, x in zip(u.grid.axes(), pts.T):
+        i = np.clip(np.searchsorted(ax, x, "right") - 1, 0, len(ax) - 2)
+        idx.append(i)
+        wts.append((x - ax[i]) / (ax[i + 1] - ax[i]))
+    v = u.values
+    if u.grid.dim == 1:
+        (i,), (y,) = idx, wts
+        return 0.0 + v[i] * (1 - y) + v[i + 1] * y
+    (i0, i1), (y0, y1) = idx, wts
+    return (
+        0.0
+        + v[i0, i1] * (1 - y0) * (1 - y1)
+        + v[i0, i1 + 1] * (1 - y0) * y1
+        + v[i0 + 1, i1] * y0 * (1 - y1)
+        + v[i0 + 1, i1 + 1] * y0 * y1
+    )
+
+
 def _interpolator(u: ScalarField, method: str = "linear"):
     if method == "linear":
-        return RegularGridInterpolator(
-            u.grid.axes(), u.values, method="linear", bounds_error=True
-        )
+        return lambda pts: _multilinear(u, pts)
     if method != "quintic":
         raise ValueError(f"unknown sampling method: {method!r}")
     # Interpolating quintic tensor spline.  RegularGridInterpolator's own
     # quintic mode is only second-order accurate between nodes, which is
-    # not good enough when the samples feed difference quotients.
+    # not good enough when the samples feed difference quotients.  scipy
+    # is imported here so that linear sampling never loads it.
+    from scipy.interpolate import RectBivariateSpline, make_interp_spline
+
     axes = u.grid.axes()
     if u.grid.dim == 1:
         spline = make_interp_spline(axes[0], u.values, k=5)
@@ -267,7 +291,10 @@ def sample(
         u: field to sample.
         p: point of shape (dim,) or batch of shape (n, dim).
         method: "linear" (default), or "quintic" for an interpolating
-            quintic tensor spline.
+            quintic tensor spline.  Linear sampling is numpy multilinear
+            interpolation with the bits of scipy's
+            RegularGridInterpolator(method="linear"); only "quintic"
+            loads scipy.
 
     Returns:
         Scalar for a single point, 1D array for a batch.

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 __all__ = [
     "ReactionTerm",
@@ -277,6 +276,8 @@ def validate(term: ReactionTerm, n_samples: int = 10_000) -> dict[str, Any]:
     )
     support_worst = float(np.max(np.abs(np.asarray(term.f(s_out), dtype=float))))
     support = {"passed": bool(support_worst <= slack), "worst": support_worst}
+
+    from scipy.integrate import simpson  # the only scipy use of this module
 
     n_quad = n_samples if n_samples % 2 == 1 else n_samples + 1
     s_quad = np.linspace(0.0, T, n_quad)

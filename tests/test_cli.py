@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onephase
 from onephase.cli import main
 from onephase.field import (
     PolyBump,
@@ -75,6 +79,36 @@ def _spec_file(path: Path) -> Path:
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out or True
+
+
+_SCIPY_PROBE = """
+import json, sys
+from onephase.cli import main
+loaded = {"import": sorted(m for m in sys.modules if m.startswith("scipy"))}
+for k, argv in enumerate(json.loads(sys.argv[1])):
+    rc = main(argv + ["--out", f"out{k}"])
+    loaded[" ".join(argv)] = rc or sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
+    # Only vary (quintic spline), potential (Simpson) and the hausdorff
+    # check need scipy; the CLI import and the other ops must not load it.
+    commands = [
+        ["check", "--what", "nondeg"],
+        ["check", "--what", "exit", "--point=0.1,-0.08"],
+        ["cone", "--kind", "radial", "--emit-interface"],
+    ]
+    src = str(Path(onephase.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": [], **{" ".join(c): [] for c in commands}}
 
 
 def test_unknown_choice_exits_two(capsys):

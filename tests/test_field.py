@@ -139,6 +139,32 @@ def test_sample_linear_node_and_cell_center():
         sample(u, (1.5, 0.0))
 
 
+@pytest.mark.parametrize(
+    "origin, h, shape",
+    [((-1.0,), 0.01, (201,)), ((0.1,), 0.5, (3,)), ((-1.0, -1.0), 0.01, (201, 201)),
+     ((-0.3, 0.7), 0.0271, (37, 53))],
+)
+def test_sample_linear_is_bit_identical_to_regular_grid_interpolator(origin, h, shape):
+    from scipy.interpolate import RegularGridInterpolator
+
+    grid = GridSpec(dim=len(shape), origin=origin, h=h, shape=shape)
+    rng = np.random.default_rng(sum(shape))
+    # Signed zeros among the values check the sign of zero sums too.
+    values = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    values[rng.random(shape) < 0.1] = -0.0
+    u = ScalarField(grid=grid, values=values)
+    pts = np.concatenate(
+        [
+            rng.uniform(grid.origin, grid.hi, size=(20_000, grid.dim)),
+            grid.nodes(),
+            np.array([grid.origin, grid.hi]),
+        ]
+    )
+    ours = sample(u, pts)
+    ref = RegularGridInterpolator(grid.axes(), values, method="linear")(pts)
+    assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
 def test_vector_spec_rejects_high_degree():
     c = np.zeros((4, 4))
     c[3, 1] = 1.0
