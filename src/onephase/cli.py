@@ -421,7 +421,6 @@ def _bump_suite_ratio(grid: GridSpec, count: int, seed: int, zero_fraction: floa
     if grid.dim != 2:
         raise ValueError("the bump suite needs a 2D grid")
     rng = np.random.default_rng(seed)
-    nodes = grid.nodes()
     zero = PolyBump(coeffs=np.zeros((4, 4)), center=(0.0, 0.0), halfwidths=(0.3, 0.3))
     worst = 0.0
     for _ in range(count):
@@ -435,7 +434,7 @@ def _bump_suite_ratio(grid: GridSpec, count: int, seed: int, zero_fraction: floa
             halfwidths=tuple(rng.uniform(0.3, 0.6, size=2)),
         )
         spec = VectorFieldSpec(dim=2, components=(bump, zero))
-        g = ScalarField(grid=grid, values=evaluate(spec, nodes)[:, 0].reshape(grid.shape))
+        g = ScalarField(grid=grid, values=evaluate(spec, grid)[..., 0])
         worst = max(worst, poincare_ratio(g, None, zero_fraction))
     return worst
 

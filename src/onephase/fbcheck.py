@@ -183,8 +183,8 @@ def level_region(
     )
 
 
-def _row_halfwidths(r: float, h: float) -> np.ndarray:
-    """Integer x-halfwidth of the disc of radius r at each row offset."""
+def _row_halfwidths(r: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row offsets of the disc of radius r and the integer x-halfwidth at each."""
     m = int(r / h + 1e-9)
     di = np.arange(-m, m + 1)
     return di, np.floor(np.sqrt(np.maximum(r**2 - (di * h) ** 2, 0.0)) / h + 1e-9).astype(int)

@@ -389,79 +389,73 @@ def _axis_factors(y: np.ndarray, order: int) -> list[np.ndarray]:
     return g
 
 
-def _as_batch(spec: VectorFieldSpec, p) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(p, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[-1] != spec.dim:
-        raise ValueError(f"points must have {spec.dim} coordinates")
-    return pts, single
-
-
 def tables(spec: VectorFieldSpec, p, order: int) -> list[np.ndarray]:
     """X and its exact partials up to the given order, in one pass.
 
     Component i is P_i(y) * prod_k psi(y_k) with y = (x - center) / w, so
     D^alpha X^i = sum_ab c_ab g_a^(alpha_1)(y_1) g_b^(alpha_2)(y_2) / w^alpha
-    with the per-axis tables g of _axis_factors.  Only points strictly
-    inside support_box(spec) are evaluated; every other point gets exact
-    zeros.
+    with the per-axis tables g of _axis_factors, built on one coordinate
+    array per axis: a batch's columns, or a grid's open mesh (np.ix_) so
+    that each axis node is tabled once and the axes combine by
+    broadcasting.  Points not strictly inside support_box(spec) get +0.0.
 
     Args:
         spec: deformation field.
-        p: point of shape (dim,) or batch of shape (n, dim).
+        p: point (dim,), batch (..., dim), or GridSpec of dimension dim.
         order: highest derivative order, 0, 1 or 2.
 
     Returns:
         [X, DX, D2X][:order + 1] with X[i] = X^i, DX[i, j] = dX^i/dx_j and
-        D2X[i, j, k] = d^2 X^i / dx_j dx_k; batches carry a leading n axis.
+        D2X[i, j, k] = d^2 X^i / dx_j dx_k, each behind the leading axes
+        lead: () for a point, (...) for a batch, grid.shape for a grid.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    pts, single = _as_batch(spec, p)
     dim = spec.dim
+    if isinstance(p, GridSpec):
+        coords = np.ix_(*p.axes())
+    else:
+        coords = tuple(np.moveaxis(np.asarray(p, dtype=float), -1, 0))
+    if len(coords) != dim:
+        raise ValueError(f"points must have {dim} coordinates, got {len(coords)}")
+    # Box-edge nodes can round to |y| < 1, where psi is ~1e-63, not 0: mask them.
     lo, hi = support_box(spec)
-    inside = np.all((pts > np.asarray(lo)) & (pts < np.asarray(hi)), axis=-1)
-    # Flow stages pass points that are all inside; skip the gather and scatter.
-    everywhere = bool(inside.all())
-    q = pts if everywhere else pts[inside]
-    compact = [np.empty((len(q),) + (dim,) * (k + 1)) for k in range(order + 1)]
+    inside = True
+    for x, a, b in zip(coords, lo, hi):
+        inside = inside & (x > a) & (x < b)
+    out = [np.empty(inside.shape + (dim,) * (k + 1)) for k in range(order + 1)]
     for i, comp in enumerate(spec.components):
         w = np.asarray(comp.halfwidths)
-        y = (q - np.asarray(comp.center)) / w
-        g = [_axis_factors(y[:, k], order) for k in range(dim)]
+        g = []
+        for x, c, wk in zip(coords, comp.center, w):
+            flat = _axis_factors(((x - c) / wk).ravel(), order)
+            g.append([t.reshape((4,) + x.shape) for t in flat])
         parts: dict[tuple[int, ...], np.ndarray] = {}
         for k in range(order + 1):
             for idx in np.ndindex(*(dim,) * k):
                 der = tuple(idx.count(ax) for ax in range(dim))
                 if der not in parts:
-                    val = comp.coeffs.T @ g[0][der[0]]
+                    val = comp.coeffs.T @ g[0][der[0]].reshape(4, -1)
+                    val = val.reshape(val.shape[:-1] + coords[0].shape)
                     if dim == 2:
                         val = np.sum(val * g[1][der[1]], axis=0)
-                    parts[der] = val / np.prod(w**der)
-                compact[k][(slice(None), i) + idx] = parts[der]
-    out = []
-    for arr in compact:
-        if not everywhere:
-            full = np.zeros((len(pts),) + arr.shape[1:])
-            full[inside] = arr
-            arr = full
-        out.append(arr[0] if single else arr)
+                    parts[der] = np.where(inside, val / np.prod(w**der), 0.0)
+                out[k][(..., i) + idx] = parts[der]
     return out
 
 
 def evaluate(spec: VectorFieldSpec, p) -> np.ndarray:
-    """X at one point (returns shape (dim,)) or a batch (returns (n, dim))."""
+    """X at p, of shape lead + (dim,); p (a GridSpec too) and lead as in tables."""
     return tables(spec, p, 0)[0]
 
 
 def jacobian(spec: VectorFieldSpec, p) -> np.ndarray:
-    """Exact Jacobian J[i, j] = dX^i/dx_j at p; batched shape (n, dim, dim)."""
+    """Exact J[i, j] = dX^i/dx_j at p, of shape lead + (dim, dim); see tables."""
     return tables(spec, p, 1)[1]
 
 
 def hessian(spec: VectorFieldSpec, p) -> np.ndarray:
-    """Exact second partials H[i, j, k] = d^2 X^i / dx_j dx_k at p."""
+    """Exact d^2 X^i / dx_j dx_k at p, of shape lead + (dim,) * 3; see tables."""
     return tables(spec, p, 2)[2]
 
 
@@ -501,7 +495,9 @@ def flow(spec: VectorFieldSpec, t: float, p, n_steps: int = 64) -> np.ndarray:
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    pts, single = _as_batch(spec, p)
+    pts = np.asarray(p, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
     q = pts.copy()
     # Points outside the support box are fixed points of the flow and of
     # every RK4 stage (X = 0 there), so only the inside batch is advanced.

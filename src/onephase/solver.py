@@ -185,7 +185,7 @@ def _sweep(
 
 
 def _auto_omega(grid) -> float:
-    span = min(h * (n - 1) for h, n in ((grid.h, m) for m in grid.shape))
+    span = grid.h * (min(grid.shape) - 1)
     return 2.0 / (1.0 + np.sin(np.pi * grid.h / span))
 
 

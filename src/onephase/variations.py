@@ -212,7 +212,7 @@ def lie_derivative(u: ScalarField, spec: VectorFieldSpec) -> ScalarField:
     if spec.dim != u.grid.dim:
         raise ValueError(f"X has dim {spec.dim}, field has dim {u.grid.dim}")
     g = gradient(u)
-    xv = evaluate(spec, u.grid.nodes()).reshape(u.grid.shape + (u.grid.dim,))
+    xv = evaluate(spec, u.grid)
     vals = sum(g[a] * xv[..., a] for a in range(u.grid.dim))
     return ScalarField(grid=u.grid, values=vals)
 
@@ -238,7 +238,7 @@ def first_inner_variation(
     grid = u.grid
     g = _energy_gradient(u, eps)
     e = np.sum(g * g, axis=0) + F_eps(term, eps, u.values)
-    jac = jacobian(spec, grid.nodes()).reshape(grid.shape + (grid.dim, grid.dim))
+    jac = jacobian(spec, grid)
     div = np.einsum("...ii->...", jac)
     quad = np.einsum("i...,j...,...ij->...", g, g, jac)
     return integrate(ScalarField(grid=grid, values=e * div - 2.0 * quad))
@@ -262,9 +262,7 @@ def second_inner_variation(
     grid = u.grid
     g = _energy_gradient(u, eps)
     e = np.sum(g * g, axis=0) + F_eps(term, eps, u.values)
-    xv, jac, hes = (
-        t.reshape(grid.shape + t.shape[1:]) for t in tables(spec, grid.nodes(), 2)
-    )
+    xv, jac, hes = tables(spec, grid, 2)
     div = np.einsum("...ii->...", jac)
     graddiv = np.einsum("...iik->...k", hes)
     q1 = np.einsum("i...,j...,...ij->...", g, g, jac)
@@ -610,7 +608,7 @@ def surface_second_variation(
             raise NotClassicalSolutionError(
                 f"|grad u| strays from 1 by {worst:.4f} on the interface"
             )
-    xv = evaluate(spec, grid.nodes()).reshape(grid.shape + (grid.dim,))
+    xv = evaluate(spec, grid)
     lvals = sum(pg[a] * xv[..., a] for a in range(grid.dim))
     lg = _phase_gradient(lvals, grid.h, mask)
     dens = np.where(mask, np.sum(lg * lg, axis=0), 0.0)

@@ -520,6 +520,36 @@ def test_solve_output_bits_are_pinned(
     assert float.hex(report["energy"]) == energy_hex
 
 
+def test_variation_report_bits_are_pinned(tmp_path):
+    # Tolerances cannot notice a change to the deformation tables or the
+    # variation integrands that moves bits; these pins can.
+    spec = _spec_file(tmp_path)
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), (41, 41))
+    xs, ys = np.meshgrid(*grid.axes(), indexing="ij")
+    layer = 0.1 * np.logaddexp(0.0, (0.6 * xs + 0.8 * ys - 0.05) / 0.1)
+    save_field(ScalarField(grid=grid, values=layer), tmp_path / "u.csv")
+    argv = ["vary", "--eps", "0.1", "--field", str(tmp_path / "u.csv"), "--x", str(spec)]
+    assert main([*argv, "--out", str(tmp_path / "v")]) == 0
+    report = _read(tmp_path / "v" / "report.json")
+    keys = ("first_analytic", "second_analytic", "first_fd", "second_fd", "classical_second")
+    assert {k: float.hex(report[k]) for k in keys} == {
+        "first_analytic": "-0x1.ce4d4f7bc60bap-7",
+        "second_analytic": "0x1.91cba032ac532p-3",
+        "first_fd": "-0x1.d4a957ee21463p-7",
+        "second_fd": "0x1.8a201ca02a204p-3",
+        "classical_second": "0x1.bd0723241b635p-5",
+    }
+    argv = ["cone", "--kind", "radial", "--h", "0.01", "--x", str(spec)]
+    assert main([*argv, "--out", str(tmp_path / "c")]) == 0
+    forms = _read(tmp_path / "c" / "report.json")["forms"]
+    assert {k: float.hex(v) for k, v in forms.items()} == {
+        "cjk": "0x1.1f2cf10d65de2p-3",
+        "first_volume": "0x1.12a11a0453260p-15",
+        "second_surface": "0x1.2822e5fc8ae78p-3",
+        "second_volume": "0x1.1068a2577556cp-3",
+    }
+
+
 def test_config_supplies_defaults_flags_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"wedge": True, "s2": 0.3125, "eps": 1.0}))

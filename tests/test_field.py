@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,22 @@ def test_vector_field_vanishes_outside_support_box():
         x, dx, ddx = tables(spec, np.array(p), 2)
         assert x[off] == 0.0 and np.all(dx[off] == 0.0) and np.all(ddx[off] == 0.0)
         assert x[1 - off] != 0.0
+    # A grid whose first row and column lie on the lower edges of the box.
+    # There y = (x - center) / w rounds to just inside the bump (x: -1 + 2
+    # ulp), so only the box test keeps those nodes at +0.0, not ~1e-63.
+    box = VectorFieldSpec(
+        dim=2,
+        components=tuple(
+            dataclasses.replace(c, center=(-0.15, 0.1), halfwidths=(0.3, 0.45))
+            for c in spec.components
+        ),
+    )
+    lo, hi = support_box(box)
+    grid = GridSpec(dim=2, origin=lo, h=0.05, shape=(15, 21))
+    xs, ys = np.meshgrid(*grid.axes(), indexing="ij")
+    rim = (xs <= lo[0]) | (xs >= hi[0]) | (ys <= lo[1]) | (ys >= hi[1])
+    for t in tables(box, grid, 2):
+        assert np.all(t[rim] == 0.0) and not np.any(np.signbit(t[rim]))
 
 
 def _fd_jacobian(spec, pts, delta):
@@ -225,13 +243,23 @@ def _fd_hessian(spec, pts, delta):
     return out
 
 
-def _assert_tables_match_views(spec, pts):
-    for p in (pts, pts[0], pts[len(pts) // 2]):
+def _assert_tables_match_views(spec, pts, grid):
+    for p in (pts, pts[0], pts[len(pts) // 2], grid):
         x, dx, ddx = tables(spec, p, 2)
         assert np.array_equal(x, evaluate(spec, p))
         assert np.array_equal(dx, jacobian(spec, p))
         assert np.array_equal(ddx, hessian(spec, p))
         assert np.array_equal(tables(spec, p, 1)[1], dx)
+    # A grid gives the tables of its node list in grid.shape.  In 1D the
+    # axis contraction is a matrix-vector product whose last bits may move
+    # with the batch size, so allow 2 ulp there.
+    for t, ref in zip(tables(spec, grid, 2), tables(spec, grid.nodes(), 2)):
+        ref = ref.reshape(t.shape)
+        if grid.dim == 2:
+            assert np.array_equal(t, ref)
+            assert np.array_equal(np.signbit(t), np.signbit(ref))
+        else:
+            assert np.all(np.abs(t - ref) <= 2 * np.spacing(np.abs(ref)))
 
 
 def test_analytic_derivatives_match_finite_differences():
@@ -240,9 +268,11 @@ def test_analytic_derivatives_match_finite_differences():
     pts = rng.uniform((-0.8, -0.9), (0.9, 0.7), size=(40, 2))
     assert np.max(np.abs(jacobian(spec, pts) - _fd_jacobian(spec, pts, 1e-5))) < 1e-8
     assert np.max(np.abs(hessian(spec, pts) - _fd_hessian(spec, pts, 1e-5))) < 1e-5
-    _assert_tables_match_views(spec, pts)
+    _assert_tables_match_views(spec, pts, make_grid((-0.8, -0.9), (0.9, 0.7), (18, 17)))
     with pytest.raises(ValueError):
         tables(spec, pts, 3)
+    with pytest.raises(ValueError):
+        tables(spec, make_grid(-1.0, 1.0, 11), 0)
 
 
 def test_analytic_derivatives_one_dimensional():
@@ -260,7 +290,7 @@ def test_analytic_derivatives_one_dimensional():
     assert np.max(np.abs(jacobian(spec, pts) - _fd_jacobian(spec, pts, 1e-5))) < 1e-8
     assert np.max(np.abs(hessian(spec, pts) - _fd_hessian(spec, pts, 1e-5))) < 1e-5
     assert max_norm(spec) == pytest.approx(0.8, rel=0.1)
-    _assert_tables_match_views(spec, pts)
+    _assert_tables_match_views(spec, pts, make_grid(-0.4, 0.8, 25))
 
 
 def test_flow_identity_and_frozen_outside_support():
