@@ -40,7 +40,6 @@ __all__ = [
     "support_box",
     "max_norm",
     "flow",
-    "pullback",
     "save_field",
     "load_field",
     "spec_to_json",
@@ -253,25 +252,6 @@ def _multilinear(u: ScalarField, pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _interpolator(u: ScalarField, method: str = "linear"):
-    if method == "linear":
-        return lambda pts: _multilinear(u, pts)
-    if method != "quintic":
-        raise ValueError(f"unknown sampling method: {method!r}")
-    # Interpolating quintic tensor spline.  RegularGridInterpolator's own
-    # quintic mode is only second-order accurate between nodes, which is
-    # not good enough when the samples feed difference quotients.  scipy
-    # is imported here so that linear sampling never loads it.
-    from scipy.interpolate import RectBivariateSpline, make_interp_spline
-
-    axes = u.grid.axes()
-    if u.grid.dim == 1:
-        spline = make_interp_spline(axes[0], u.values, k=5)
-        return lambda pts: spline(pts[:, 0])
-    spline2 = RectBivariateSpline(axes[0], axes[1], u.values, kx=5, ky=5)
-    return lambda pts: spline2.ev(pts[:, 0], pts[:, 1])
-
-
 def _snap_inside(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
     lo = np.asarray(grid.origin)
     hi = np.asarray(grid.hi)
@@ -282,19 +262,12 @@ def _snap_inside(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
     return np.clip(pts, lo, hi)
 
 
-def sample(
-    u: ScalarField, p: Iterable[float] | np.ndarray, method: str = "linear"
-) -> float | np.ndarray:
-    """Interpolate u at one point or a batch of points.
+def sample(u: ScalarField, p: Iterable[float] | np.ndarray) -> float | np.ndarray:
+    """Interpolate u multilinearly at one point or a batch of points.
 
     Args:
         u: field to sample.
         p: point of shape (dim,) or batch of shape (n, dim).
-        method: "linear" (default), or "quintic" for an interpolating
-            quintic tensor spline.  Linear sampling is numpy multilinear
-            interpolation with the bits of scipy's
-            RegularGridInterpolator(method="linear"); only "quintic"
-            loads scipy.
 
     Returns:
         Scalar for a single point, 1D array for a batch.
@@ -307,7 +280,7 @@ def sample(
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != u.grid.dim:
         raise ValueError(f"points must have {u.grid.dim} coordinates")
-    vals = _interpolator(u, method)(_snap_inside(u.grid, pts))
+    vals = _multilinear(u, _snap_inside(u.grid, pts))
     return float(vals[0]) if single else vals
 
 
@@ -481,8 +454,14 @@ def max_norm(spec: VectorFieldSpec, n: int = 65) -> float:
     return float(np.max(np.abs(evaluate(spec, pts))))
 
 
-def flow(spec: VectorFieldSpec, t: float, p, n_steps: int = 64) -> np.ndarray:
-    """Flow map of X: integrate dq/dt = X(q) from p for time t.
+def flow(
+    spec: VectorFieldSpec, t: float, p, n_steps: int = 64
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flow map phi_t of X and its Jacobian J = Dphi_t at p.
+
+    q integrates dq/dt = X(q) and J the variational equation
+    dJ/dt = DX(q) J, J(0) = I, on the same RK4 stages, so J is the exact
+    derivative of the discrete map p -> q.
 
     Args:
         spec: deformation field.
@@ -491,7 +470,8 @@ def flow(spec: VectorFieldSpec, t: float, p, n_steps: int = 64) -> np.ndarray:
         n_steps: RK4 step count, at least 1.
 
     Returns:
-        End point(s), same shape as p.
+        (q, J): end point(s) of the shape of p, and J of shape
+        p.shape + (dim,) with J[..., i, j] = dq^i/dp_j.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -499,52 +479,28 @@ def flow(spec: VectorFieldSpec, t: float, p, n_steps: int = 64) -> np.ndarray:
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     q = pts.copy()
+    jac = np.broadcast_to(np.eye(pts.shape[-1]), pts.shape + pts.shape[-1:]).copy()
     # Points outside the support box are fixed points of the flow and of
-    # every RK4 stage (X = 0 there), so only the inside batch is advanced.
+    # every RK4 stage (X = 0 and DX = 0 there), so they keep q = p and J = I
+    # and only the inside batch is advanced.
     lo, hi = support_box(spec)
     moving = np.all((pts > np.asarray(lo)) & (pts < np.asarray(hi)), axis=-1)
-    qm = q[moving]
+    qm, jm = q[moving], jac[moving]
+
+    def rates(qs, js):
+        x, dx = tables(spec, qs, 1)
+        return x, dx @ js
+
     dt = t / n_steps
     for _ in range(n_steps):
-        k1 = evaluate(spec, qm)
-        k2 = evaluate(spec, qm + 0.5 * dt * k1)
-        k3 = evaluate(spec, qm + 0.5 * dt * k2)
-        k4 = evaluate(spec, qm + dt * k3)
+        k1, l1 = rates(qm, jm)
+        k2, l2 = rates(qm + 0.5 * dt * k1, jm + 0.5 * dt * l1)
+        k3, l3 = rates(qm + 0.5 * dt * k2, jm + 0.5 * dt * l2)
+        k4, l4 = rates(qm + dt * k3, jm + dt * l3)
         qm = qm + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    q[moving] = qm
-    return q[0] if single else q
-
-
-def pullback(
-    u: ScalarField, spec: VectorFieldSpec, t: float, n_steps: int = 64,
-    method: str = "linear",
-) -> ScalarField:
-    """Deformed competitor u(phi_{-t}(x)) on the grid of u.
-
-    Args:
-        u: field to deform.
-        spec: deformation field; its support box should sit strictly inside
-            the grid domain so trajectories cannot escape.
-        t: deformation time.
-        n_steps: RK4 step count for the flow.
-        method: interpolation used to sample u at the flowed points.  Linear
-            sampling adds grid-scale noise that is fine for energies but
-            ruins difference quotients in t; pass "quintic" when the result
-            feeds a finite-difference derivative.
-
-    Returns:
-        ScalarField on the same grid; equals u at t = 0.
-
-    Raises:
-        DomainError: if a trajectory leaves the grid domain.
-    """
-    nodes = u.grid.nodes()
-    q = flow(spec, -t, nodes, n_steps)
-    vals = u.values.copy().reshape(-1)
-    moved = np.any(q != nodes, axis=-1)
-    if np.any(moved):
-        vals[moved] = np.asarray(sample(u, q[moved], method)).reshape(-1)
-    return ScalarField(grid=u.grid, values=vals.reshape(u.grid.shape))
+        jm = jm + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    q[moving], jac[moving] = qm, jm
+    return (q[0], jac[0]) if single else (q, jac)
 
 
 def save_field(u: ScalarField, path: str | Path) -> None:

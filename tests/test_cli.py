@@ -76,6 +76,16 @@ def _spec_file(path: Path) -> Path:
     return target
 
 
+def _layer_file(path: Path) -> Path:
+    """A 41^2 softplus layer of width eps = 0.1, deformed by the vary tests."""
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), (41, 41))
+    xs, ys = np.meshgrid(*grid.axes(), indexing="ij")
+    layer = 0.1 * np.logaddexp(0.0, (0.6 * xs + 0.8 * ys - 0.05) / 0.1)
+    target = path / "u.csv"
+    save_field(ScalarField(grid=grid, values=layer), target)
+    return target
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out or True
@@ -93,12 +103,16 @@ print(json.dumps(loaded))
 
 
 def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
-    # Only vary (quintic spline), potential (Simpson) and the hausdorff
-    # check need scipy; the CLI import and the other ops must not load it.
+    # Only potential (Simpson) and the hausdorff check need scipy; the CLI
+    # import and the other ops must not load it.
+    spec = _spec_file(tmp_path)
+    field = _layer_file(tmp_path)
     commands = [
         ["check", "--what", "nondeg"],
         ["check", "--what", "exit", "--point=0.1,-0.08"],
         ["cone", "--kind", "radial", "--emit-interface"],
+        ["cone", "--kind", "radial", "--h", "0.02", "--x", str(spec)],
+        ["vary", "--eps", "0.1", "--field", str(field), "--x", str(spec)],
     ]
     src = str(Path(onephase.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -524,19 +538,16 @@ def test_variation_report_bits_are_pinned(tmp_path):
     # Tolerances cannot notice a change to the deformation tables or the
     # variation integrands that moves bits; these pins can.
     spec = _spec_file(tmp_path)
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), (41, 41))
-    xs, ys = np.meshgrid(*grid.axes(), indexing="ij")
-    layer = 0.1 * np.logaddexp(0.0, (0.6 * xs + 0.8 * ys - 0.05) / 0.1)
-    save_field(ScalarField(grid=grid, values=layer), tmp_path / "u.csv")
-    argv = ["vary", "--eps", "0.1", "--field", str(tmp_path / "u.csv"), "--x", str(spec)]
+    field = _layer_file(tmp_path)
+    argv = ["vary", "--eps", "0.1", "--field", str(field), "--x", str(spec)]
     assert main([*argv, "--out", str(tmp_path / "v")]) == 0
     report = _read(tmp_path / "v" / "report.json")
     keys = ("first_analytic", "second_analytic", "first_fd", "second_fd", "classical_second")
     assert {k: float.hex(report[k]) for k in keys} == {
         "first_analytic": "-0x1.ce4d4f7bc60bap-7",
         "second_analytic": "0x1.91cba032ac532p-3",
-        "first_fd": "-0x1.d4a957ee21463p-7",
-        "second_fd": "0x1.8a201ca02a204p-3",
+        "first_fd": "-0x1.ce4d4d5cc89a9p-7",
+        "second_fd": "0x1.91cb9c9b7c6e7p-3",
         "classical_second": "0x1.bd0723241b635p-5",
     }
     argv = ["cone", "--kind", "radial", "--h", "0.01", "--x", str(spec)]
@@ -604,6 +615,19 @@ def test_operation_failure_emits_error_json(tmp_path, capsys):
     assert payload["error"]["type"] == "FileNotFoundError"
     assert len(payload["config_sha256"]) == 64
     assert payload["version"]
+
+
+@pytest.mark.parametrize("dt", ["5", "inf"])
+def test_vary_rejects_a_dt_that_folds_the_flow(tmp_path, capsys, dt):
+    # On this layer dt = 5 turns det J negative; inf is no step at all.
+    spec = _spec_file(tmp_path)
+    field = _layer_file(tmp_path)
+    argv = ["vary", "--eps", "0.1", "--field", str(field), "--x", str(spec)]
+    assert main([*argv, "--dt", dt, "--out", str(tmp_path / "v")]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "ValueError"
+    assert f"dt = {float(dt)}" in payload["error"]["message"]
+    assert not (tmp_path / "v" / "report.json").exists()
 
 
 def test_sweep_without_command_exits_two(capsys):

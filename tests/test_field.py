@@ -23,7 +23,6 @@ from onephase.field import (
     load_vector_spec,
     make_grid,
     max_norm,
-    pullback,
     sample,
     save_field,
     save_vector_spec,
@@ -296,62 +295,40 @@ def test_analytic_derivatives_one_dimensional():
 def test_flow_identity_and_frozen_outside_support():
     spec = _bump_spec()
     p = np.array([0.1, -0.1])
-    assert np.array_equal(flow(spec, 0.0, p), p)
-    far = np.array([0.8, 0.8])
-    assert np.array_equal(flow(spec, 0.5, far), far)
+    q, J = flow(spec, 0.0, p)
+    assert np.array_equal(q, p)
+    assert np.array_equal(J, np.eye(2))
+    far = np.array([[0.8, 0.8], [-0.9, 0.0], [0.1, 0.5]])
+    q, J = flow(spec, 0.5, far)
+    assert np.array_equal(q, far)
+    assert np.array_equal(J, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
 
 def test_flow_round_trip():
     spec = _bump_spec()
     rng = np.random.default_rng(7)
     pts = rng.uniform((-0.4, -0.6), (0.6, 0.4), size=(20, 2))
-    fwd = flow(spec, 0.1, pts, n_steps=64)
-    back = flow(spec, -0.1, fwd, n_steps=64)
+    fwd, j_fwd = flow(spec, 0.1, pts, n_steps=64)
+    back, j_back = flow(spec, -0.1, fwd, n_steps=64)
     assert np.max(np.abs(back - pts)) < 1e-10
     assert np.max(np.abs(fwd - pts)) > 1e-3
+    # Chain rule over the round trip: D(phi_-t o phi_t) = I.
+    assert np.max(np.abs(j_back @ j_fwd - np.eye(2))) < 1e-10
+    assert np.max(np.abs(j_fwd - np.eye(2))) > 1e-3
 
 
-def test_pullback_identity_cases():
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 81)
-    u = _linear_field(grid)
+def test_flow_jacobian_matches_differenced_positions():
     spec = _bump_spec()
-    assert np.array_equal(pullback(u, spec, 0.0).values, u.values)
-    zero = VectorFieldSpec(
-        dim=2,
-        components=(
-            PolyBump(coeffs=np.zeros((4, 4)), center=(0.0, 0.0), halfwidths=(0.5, 0.5)),
-            PolyBump(coeffs=np.zeros((4, 4)), center=(0.0, 0.0), halfwidths=(0.5, 0.5)),
-        ),
-    )
-    assert np.array_equal(pullback(u, zero, 0.3).values, u.values)
-
-
-def test_pullback_first_order_shift():
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 81)
-    u = _linear_field(grid)
-    spec = _bump_spec()
-    nodes = grid.nodes()
-    drift = evaluate(spec, nodes) @ np.array([3.0, 2.0])
-    errs = []
-    for t in (0.08, 0.04):
-        moved = pullback(u, spec, t).values.ravel()
-        errs.append(np.max(np.abs(moved - u.values.ravel() + t * drift)))
-    assert 3.2 < errs[0] / errs[1] < 4.8
-
-
-def test_pullback_round_trip_cancels():
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 401)
-    mesh = np.meshgrid(*grid.axes(), indexing="ij")
-    u = ScalarField(
-        grid=grid, values=0.3 + 3.0 * mesh[0] + 2.0 * mesh[1] + 0.7 * mesh[0] * mesh[1]
-    )
-    spec = _bump_spec()
-    t = 3e-5
-    once = pullback(u, spec, t, n_steps=4)
-    assert np.max(np.abs(once.values - u.values)) > 1e-5
-    twice = pullback(once, spec, -t, n_steps=4)
-    inner = interior_mask(grid)
-    assert np.max(np.abs(twice.values - u.values)[inner]) < 1e-8
+    rng = np.random.default_rng(3)
+    pts = rng.uniform((-0.4, -0.6), (0.6, 0.4), size=(20, 2))
+    _, J = flow(spec, 0.3, pts, n_steps=8)
+    d = 1e-6
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = d
+        plus, _ = flow(spec, 0.3, pts + e, n_steps=8)
+        minus, _ = flow(spec, 0.3, pts - e, n_steps=8)
+        assert np.max(np.abs(J[:, :, j] - (plus - minus) / (2.0 * d))) < 1e-8
 
 
 def test_field_csv_round_trip(tmp_path):
