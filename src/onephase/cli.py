@@ -57,7 +57,7 @@ from .ode1d import (
     solve_wedge,
 )
 from .potentials import make_reference, make_tabulated, term_to_json, validate
-from .records import read_json, to_json, write_json
+from .records import read_json, to_json, write_json, write_table
 from .solver import SolveConfig, minimize
 from .variations import (
     cjk_form,
@@ -98,7 +98,10 @@ def _floats(text: str) -> list[float]:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in _floats(text)]
+    values = _floats(text)
+    if not all(v.is_integer() for v in values):
+        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -203,18 +206,10 @@ def _load_config(path: str) -> dict:
     return payload
 
 
-def _resolved_config(args: argparse.Namespace) -> dict:
+def _config_hash(args: argparse.Namespace) -> str:
     resolved = {k: v for k, v in vars(args).items() if k != "config"}
-    return json.loads(json.dumps(resolved, sort_keys=True))
-
-
-def _config_hash(resolved: dict) -> str:
     blob = json.dumps(resolved, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-def _write_json(path: Path, payload: dict, resolved: dict) -> None:
-    write_json(path, {**payload, "version": __version__, "config_sha256": _config_hash(resolved)})
 
 
 _PROFILE_CACHE: dict[float, object] = {}
@@ -262,10 +257,11 @@ def _field_from_source(source: str, grid: GridSpec, eps: float, term, args) -> S
     return ScalarField(grid=grid, values=vals)
 
 
-def _run_potential(args, out: Path, resolved: dict) -> Path:
+def _run_potential(args, out: Path) -> dict:
     if args.table is not None:
         first = Path(args.table).read_text(encoding="utf-8").splitlines()
         skip = 1 if first and first[0][:1].isalpha() else 0
+        # A hand-made input: no sidecar, maybe no header.
         rows = np.loadtxt(args.table, delimiter=",", ndmin=2, skiprows=skip)
         term = make_tabulated(rows[:, :2])
     else:
@@ -274,15 +270,11 @@ def _run_potential(args, out: Path, resolved: dict) -> Path:
     if args.tabulate:
         s = np.linspace(-0.25 * term.T, 1.25 * term.T, args.tabulate)
         table = np.stack([s, np.asarray(term.f(s)), np.asarray(term.F(s))], axis=1)
-        with open(out / "potential_table.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("s,f,F\n")
-            np.savetxt(fh, table, fmt="%.17g", delimiter=",")
-    target = out / "report.json"
-    _write_json(target, payload, resolved)
-    return target
+        write_table(out / "potential_table.csv", "s,f,F", table)
+    return payload
 
 
-def _run_profile(args, out: Path, resolved: dict) -> Path:
+def _run_profile(args, out: Path) -> dict:
     term = make_reference(args.T)
     eps = args.eps
     if args.wedge:
@@ -302,7 +294,7 @@ def _run_profile(args, out: Path, resolved: dict) -> Path:
             prof = rescale(prof, eps)
     save_profile(prof, out / "profile.csv")
     i0 = int(np.argmin(np.abs(prof.t)))
-    payload = {
+    return {
         "kind": prof.kind,
         "eps": prof.eps,
         "s": prof.s,
@@ -310,12 +302,9 @@ def _run_profile(args, out: Path, resolved: dict) -> Path:
         "slope_end": float(prof.Vp[-1]),
         "first_integral_residual": first_integral_residual(prof, term),
     }
-    target = out / "report.json"
-    _write_json(target, payload, resolved)
-    return target
 
 
-def _run_solve(args, out: Path, resolved: dict) -> Path:
+def _run_solve(args, out: Path) -> dict:
     term = make_reference(args.T)
     grid = _grid_from_args(args)
     boundary = _field_from_source(args.boundary, grid, args.eps, term, args)
@@ -332,12 +321,10 @@ def _run_solve(args, out: Path, resolved: dict) -> Path:
     payload["energy"] = report.energy_trace[-1]  # the energy of u
     # The grid the solve ran on: a CSV boundary brings its own.
     payload["grid"] = {"lo": list(u.grid.origin), "h": u.grid.h, "shape": list(u.grid.shape)}
-    target = out / "report.json"
-    _write_json(target, payload, resolved)
-    return target
+    return payload
 
 
-def _run_vary(args, out: Path, resolved: dict) -> Path:
+def _run_vary(args, out: Path) -> dict:
     if args.field is None or args.x is None:
         raise ConfigError("vary needs --field and --x")
     term = make_reference(args.T)
@@ -349,12 +336,10 @@ def _run_vary(args, out: Path, resolved: dict) -> Path:
         curve = extract_interface(u, level)
         save_curve(curve, out / "interface.csv")
     report = variation_report(u, spec, term, args.eps, dt=args.dt, curve=curve)
-    target = out / "report.json"
-    _write_json(target, to_json(report), resolved)
-    return target
+    return to_json(report)
 
 
-def _run_check(args, out: Path, resolved: dict) -> Path:
+def _run_check(args, out: Path) -> dict:
     if args.what is None:
         raise ConfigError("check needs --what")
     term = make_reference(args.T)
@@ -412,9 +397,7 @@ def _run_check(args, out: Path, resolved: dict) -> Path:
                 "check": "poincare",
                 "value": poincare_ratio(u, None, args.zero_fraction),
             }
-    target = out / "report.json"
-    _write_json(target, payload, resolved)
-    return target
+    return payload
 
 
 def _bump_suite_ratio(grid: GridSpec, count: int, seed: int, zero_fraction: float) -> float:
@@ -439,7 +422,7 @@ def _bump_suite_ratio(grid: GridSpec, count: int, seed: int, zero_fraction: floa
     return worst
 
 
-def _run_cone(args, out: Path, resolved: dict) -> Path:
+def _run_cone(args, out: Path) -> dict:
     term = make_reference(args.T)
     lo = _floats(args.lo)
     hi = _floats(args.hi)
@@ -473,12 +456,10 @@ def _run_cone(args, out: Path, resolved: dict) -> Path:
             "second_surface": surface_second_variation(u, spec, curve),
             "cjk": cjk_form(u, phi, curve),
         }
-    target = out / "report.json"
-    _write_json(target, payload, resolved)
-    return target
+    return payload
 
 
-def _run_sweep(args, out: Path, resolved: dict) -> Path:
+def _run_sweep(args, out: Path) -> dict:
     command = args.sub_command
     if args.check_what is not None:
         if command not in (None, "check"):
@@ -515,9 +496,7 @@ def _run_sweep(args, out: Path, resolved: dict) -> Path:
     for eps, name in zip(eps_list, names):
         report = read_json(out / name / "report.json")
         entries.append({"eps": eps, "dir": name, "report": report})
-    target = out / "summary.json"
-    _write_json(target, {"command": command, "eps": eps_list, "entries": entries}, resolved)
-    return target
+    return {"command": command, "eps": eps_list, "entries": entries}
 
 
 _RUNNERS = {
@@ -560,21 +539,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr, flush=True)
         return 2
 
-    resolved = _resolved_config(args)
+    stamp = {"version": __version__, "config_sha256": _config_hash(args)}
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[args.command](args, out, resolved)
+        payload = _RUNNERS[args.command](args, out)
+        name = "summary.json" if args.command == "sweep" else "report.json"
+        write_json(out / name, {**payload, **stamp})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr, flush=True)
         return 2
     except Exception as exc:
-        payload = {
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "version": __version__,
-            "config_sha256": _config_hash(resolved),
-        }
-        print(json.dumps(payload, sort_keys=True), flush=True)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"error": error, **stamp}, sort_keys=True), flush=True)
         return 1
     return 0
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .records import from_json, read_json, to_json, write_json
+from .records import from_json, read_json, read_table, to_json, write_json, write_table
 
 __all__ = [
     "DomainError",
@@ -504,28 +504,25 @@ def flow(
 
 
 def save_field(u: ScalarField, path: str | Path) -> None:
-    """Write a field as CSV plus a grid sidecar JSON.
+    """Write a field as a `records` table with the grid as its sidecar.
 
     2D rows are "i,j,x,y,u" in row-major node order; 1D rows are "i,x,u".
-    Floats use 17 significant digits so reload is bit-exact.
+    The node indices are written as integers.
     """
-    path = Path(path)
     dim = u.grid.dim
     index = np.indices(u.grid.shape).reshape(dim, -1)
     coords = [a.ravel() for a in np.meshgrid(*u.grid.axes(), indexing="ij")]
     rows = np.column_stack([*index, *coords, u.values.ravel()])
     header = ",".join(["i", "j"][:dim] + ["x", "y"][:dim] + ["u"])
     fmt = ["%d"] * dim + ["%.17g"] * (dim + 1)
-    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
-    write_json(path.with_suffix(".json"), to_json(u.grid))
+    write_table(path, header, rows, to_json(u.grid), fmt)
 
 
 def load_field(path: str | Path) -> ScalarField:
     """Read a field written by save_field."""
-    path = Path(path)
-    grid = from_json(GridSpec, read_json(path.with_suffix(".json")))
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return ScalarField(grid=grid, values=data[:, -1].reshape(grid.shape))
+    rows, sidecar = read_table(path)
+    grid = from_json(GridSpec, sidecar)
+    return ScalarField(grid=grid, values=rows[:, -1].reshape(grid.shape))
 
 
 def spec_to_json(spec: VectorFieldSpec) -> dict:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .potentials import ReactionTerm
-from .records import from_json, read_json, write_json
+from .records import from_json, read_table, write_table
 
 __all__ = [
     "IntegrationFailure",
@@ -234,17 +234,12 @@ def rescale(p: Profile1D, eps_new: float) -> Profile1D:
 
 
 def save_profile(p: Profile1D, path: str | Path) -> None:
-    """Write the profile as CSV "t,V,Vp" plus a JSON metadata sidecar."""
-    path = Path(path)
-    rows = np.column_stack([p.t, p.V, p.Vp])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="t,V,Vp", comments="")
+    """Write the profile as a `records` table "t,V,Vp" with its metadata sidecar."""
     sidecar = {"eps": p.eps, "kind": p.kind, "s": p.s, "h": p.h, "T": p.T}
-    write_json(path.with_suffix(".json"), sidecar)
+    write_table(path, "t,V,Vp", np.column_stack([p.t, p.V, p.Vp]), sidecar)
 
 
 def load_profile(path: str | Path) -> Profile1D:
     """Read a profile written by save_profile."""
-    path = Path(path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    meta = read_json(path.with_suffix(".json"))
+    rows, meta = read_table(path)
     return from_json(Profile1D, {**meta, "t": rows[:, 0], "V": rows[:, 1], "Vp": rows[:, 2]})

@@ -35,7 +35,7 @@ from .field import (
     tables,
 )
 from .potentials import F_eps, ReactionTerm, f_eps
-from .records import read_json, write_json
+from .records import read_table, write_table
 
 __all__ = [
     "NotClassicalSolutionError",
@@ -726,27 +726,21 @@ def variation_report(
 
 
 def save_curve(curve: InterfaceCurve, path: str | Path) -> None:
-    """Write an interface polyline as CSV plus a topology sidecar JSON.
+    """Write an interface polyline as a `records` table with a topology sidecar.
 
-    Rows are "x,y,nu_x,nu_y,H" in chain order with 17 significant digits.
+    Rows are "x,y,nu_x,nu_y,H" in chain order.
     """
-    path = Path(path)
     rows = np.column_stack([curve.points, curve.normals, curve.curvature])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="x,y,nu_x,nu_y,H", comments="")
     sidecar = {
         "closed": curve.closed,
         "singular": [int(k) for k in np.nonzero(curve.singular)[0]],
     }
-    write_json(path.with_suffix(".json"), sidecar)
+    write_table(path, "x,y,nu_x,nu_y,H", rows, sidecar)
 
 
 def load_curve(path: str | Path) -> InterfaceCurve:
     """Read a curve written by save_curve."""
-    path = Path(path)
-    meta = read_json(path.with_suffix(".json"))
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.size == 0:
-        data = data.reshape(0, 5)
+    data, meta = read_table(path)
     singular = np.zeros(len(data), dtype=bool)
     singular[[int(k) for k in meta["singular"]]] = True
     return InterfaceCurve(

@@ -613,8 +613,26 @@ def test_operation_failure_emits_error_json(tmp_path, capsys):
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "FileNotFoundError"
+    # The sidecar is read before the rows, so the error names it.
+    assert payload["error"]["message"].endswith(f"{str(tmp_path / 'missing.json')!r}")
     assert len(payload["config_sha256"]) == 64
     assert payload["version"]
+
+
+@pytest.mark.parametrize("n", ["21.9", "1e400", "nan", "21,2.5"])
+def test_node_count_that_is_not_a_finite_integer_exits_two(tmp_path, capsys, n):
+    argv = ["check", "--what", "lipschitz", "--n", n, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_node_count_in_float_notation_runs(tmp_path):
+    values = []
+    for n in ("21", "2.1e1"):
+        assert main(["check", "--what", "lipschitz", "--n", n, "--out", str(tmp_path / n)]) == 0
+        values.append(_read(tmp_path / n / "report.json")["value"])
+    assert values[0] == values[1]
 
 
 @pytest.mark.parametrize("dt", ["5", "inf"])

@@ -1,22 +1,29 @@
-"""Tests for the shared JSON codec of records and sidecars."""
+"""Tests for the shared file formats: JSON records and sidecars, CSV tables."""
 
 from __future__ import annotations
+
+import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onephase
 from onephase.field import (
     GridSpec,
     PolyBump,
     ScalarField,
     VectorFieldSpec,
+    load_field,
     make_grid,
     save_field,
     save_vector_spec,
 )
-from onephase.records import from_json, to_json
+from onephase.ode1d import Profile1D, load_profile, save_profile
+from onephase.records import from_json, read_table, to_json, write_table
 from onephase.solver import SolveConfig
-from onephase.variations import VariationReport
+from onephase.variations import InterfaceCurve, VariationReport, load_curve, save_curve
 
 
 @pytest.mark.parametrize(
@@ -51,3 +58,90 @@ def test_sidecar_text_is_pinned(tmp_path):
         '      "coeffs": [\n        1.0,\n        0.0,\n        -0.5,\n        0.0\n      ],\n'
         '      "halfwidths": [\n        0.25\n      ]\n    }\n  ],\n  "dim": 1\n}\n'
     )
+
+
+def _savetxt(rows, header: str, fmt="%.17g") -> bytes:
+    buf = io.StringIO()
+    np.savetxt(buf, rows, fmt=fmt, delimiter=",", header=header, comments="")
+    return buf.getvalue().encode("utf-8")
+
+
+def _rows(n: int, k: int) -> np.ndarray:
+    """n rows of k >= 3 floats across the exponent range, edge values in row 0."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-300, 300, (n, k))
+    rows[:1, -3:] = [-0.0, 5e-324, 1e308]
+    return rows
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# header and per-column formats of every table the package writes
+_KINDS = {
+    "field": ("i,j,x,y,u", ["%d"] * 2 + ["%.17g"] * 3),
+    "profile": ("t,V,Vp", None),
+    "curve": ("x,y,nu_x,nu_y,H", None),
+    "potential": ("s,f,F", None),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 4097])  # 4097 crosses chunk boundaries
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_table_bytes_match_savetxt_and_reload_bit_for_bit(tmp_path, kind, n):
+    header, fmt = _KINDS[kind]
+    rows = _rows(n, header.count(",") + 1)
+    if fmt is not None:  # node indices in the %d columns
+        rows[:, :2] = np.column_stack(np.divmod(np.arange(n), 64))
+    path = tmp_path / "t.csv"
+    write_table(path, header, rows, {"kind": kind}, fmt)
+    assert path.read_bytes() == _savetxt(rows, header, fmt or "%.17g")
+    again, sidecar = read_table(path)
+    assert sidecar == {"kind": kind}
+    assert _same_bits(again, rows)
+
+
+def test_table_without_sidecar_writes_none(tmp_path):
+    write_table(tmp_path / "t.csv", "s,f,F", _rows(2, 3))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_package_writers_use_the_table_format(tmp_path):
+    grid = make_grid((0.0, -0.5), (1.0, 1.0), (3, 4))
+    values = _rows(3, 4)
+    save_field(ScalarField(grid=grid, values=values), tmp_path / "f.csv")
+    rows, _ = read_table(tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == _savetxt(rows, *_KINDS["field"])
+    assert _same_bits(load_field(tmp_path / "f.csv").values, values)
+
+    t, V, Vp = _rows(5, 3).T
+    prof = Profile1D(eps=0.5, kind="wedge", s=0.25, t=t, V=V, Vp=Vp, h=0.1, T=1.0)
+    save_profile(prof, tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_bytes() == _savetxt(np.column_stack([t, V, Vp]), "t,V,Vp")
+    again = load_profile(tmp_path / "p.csv")
+    assert all(_same_bits(getattr(again, k), getattr(prof, k)) for k in ("t", "V", "Vp"))
+    assert (again.eps, again.kind, again.s, again.h, again.T) == (0.5, "wedge", 0.25, 0.1, 1.0)
+
+    empty = InterfaceCurve(
+        points=np.zeros((0, 2)), normals=np.zeros((0, 2)), curvature=np.zeros(0),
+        singular=np.zeros(0, dtype=bool), closed=False,
+    )
+    save_curve(empty, tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_bytes() == b"x,y,nu_x,nu_y,H\n"
+    again = load_curve(tmp_path / "c.csv")
+    assert again.points.shape == again.normals.shape == (0, 2)
+    assert again.curvature.shape == again.singular.shape == (0,)
+
+
+def test_only_records_writes_tables_and_names_sidecars():
+    # The one exemption: `potential --table` reads a hand-made CSV that has
+    # no sidecar and may have no header, so cli keeps its np.loadtxt.
+    sidecar_rule = re.compile(r"""with_suffix\(\s*["']\.json""")
+    for module in sorted(Path(onephase.__file__).parent.glob("*.py")):
+        if module.name == "records.py":
+            continue
+        text = module.read_text(encoding="utf-8")
+        assert "savetxt" not in text, module.name
+        assert not sidecar_rule.search(text), module.name
+        assert text.count("loadtxt") == (module.name == "cli.py"), module.name
