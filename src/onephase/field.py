@@ -112,7 +112,8 @@ def make_grid(
         GridSpec whose last node lands on hi.
 
     Raises:
-        ValueError: if the axes would not share a common spacing.
+        ValueError: if an axis has fewer than 3 nodes or the axes would not
+            share a common spacing.
     """
     lo_t = tuple(np.atleast_1d(np.asarray(lo, dtype=float)))
     hi_t = tuple(np.atleast_1d(np.asarray(hi, dtype=float)))
@@ -120,6 +121,8 @@ def make_grid(
     n_t = (n,) * dim if np.isscalar(n) else tuple(int(k) for k in n)
     if len(hi_t) != dim or len(n_t) != dim:
         raise ValueError("lo, hi, n must agree in length")
+    if any(k < 3 for k in n_t):
+        raise ValueError(f"need at least 3 nodes per axis, got {n_t}")
     spacings = [(b - a) / (k - 1) for a, b, k in zip(lo_t, hi_t, n_t)]
     h = spacings[0]
     if any(abs(s - h) > 1e-12 * abs(h) for s in spacings[1:]):
@@ -178,7 +181,8 @@ def _neighbour_sum(v: np.ndarray, block: tuple[slice, ...] | None = None) -> np.
 
     acc = np.zeros_like(v[block])
     for ax in range(v.ndim):
-        acc = acc + v[moved(ax, -1)] + v[moved(ax, 1)]
+        acc += v[moved(ax, -1)]
+        acc += v[moved(ax, 1)]
     return acc
 
 

@@ -9,6 +9,7 @@ F_eps degenerates to the indicator of {t > 0} as eps -> 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -40,6 +41,12 @@ class ReactionTerm:
         F: antiderivative of 2f, clamped to 0 below 0 and to 1 above T.
         fprime: derivative of f (one-sided at kinks for tabulated terms).
         Finv: inverse of F on [0, 1] -> [0, T], resolved by bisection.
+        shifted_inverse: shifted_inverse(k) returns root(m), the
+            minimizer s >= 0 of k*s^2/2 - m*s + F(s)/2 for m >= 0: the root
+            of k*s + f(s) = m, or the s of the jump of f that m falls in,
+            elementwise and exact to rounding.  It raises ValueError unless
+            k*s + f(s) increases strictly, that is unless that energy is
+            strictly convex.
         family: "reference" or "tabulated", used for serialization.
         samples: tabulated (s, f(s)) rows, None for the reference family.
     """
@@ -51,6 +58,7 @@ class ReactionTerm:
     F: Callable[[Any], Any]
     fprime: Callable[[Any], Any]
     Finv: Callable[[float], float]
+    shifted_inverse: Callable[[float], Callable[[Any], np.ndarray]]
     family: str = "reference"
     samples: tuple[tuple[float, float], ...] | None = None
 
@@ -131,6 +139,61 @@ def make_reference(T: float) -> ReactionTerm:
         val = a * (T - s_arr) * (T - 3.0 * s_arr)
         return _scalarize(np.where(inside, val, 0.0))
 
+    def shifted_inverse(k: float) -> Callable[[Any], np.ndarray]:
+        # On [0, T], k*s + f(s) = m is the cubic a*s*(T - s)^2 + k*s = m;
+        # s = x + 2T/3 depresses it to x^3 + p*x + q = 0 with
+        # q = (2T/3)*(T^2/9 + k/a) - m/a.  min f' = -2/T^2, so the left side
+        # increases strictly exactly when p > 0, and then the one real root
+        # is x = -2*r*sinh(asinh(q/(2*r^3))/3) with r = sqrt(p/3) (Holmes,
+        # Math. Gazette 86, 2002).  Above s = T, f = 0 and s = m/k.
+        p = k / a - T**2 / 3.0
+        if not p > 0.0:
+            raise ValueError(
+                f"k*s + f(s) is not strictly increasing: k = {k:g} is not above"
+                f" 2/T^2 = {2.0 / T**2:g}"
+            )
+        r = math.sqrt(p / 3.0)
+        z0 = (2.0 * T / 3.0) * (T**2 / 9.0 + k / a) / (2.0 * r**3)
+        zm = -1.0 / (2.0 * a * r**3)
+        top = k * T
+        # Scratch for the sweeps, kept across calls: each op below writes
+        # into it, so a call allocates nothing once it is large enough.
+        scratch: list[np.ndarray] = []
+
+        def root(m: Any) -> np.ndarray:
+            m = np.asarray(m, dtype=float)
+            if not scratch or scratch[0].size < m.size:
+                scratch[:] = [np.empty(m.size), np.empty(m.size), np.empty(m.size, dtype=bool)]
+            s0, d, linear = (b[: m.size].reshape(m.shape) for b in scratch)
+            out = np.empty_like(m)
+            np.multiply(m, zm, out=s0)
+            s0 += z0
+            np.arcsinh(s0, out=s0)
+            s0 /= 3.0
+            np.sinh(s0, out=s0)
+            s0 *= -2.0 * r
+            s0 += 2.0 * T / 3.0
+            # One Newton step on the cubic P, as (s*P'(s) - P(s))/P'(s) =
+            # (m + 2a*s^2*(s - T))/P'(s): it restores the relative accuracy
+            # that the shift by 2T/3 costs where s << 1, and it sends
+            # m = 0 to s <= 0.  P' >= k - 2/T^2 > 0.
+            np.subtract(s0, T, out=out)
+            out *= s0
+            out *= s0
+            out *= 2.0 * a
+            out += m
+            np.multiply(s0, 3.0 * a, out=d)
+            d -= 4.0 * a * T
+            d *= s0
+            d += a * T**2 + k
+            out /= d
+            np.greater_equal(m, top, out=linear)
+            np.divide(m, k, out=d)
+            np.copyto(out, d, where=linear)
+            return np.maximum(out, 0.0, out=out)
+
+        return root
+
     c0 = min(3.0 / (2.0 * T**2), T**2 / 6.0)
     return ReactionTerm(
         T=T,
@@ -140,6 +203,7 @@ def make_reference(T: float) -> ReactionTerm:
         F=F,
         fprime=fprime,
         Finv=_bisect_inverse(F, T),
+        shifted_inverse=shifted_inverse,
         family="reference",
         samples=None,
     )
@@ -199,6 +263,35 @@ def make_tabulated(
         inside = (s_arr > 0.0) & (s_arr < T)
         return _scalarize(np.where(inside, slopes[idx], 0.0))
 
+    # The knots of f on [0, T]: f is 0 at s = 0 and below the first row,
+    # so a row value there is a jump, two knots at one s.
+    xk = np.concatenate([[0.0, max(s_grid[0], 0.0)], s_grid[s_grid > 0.0]])
+    fk = np.concatenate(
+        [[0.0, np.interp(0.0, s_grid, f_grid, left=0.0)], f_grid[s_grid > 0.0]]
+    )
+
+    def shifted_inverse(k: float) -> Callable[[Any], np.ndarray]:
+        # k*s + f(s) is linear between the knots and equals k*s above T,
+        # so one knot search and one interpolation give the exact root; on
+        # a jump the root stays at its s.
+        knots = k * xk + fk
+        keep = np.concatenate([[True], (np.diff(xk) != 0.0) | (np.diff(knots) != 0.0)])
+        xs, knots = xk[keep], knots[keep]
+        if f_grid[-1] != 0.0 or not np.all(np.diff(knots) > 0.0):
+            raise ValueError(
+                f"k*s + f(s) is not strictly increasing at k = {k:g}: its knot"
+                f" values must rise and f(T) = {f_grid[-1]:g} must be 0"
+            )
+        rate = np.diff(xs) / np.diff(knots)
+
+        def root(m: Any) -> np.ndarray:
+            m = np.asarray(m, dtype=float)
+            i = np.clip(np.searchsorted(knots, m, side="right") - 1, 0, len(rate) - 1)
+            s = np.where(m >= knots[-1], m / k, xs[i] + (m - knots[i]) * rate[i])
+            return np.maximum(s, 0.0, out=s)
+
+        return root
+
     if tau is None:
         tau = T / 2.0
     if c0 is None:
@@ -216,6 +309,7 @@ def make_tabulated(
         F=F,
         fprime=fprime,
         Finv=_bisect_inverse(F, T),
+        shifted_inverse=shifted_inverse,
         family="tabulated",
         samples=tuple((float(s), float(v)) for s, v in rows),
     )

@@ -3,19 +3,20 @@
 The functional is I_eps(v) = integral of |grad v|^2 + F_eps(v); stationary
 points solve the semilinear equation Delta u = f_eps(u).  Minimization runs
 over nonnegative interior values with fixed Dirichlet boundary data by
-red-black Gauss-Seidel-Newton sweeps: each node solves its 5-point equation
-with frozen neighbours, is projected to u >= 0, and is over-relaxed by a
-factor chosen from the grid.  The 5-point equations are the gradient of
-the discrete energy that `energy` measures and the trace records.
-Convergence is declared on the PDE residual, not the energy decrement,
-because downstream variation tests need genuinely small residuals.  For
-the reference family the node Newton divisor
-2*dim/h^2 + f'(u/eps)/eps^2 changes sign once h >= sqrt(dim)*T*eps; runs
-on such grids end unconverged, which is reported, not raised.
+nonlinear red-black SOR (Ortega & Rheinboldt, Iterative Solution of
+Nonlinear Equations in Several Variables, 1970): each node moves to the
+exact minimizer of the energy with its neighbours frozen, over-relaxed by
+a factor chosen from the grid and projected to u >= 0.  The node energies
+are strictly convex exactly below a grid bound, h < sqrt(dim)*T*eps for
+the reference family; minimize raises ValueError at or above it.  The
+5-point equations are the gradient of the discrete energy that `energy`
+measures and the trace records.  Convergence is declared on the PDE
+residual, not the energy decrement, because downstream variation tests
+need genuinely small residuals.
 
 A half-sweep touches only the nodes of its colour.  They form 2^(dim-1)
 strided blocks of the interior, which are gathered into one vector for the
-node Newton and scattered back.  Every node goes through the same
+node solve and scattered back.  Every node goes through the same
 floating-point operations in the same order whatever the layout, and nodes
 of one colour never neighbour each other, so neither the gathering nor the
 block order changes a bit of the result.
@@ -25,16 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from typing import Callable
 
 import numpy as np
 
-from .field import (
-    ScalarField,
-    _neighbour_sum,
-    integrate,
-    interior_mask,
-    laplacian,
-)
+from .field import ScalarField, _neighbour_sum, integrate, interior_mask
 from .potentials import F_eps, ReactionTerm, f_eps
 
 __all__ = [
@@ -128,12 +124,14 @@ def residual(u: ScalarField, term: ReactionTerm, eps: float) -> float:
 
     Returns:
         Worst interior defect of the semilinear equation.
+
+    Raises:
+        ValueError: if eps <= 0.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    lap = laplacian(u).values
-    defect = lap - f_eps(term, eps, u.values)
-    return float(np.max(np.abs(defect[interior_mask(u.grid)])))
+    v, dim = u.values, u.grid.dim
+    core = v[(slice(1, -1),) * dim]
+    defect = (_neighbour_sum(v) - 2.0 * dim * core) / u.grid.h**2 - f_eps(term, eps, core)
+    return float(np.max(np.abs(defect)))
 
 
 def _colour_blocks(shape: tuple[int, ...]) -> tuple[list[tuple[slice, ...]], ...]:
@@ -155,28 +153,39 @@ def _colour_blocks(shape: tuple[int, ...]) -> tuple[list[tuple[slice, ...]], ...
 def _sweep(
     values: np.ndarray,
     h: float,
-    term: ReactionTerm,
     eps: float,
     omega: float,
     colours: tuple[list[tuple[slice, ...]], ...],
+    root: Callable[[np.ndarray], np.ndarray],
 ) -> None:
-    diag = 2.0 * values.ndim / h**2
+    """One red-black sweep of the exact node minimizer, over-relaxed.
+
+    With its neighbours frozen, a node value w minimizes its share of the
+    energy where diag*w - N + f_eps(w) = 0, N the neighbour sum over h^2
+    and diag = 2*dim/h^2.  In s = w/eps this is k*s + f(s) = m with
+    k = diag*eps^2 and m = N*eps, which root (the term's shifted_inverse
+    at that k) solves exactly.  The node then moves by omega times the way
+    to that target and is projected to u >= 0.  The node energy is
+    strictly convex, so the step descends it whenever its curvature varies
+    by less than a factor 1/(omega - 1)^2 along the step: always if it is
+    quadratic, and for the small steps of a converging sweep.  The inexact
+    3-step Newton target this replaced had no such guarantee, and close to
+    the grid bound, where its divisor nears zero, it went uphill.
+    """
+    m_scale = eps / h**2
     for blocks in colours:
         # Nodes of one colour never neighbour each other, so all their
         # neighbour sums can be taken before any of them moves: this is the
-        # Gauss-Seidel half-sweep, with the Newton run on this colour only.
+        # Gauss-Seidel half-sweep, with the node solve run on this colour only.
         old = np.concatenate([values[b].ravel() for b in blocks])
-        neigh = np.concatenate([_neighbour_sum(values, b).ravel() for b in blocks]) / h**2
-        # Converge each node equation with frozen neighbors, then relax
-        # toward the exact node minimizer; relaxing an inexact target can
-        # push the energy uphill, the exact one cannot.
-        w = old
-        for _ in range(3):
-            s = w / eps
-            r = neigh - diag * w - term.f(s) / eps
-            w = w + r / (diag + term.fprime(s) / eps**2)
-        target = np.maximum(0.0, w)
-        cand = np.maximum(0.0, old + omega * (target - old))
+        m = np.concatenate([_neighbour_sum(values, b).ravel() for b in blocks])
+        m *= m_scale
+        cand = root(m)
+        cand *= eps
+        cand -= old
+        cand *= omega
+        cand += old
+        np.maximum(cand, 0.0, out=cand)
         start = 0
         for b in blocks:
             dst = values[b]
@@ -206,8 +215,10 @@ def minimize(
         (solution field, report).  Non-convergence is reported, not raised.
 
     Raises:
-        ValueError: mismatched grids, negative boundary data, or an init
-            that disagrees with the boundary trace.
+        ValueError: mismatched grids, negative boundary data, an init that
+            disagrees with the boundary trace, or a grid spacing at or
+            above the bound below which every node energy is strictly
+            convex (h < sqrt(dim)*T*eps for the reference family).
     """
     if boundary.grid != init.grid:
         raise ValueError("boundary and init live on different grids")
@@ -217,6 +228,16 @@ def minimize(
         raise ValueError("boundary data must be nonnegative")
     if np.max(np.abs(init.values[edge] - boundary.values[edge])) > 1e-12:
         raise ValueError("init does not match the boundary trace")
+    try:
+        root = term.shifted_inverse(2.0 * grid.dim * cfg.eps**2 / grid.h**2)
+    except ValueError as exc:
+        bound = ""
+        if term.family == "reference":
+            bound = f", sqrt(d)*T*eps = {np.sqrt(grid.dim) * term.T * cfg.eps:g}"
+        raise ValueError(
+            f"grid spacing h = {grid.h:g} is at or above the bound of strictly"
+            f" convex node energies{bound}: {exc}"
+        ) from exc
 
     u = np.maximum(0.0, init.values.copy())
     u[edge] = boundary.values[edge]
@@ -238,7 +259,7 @@ def minimize(
         stale = 0
         while res > cfg.tol_residual and iterations < cfg.max_iter:
             for _ in range(_SWEEPS_PER_ITERATION):
-                _sweep(u, grid.h, term, cfg.eps, relax, colours)
+                _sweep(u, grid.h, cfg.eps, relax, colours, root)
             field = ScalarField(grid=grid, values=u)
             trace.append(energy(field, term, cfg.eps))
             iterations += 1

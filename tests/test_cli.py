@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +95,10 @@ def test_help_exits_zero(capsys):
 _SCIPY_PROBE = """
 import json, sys
 from onephase.cli import main
-loaded = {"import": sorted(m for m in sys.modules if m.startswith("scipy"))}
+loaded = {
+    "import": sorted(m for m in sys.modules if m.startswith("scipy")),
+    "lazy": sorted(m for m in ("onephase.solver", "onephase.variations") if m in sys.modules),
+}
 for k, argv in enumerate(json.loads(sys.argv[1])):
     rc = main(argv + ["--out", f"out{k}"])
     loaded[" ".join(argv)] = rc or sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -104,7 +108,9 @@ print(json.dumps(loaded))
 
 def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
     # Only potential (Simpson) and the hausdorff check need scipy; the CLI
-    # import and the other ops must not load it.
+    # import and the other ops must not load it.  The CLI import loads
+    # neither the solver nor the variations either: the subcommands that
+    # use them import them.
     spec = _spec_file(tmp_path)
     field = _layer_file(tmp_path)
     commands = [
@@ -122,7 +128,19 @@ def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     )
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], **{" ".join(c): [] for c in commands}}
+    assert loaded == {"import": [], "lazy": [], **{" ".join(c): [] for c in commands}}
+
+
+def test_grid_below_three_nodes_fails_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["check", "--what", "lipschitz", "--n", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ValueError"
+    assert "need at least 3 nodes" in error["message"]
 
 
 def test_unknown_choice_exits_two(capsys):
@@ -505,16 +523,16 @@ def test_rerun_is_byte_identical(tmp_path):
     [
         (
             ["--eps", "0.2", "--n", "41"],
-            "26ba891039f3f3e54e51a9e73ed6ce682e59d9cb14a098c6187dd6abcfd1ed36",
+            "3c6b655f0683ac65565e2a0588ec94f51aac5b25e2033b03d307d0a5015fc574",
             14,
-            "0x1.d3a9da2800000p-28",
-            "0x1.249a5ec9ffe77p+2",
+            "0x1.d3a9e34e00000p-28",
+            "0x1.249a5ec9ffe78p+2",
         ),
         (
             ["--eps", "0.1", "--lo=-1", "--hi=1", "--n", "81"],
-            "c41507134b6ffa86c761c69e8a989b4b4cb58af319315025f6adb3c96b913ef9",
+            "0634a38cd80ae51dff7bcd853c8f37fda57d4133b94a86a9330fe3fa57965fc8",
             27,
-            "0x1.6331affffffffp-28",
+            "0x1.634aaffffffffp-28",
             "0x1.124d2bef6754bp+1",
         ),
     ],

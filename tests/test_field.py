@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,12 @@ def test_grid_validation():
         GridSpec(dim=3, origin=(0.0, 0.0, 0.0), h=0.1, shape=(5, 5, 5))
     with pytest.raises(ValueError):
         make_grid((0.0, 0.0), (1.0, 2.0), (11, 11))
+    # The node count is checked before it divides the span.
+    for n in (1, 2, (11, 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need at least 3 nodes"):
+                make_grid((0.0, 0.0), (1.0, 1.0), n)
     g = make_grid((0.0, 0.0), (1.0, 2.0), (11, 21))
     assert g.h == pytest.approx(0.1)
     assert g.hi == pytest.approx((1.0, 2.0))

@@ -109,11 +109,15 @@ def test_energy_trace_records_every_bundle_of_a_descent():
     assert np.max(np.diff(trace)) <= 1e-12 * (1.0 + abs(trace[0]))
 
 
+def _cubic_table():
+    s = np.linspace(0.0, 1.0, 41)
+    return make_tabulated(np.column_stack([s, 6.0 * s * (1.0 - s) ** 2]))
+
+
 def test_tabulated_solve_trace_does_not_rise():
     # The sweeps descend the energy only if the tabulated F is the exact
     # antiderivative of 2f; the chord of it rose by 4.6e-6 on this run.
-    s = np.linspace(0.0, 1.0, 41)
-    term = make_tabulated(np.column_stack([s, 6.0 * s * (1.0 - s) ** 2]))
+    term = _cubic_table()
     eps = 0.1
     grid = make_grid(-0.6, 0.6, 41)  # h = 0.3 * T * eps
     data = ScalarField(grid=grid, values=np.maximum(grid.axes()[0], 0.0) + 0.02)
@@ -124,7 +128,7 @@ def test_tabulated_solve_trace_does_not_rise():
     assert np.max(np.diff(trace)) <= 1e-12 * (1.0 + abs(trace[0]))
 
 
-def test_solve_near_the_grid_bound_keeps_rising_trace_entries():
+def test_solve_near_the_grid_bound_does_not_rise():
     term = _term()
     eps = 0.1
     # h = 0.95 * sqrt(dim) * T * eps, just inside the bound the CLI enforces.
@@ -139,12 +143,28 @@ def test_solve_near_the_grid_bound_keeps_rising_trace_entries():
         term,
         SolveConfig(eps=eps, max_iter=200),
     )
+    assert report.converged
     trace = np.asarray(report.energy_trace)
     assert len(trace) == report.iterations + 1
     assert trace[-1] == energy(u, term, eps)
-    # The relaxed node Newton goes uphill this close to the bound; the
-    # trace records it instead of hiding it.
-    assert np.max(np.diff(trace)) > 0.0
+    # Over-relaxing the exact node minimizer does not go uphill here; the
+    # relaxed 3-step node Newton it replaced rose by up to 0.336.
+    assert np.max(np.diff(trace)) <= 1e-12 * (1.0 + abs(trace[0]))
+
+
+@pytest.mark.parametrize("fraction", [0.95, 0.99])
+def test_halfplane_solve_near_the_grid_bound_converges_downhill(fraction):
+    # h = fraction * sqrt(2) * T * eps; the node Newton ended these runs
+    # unconverged at residual 26 and 20 after 121 and 140 bundles.
+    term = _term()
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 41)
+    y = np.meshgrid(*grid.axes(), indexing="ij")[1]
+    data = ScalarField(grid=grid, values=np.maximum(y, 0.0))
+    eps = grid.h / (fraction * np.sqrt(2.0))
+    _, report = minimize(data, data, term, SolveConfig(eps=eps))
+    assert report.converged
+    trace = np.asarray(report.energy_trace)
+    assert np.max(np.diff(trace)) <= 1e-12 * (1.0 + abs(trace[0]))
 
 
 def test_residual_zero_field_and_stencil_order():
@@ -160,6 +180,20 @@ def test_residual_zero_field_and_stencil_order():
         assert residual(zero, term, eps) == 0.0
     assert res[1e-3] < 0.01
     assert 3.3 < res[2e-3] / res[1e-3] < 4.7
+
+
+@pytest.mark.parametrize("dim, n", [(1, 41), (2, 41), (2, 4)])
+def test_residual_is_the_interior_laplacian_defect_bit_for_bit(dim, n):
+    term = _term()
+    eps = 0.1
+    grid = make_grid((-1.0,) * dim, (1.0,) * dim, n)
+    rng = np.random.default_rng(dim)
+    v = rng.uniform(0.0, 2.0 * term.T * eps, grid.shape)
+    v[rng.random(grid.shape) < 0.2] = 0.0
+    u = ScalarField(grid=grid, values=v)
+    defect = laplacian(u).values - f_eps(term, eps, v)
+    want = float(np.max(np.abs(defect[interior_mask(grid)])))
+    assert float.hex(residual(u, term, eps)) == float.hex(want)
 
 
 def test_residual_reports_kink_of_nonsmooth_input():
@@ -269,6 +303,21 @@ def test_minimize_validates_inputs():
     off = ScalarField(grid=g1, values=np.full(g1.shape, 0.5))
     with pytest.raises(ValueError):
         minimize(a, off, term, SolveConfig(eps=0.1))
+    # At and above h = sqrt(d)*T*eps no node energy is strictly convex:
+    # h = T*eps = 0.1 on g1, and h = 0.1 > sqrt(2)*0.05 in 2D.
+    with pytest.raises(ValueError, match=r"h = 0\.1 .*sqrt\(d\)\*T\*eps = 0\.1\b"):
+        minimize(a, a, term, SolveConfig(eps=0.1))
+    g2d = make_grid((-1.0, -1.0), (1.0, 1.0), 21)
+    z2d = ScalarField(grid=g2d, values=np.zeros(g2d.shape))
+    with pytest.raises(ValueError, match=r"h = 0\.1 "):
+        minimize(z2d, z2d, term, SolveConfig(eps=0.05))
+    # A table with f(T) != 0 drops at T, whatever h is.
+    s = np.linspace(0.0, 1.0, 41)
+    lifted = make_tabulated(np.column_stack([s, 6.0 * s * (1.0 - s) ** 2 + 0.1]))
+    fine = make_grid(-1.0, 1.0, 401)
+    z = ScalarField(grid=fine, values=np.zeros(fine.shape))
+    with pytest.raises(ValueError, match="f\\(T\\)"):
+        minimize(z, z, lifted, SolveConfig(eps=0.1))
 
 
 def test_config_validation_and_json():
@@ -292,32 +341,75 @@ def test_report_round_trips_a_rising_trace():
     assert payload["converged"] is False
 
 
-def _masked_sweep(values, h, term, eps, omega):
-    """Reference red-black sweep: Newton on every interior node, then keep
-    the nodes of the active colour (interior index sum even, then odd)."""
+def _masked_sweep(values, h, eps, omega, root):
+    """Reference red-black sweep: the node solve on every interior node, then
+    keep the nodes of the active colour (interior index sum even, then odd)."""
     dim = values.ndim
     core = (slice(1, -1),) * dim
     parity = np.indices(tuple(n - 2 for n in values.shape)).sum(axis=0) % 2 == 0
-    diag = 2.0 * dim / h**2
     for color in (parity, ~parity):
         neigh = np.zeros_like(values[core])
         for ax in range(dim):
             lo = tuple(slice(0, -2) if k == ax else slice(1, -1) for k in range(dim))
             hi = tuple(slice(2, None) if k == ax else slice(1, -1) for k in range(dim))
             neigh = neigh + values[lo] + values[hi]
-        neigh = neigh / h**2
-        w = values[core].copy()
-        for _ in range(3):
-            r = neigh - diag * w - f_eps(term, eps, w)
-            w = w + r / (diag + term.fprime(w / eps) / eps**2)
-        target = np.maximum(0.0, w)
-        cand = np.maximum(0.0, values[core] + omega * (target - values[core]))
+        target = root(neigh * (eps / h**2)) * eps
+        cand = np.maximum(values[core] + omega * (target - values[core]), 0.0)
         values[core] = np.where(color, cand, values[core])
 
 
 def _tabulated_term():
     s = np.linspace(0.0, 1.5, 61)
     return make_tabulated(np.column_stack([s, 1.1 * np.asarray(make_reference(1.5).f(s))]))
+
+
+@pytest.mark.parametrize(
+    "make_term",
+    [
+        lambda: make_reference(0.37),
+        lambda: make_reference(1.0),
+        lambda: make_reference(2.0),
+        _cubic_table,
+        _tabulated_term,
+    ],
+    ids=["reference-T0.37", "reference-T1", "reference-T2", "cubic-table", "tabulated"],
+)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("fraction", [0.3, 0.9])
+def test_node_solve_is_exact_to_rounding(make_term, dim, fraction):
+    term = make_term()
+    eps = 0.1
+    # fraction of the reference bound; 0.9 stays below the 1.1x table's
+    # bound sqrt(dim/1.1)*T*eps too.
+    h = fraction * np.sqrt(dim) * term.T * eps
+    diag = 2.0 * dim / h**2
+    k = diag * eps**2
+    N = np.concatenate([[0.0], np.geomspace(1e-12, 10.0 * diag * term.T * eps, 4001)])
+    root = term.shifted_inverse(k)
+    w = eps * root(N * eps)
+    assert np.all(w >= 0.0)
+    defect = np.abs(diag * w - N + f_eps(term, eps, w))
+    assert np.all(defect <= 8.0 * np.finfo(float).eps * (diag * w + N))
+    linear = N * eps >= k * term.T
+    assert 0 < np.count_nonzero(linear) < len(N)
+    want = N[linear] / diag
+    assert np.all(np.abs(w[linear] - want) <= 4.0 * np.spacing(want))
+
+
+def test_tabulated_node_solve_below_the_first_row():
+    # f is 0 below a first row at s > 0 and jumps to its value there: the
+    # root follows k*s below the row and stays on the row across the jump.
+    s = np.linspace(0.1, 1.0, 37)
+    f = 6.0 * s * (1.0 - s) ** 2
+    term = make_tabulated(np.column_stack([s, f]))
+    k = 10.0
+    m = np.linspace(0.0, 2.0 * k, 401)
+    x = term.shifted_inverse(k)(m)
+    on_jump = x == s[0]
+    assert np.count_nonzero(on_jump) > 1 and np.count_nonzero(x < s[0]) > 1
+    assert np.all((k * s[0] <= m[on_jump]) & (m[on_jump] <= k * s[0] + f[0]))
+    x, m = x[~on_jump], m[~on_jump]
+    assert np.all(np.abs(k * x + term.f(x) - m) <= 8.0 * np.finfo(float).eps * (k * x + m))
 
 
 @pytest.mark.parametrize(
@@ -335,15 +427,16 @@ def test_colour_block_sweep_is_the_masked_sweep_bit_for_bit(make_term, shape):
     colours = _colour_blocks(shape)
     moved = False
     for eps in (0.5, 0.1):
-        # h below sqrt(dim)*T*eps keeps every node Newton divisor positive.
+        # h below sqrt(dim)*T*eps keeps every node energy strictly convex.
         h = 0.5 * eps * term.T
+        root = term.shifted_inverse(2.0 * len(shape) * eps**2 / h**2)
         start = rng.uniform(0.0, 2.0 * term.T * eps, shape)
         start[rng.random(shape) < 0.2] = 0.0
         for omega in (1.7, 1.0):
             got, want = start.copy(), start.copy()
             for _ in range(5):
-                _sweep(got, h, term, eps, omega, colours)
-                _masked_sweep(want, h, term, eps, omega)
+                _sweep(got, h, eps, omega, colours, root)
+                _masked_sweep(want, h, eps, omega, root)
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
             moved = moved or not np.array_equal(got, start)
