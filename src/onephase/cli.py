@@ -140,7 +140,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--n", default="201")
     p.add_argument("--boundary", default="profile", help="field source or CSV path")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=20_000)
+    p.add_argument("--max-iter", type=int, default=20_000, help="cap on multigrid cycles")
 
     p = sub("vary", "inner variations of a stored field under a stored deformation")
     p.add_argument("--T", type=float, default=1.0)

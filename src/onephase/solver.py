@@ -2,17 +2,34 @@
 
 The functional is I_eps(v) = integral of |grad v|^2 + F_eps(v); stationary
 points solve the semilinear equation Delta u = f_eps(u).  Minimization runs
-over nonnegative interior values with fixed Dirichlet boundary data by
-nonlinear red-black SOR (Ortega & Rheinboldt, Iterative Solution of
-Nonlinear Equations in Several Variables, 1970): each node moves to the
-exact minimizer of the energy with its neighbours frozen, over-relaxed by
-a factor chosen from the grid and projected to u >= 0.  The node energies
-are strictly convex exactly below a grid bound, h < sqrt(dim)*T*eps for
-the reference family; minimize raises ValueError at or above it.  The
-5-point equations are the gradient of the discrete energy that `energy`
-measures and the trace records.  Convergence is declared on the PDE
-residual, not the energy decrement, because downstream variation tests
-need genuinely small residuals.
+over nonnegative interior values with fixed Dirichlet boundary data.  The
+smoother is nonlinear red-black SOR (Ortega & Rheinboldt, Iterative
+Solution of Nonlinear Equations in Several Variables, 1970): each node
+moves to the exact minimizer of the energy with its neighbours frozen,
+over-relaxed by a factor chosen from the grid and projected to u >= 0.
+The node energies are strictly convex exactly below a grid bound,
+h < sqrt(dim)*T*eps for the reference family; minimize raises ValueError
+at or above it.  The 5-point equations are the gradient of the discrete
+energy that `energy` measures and the trace records.  Convergence is
+declared on the PDE residual, not the energy decrement, because
+downstream variation tests need genuinely small residuals.
+
+Around the smoother runs a nonlinear full-approximation-scheme (FAS)
+V-cycle (Brandt, Math. Comp. 31, 1977) over a hierarchy of levels built
+once per call.  Each level halves the one below it, which needs an even
+interval count on every axis, and is kept only while its spacing stays
+below _COARSE_FRACTION of the grid bound.  A coarse level starts from the
+injected fine iterate; its right-hand side g of Delta u - f_eps(u) = g is
+its own defect there plus the full weighting of the fine residual.  Its
+correction returns by multilinear interpolation, projected to u >= 0.  As
+in Kornhuber's monotone multigrid (Numer. Math. 69, 1994), a cycle counts
+only if the energy does not rise; otherwise the finest level runs one
+bundle of SOR sweeps in its place.  A grid with no admissible coarse
+level runs the same cycle on one level, which is exactly that bundle.
+A solve stops for one of four reasons (SolveReport.stop_reason): the
+residual reached the tolerance (tol), the cycle cap was hit (max_iter),
+the last relaxation phase stopped improving (stalled), or the residual is
+rounding alone (floor).
 
 A half-sweep touches only the nodes of its colour.  They form 2^(dim-1)
 strided blocks of the interior, which are gathered into one vector for the
@@ -41,12 +58,42 @@ __all__ = [
     "minimize",
 ]
 
-# One reported iteration bundles this many red-black sweeps; energy and
-# residual are measured per bundle.
+# One cycle of a single-level solve, and the fallback of a refused
+# multilevel cycle, is a bundle of this many red-black sweeps.
 _SWEEPS_PER_ITERATION = 8
-# Bundles without a 2% residual improvement before a relaxation phase is
+# Cycles without a 2% residual improvement before a relaxation phase is
 # declared floored and the next one starts.
-_STALL_BUNDLES = 60
+_STALL_CYCLES = 60
+# A coarse level is kept while its spacing is below this fraction of the
+# grid bound sqrt(dim)*T*eps.  Toward the bound the coarse node energies
+# lose their convexity margin, and the coarse problem pins the layer to
+# its own nodes far more strongly than the fine one does, so its
+# correction moves the layer where the fine grid does not want it.  With
+# a coarsest level at 0.44 and 0.47 of the bound, the refused corrections
+# sent eps = 0.1 halfplane solves on 257^2 and 241^2 to 146 and 250
+# cycles; at 0.4 of it they take 11 and 16, and the eps = 0.1 solves from
+# 201^2 to 401^2, whose coarsest levels lie at 0.22-0.39, take 8-24.
+_COARSE_FRACTION = 0.4
+# Plain (omega = 1) sweeps before and after each coarse correction.
+_SMOOTHING_SWEEPS = 2
+# Over-relaxed sweeps that stand in for a solve on the coarsest of several
+# levels.  Not an exact solve: the layer's translation is a soft mode whose
+# coarse stiffness is far from its fine one, and the more of it a coarse
+# solve carries over, the more cycles are refused.  On the 201^2 eps = 0.1
+# halfplane solve, 24 sweeps take 18 cycles, 48 take 186 and a converged
+# coarse solve 219.  Fewer sweeps leave the smooth error: 16 sweeps take
+# the 1001-node eps = 0.1 column from 15 cycles to 27 and 8 take it to 84.
+_COARSEST_SWEEPS = 24
+# A residual within this multiple of the rounding quantum
+# q = spacing(max |neighbour sum|) / h^2 is rounding alone: each stored
+# value is off by up to half an ulp and the neighbour sum rounds too, which
+# moves the 5-point defect by up to about 3.5 q in 2D.
+_FLOOR_MULTIPLE = 4.0
+# The descent test forgives a rise of this many ulps of the energy.  The
+# energy sums nonnegative terms, so its rounding is a few ulps of the total,
+# and near convergence a cycle lowers it by less than that: an exact
+# comparison refused good cycles at random (20 of 31 on a 513-node column).
+_DESCENT_ULPS = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,7 +103,7 @@ class SolveConfig:
     Attributes:
         eps: phase-transition scale, positive.
         tol_residual: stop once max |Delta u - f_eps(u)| falls below this.
-        max_iter: cap on iterations, each a bundle of red-black sweeps.
+        max_iter: cap on iterations, each one multigrid cycle.
     """
 
     eps: float
@@ -76,16 +123,21 @@ class SolveConfig:
 class SolveReport:
     """Outcome of one minimize call.
 
-    energy_trace holds the energy of the starting field, then the energy
-    after each iteration, unfiltered: len(energy_trace) == iterations + 1
-    and its last entry is the energy of the returned field.  A rise from
-    one entry to the next means the sweeps went uphill.
+    iterations counts cycles.  energy_trace holds the energy of the
+    starting field, then the energy after each cycle, unfiltered:
+    len(energy_trace) == iterations + 1 and its last entry is the energy
+    of the returned field.  A rise from one entry to the next means the
+    sweeps went uphill.  stop_reason is "tol" (converged), "max_iter" (the
+    cycle cap), "stalled" (no relaxation phase improved any further) or
+    "floor" (the residual is within _FLOOR_MULTIPLE rounding quanta, above
+    a tolerance that float64 cannot reach).
     """
 
     iterations: int
     final_residual: float
     energy_trace: tuple[float, ...]
     converged: bool
+    stop_reason: str = "max_iter"
 
 
 def energy(u: ScalarField, term: ReactionTerm, eps: float) -> float:
@@ -128,10 +180,13 @@ def residual(u: ScalarField, term: ReactionTerm, eps: float) -> float:
     Raises:
         ValueError: if eps <= 0.
     """
-    v, dim = u.values, u.grid.dim
-    core = v[(slice(1, -1),) * dim]
-    defect = (_neighbour_sum(v) - 2.0 * dim * core) / u.grid.h**2 - f_eps(term, eps, core)
-    return float(np.max(np.abs(defect)))
+    return float(np.max(np.abs(_defect(u.values, u.grid.h, term, eps))))
+
+
+def _defect(v: np.ndarray, h: float, term: ReactionTerm, eps: float) -> np.ndarray:
+    """Delta_h v - f_eps(v) on the interior nodes of v."""
+    core = v[(slice(1, -1),) * v.ndim]
+    return (_neighbour_sum(v) - 2.0 * v.ndim * core) / h**2 - f_eps(term, eps, core)
 
 
 def _colour_blocks(shape: tuple[int, ...]) -> tuple[list[tuple[slice, ...]], ...]:
@@ -157,20 +212,23 @@ def _sweep(
     omega: float,
     colours: tuple[list[tuple[slice, ...]], ...],
     root: Callable[[np.ndarray], np.ndarray],
+    g: np.ndarray | None = None,
 ) -> None:
     """One red-black sweep of the exact node minimizer, over-relaxed.
 
     With its neighbours frozen, a node value w minimizes its share of the
-    energy where diag*w - N + f_eps(w) = 0, N the neighbour sum over h^2
-    and diag = 2*dim/h^2.  In s = w/eps this is k*s + f(s) = m with
-    k = diag*eps^2 and m = N*eps, which root (the term's shifted_inverse
-    at that k) solves exactly.  The node then moves by omega times the way
-    to that target and is projected to u >= 0.  The node energy is
-    strictly convex, so the step descends it whenever its curvature varies
-    by less than a factor 1/(omega - 1)^2 along the step: always if it is
-    quadratic, and for the small steps of a converging sweep.  The inexact
-    3-step Newton target this replaced had no such guarantee, and close to
-    the grid bound, where its divisor nears zero, it went uphill.
+    energy where diag*w - N + f_eps(w) = -g, N the neighbour sum over h^2,
+    diag = 2*dim/h^2 and g the right-hand side of Delta u - f_eps(u) = g
+    (an array of the grid's shape, or None for 0).  In s = w/eps this is
+    k*s + f(s) = m with k = diag*eps^2 and m = (N - g)*eps, which root (the
+    term's shifted_inverse at that k) solves exactly.  The node then moves
+    by omega times the way to that target and is projected to u >= 0.  The
+    node energy is strictly convex, so the step descends it whenever its
+    curvature varies by less than a factor 1/(omega - 1)^2 along the step:
+    always if it is quadratic, and for the small steps of a converging
+    sweep.  The inexact 3-step Newton target this replaced had no such
+    guarantee, and close to the grid bound, where its divisor nears zero,
+    it went uphill.
     """
     m_scale = eps / h**2
     for blocks in colours:
@@ -180,6 +238,8 @@ def _sweep(
         old = np.concatenate([values[b].ravel() for b in blocks])
         m = np.concatenate([_neighbour_sum(values, b).ravel() for b in blocks])
         m *= m_scale
+        if g is not None:
+            m -= eps * np.concatenate([g[b].ravel() for b in blocks])
         cand = root(m)
         cand *= eps
         cand -= old
@@ -193,9 +253,142 @@ def _sweep(
             start += dst.size
 
 
-def _auto_omega(grid) -> float:
-    span = grid.h * (min(grid.shape) - 1)
-    return 2.0 / (1.0 + np.sin(np.pi * grid.h / span))
+def _auto_omega(h: float, shape: tuple[int, ...]) -> float:
+    span = h * (min(shape) - 1)
+    return 2.0 / (1.0 + np.sin(np.pi * h / span))
+
+
+def _restrict(r: np.ndarray) -> np.ndarray:
+    """Full weighting of a fine grid array that is 0 on its boundary.
+
+    Along each axis a coarse node takes 1/4, 1/2, 1/4 of the fine nodes at
+    and beside it; the coarse boundary is 0.
+    """
+    for ax in range(r.ndim):
+        x = np.moveaxis(r, ax, 0)
+        c = np.zeros((x.shape[0] // 2 + 1,) + x.shape[1:])
+        c[1:-1] = 0.25 * x[1:-2:2] + 0.5 * x[2:-1:2] + 0.25 * x[3::2]
+        r = np.moveaxis(c, 0, ax)
+    return r
+
+
+def _prolong(e: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of a coarse grid array to the fine grid."""
+    for ax in range(e.ndim):
+        x = np.moveaxis(e, ax, 0)
+        f = np.empty((2 * x.shape[0] - 1,) + x.shape[1:])
+        f[::2] = x
+        f[1::2] = 0.5 * (x[:-1] + x[1:])
+        e = np.moveaxis(f, 0, ax)
+    return e
+
+
+@dataclasses.dataclass(frozen=True)
+class _Level:
+    """One grid of the hierarchy and how it is swept.
+
+    sweeps is the count it runs at its SOR factor omega when it is the
+    coarsest level of a cycle: a bundle for the finest level alone,
+    _COARSEST_SWEEPS for a coarse level.
+    """
+
+    h: float
+    colours: tuple[list[tuple[slice, ...]], ...]
+    root: Callable[[np.ndarray], np.ndarray]
+    omega: float
+    sweeps: int
+
+
+def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
+    """The levels of a grid, finest first; see the module docstring.
+
+    Raises:
+        ValueError: the node energies of the grid itself are not strictly
+            convex.
+    """
+    dim = grid.dim
+    try:
+        root = term.shifted_inverse(2.0 * dim * eps**2 / grid.h**2)
+    except ValueError as exc:
+        bound = ""
+        if term.family == "reference":
+            bound = f", sqrt(d)*T*eps = {np.sqrt(dim) * term.T * eps:g}"
+        raise ValueError(
+            f"grid spacing h = {grid.h:g} is at or above the bound of strictly"
+            f" convex node energies{bound}: {exc}"
+        ) from exc
+    h, shape = grid.h, grid.shape
+    omega = _auto_omega(h, shape)
+    levels = [_Level(h, _colour_blocks(shape), root, omega, _SWEEPS_PER_ITERATION)]
+    while min(shape) >= 5 and all(n % 2 == 1 for n in shape):
+        h, shape = 2.0 * h, tuple(n // 2 + 1 for n in shape)
+        try:
+            # Below the fraction of the bound exactly when the node energies
+            # at spacing h / _COARSE_FRACTION are still strictly convex.
+            term.shifted_inverse(2.0 * dim * (_COARSE_FRACTION * eps / h) ** 2)
+        except ValueError:
+            break
+        root = term.shifted_inverse(2.0 * dim * eps**2 / h**2)
+        omega = _auto_omega(h, shape)
+        levels.append(_Level(h, _colour_blocks(shape), root, omega, _COARSEST_SWEEPS))
+    return levels
+
+
+def _cycle(
+    levels: list[_Level],
+    u: np.ndarray,
+    g: np.ndarray | None,
+    term: ReactionTerm,
+    eps: float,
+    over: bool,
+) -> None:
+    """One FAS V-cycle for Delta u - f_eps(u) = g on levels[0], in place.
+
+    The coarsest level runs its sweeps, over-relaxed if over and plain
+    otherwise.  Every finer level smooths, hands its injected iterate and
+    its restricted residual down, adds the interpolated correction, projects
+    to u >= 0 and smooths again.
+    """
+    level = levels[0]
+    if len(levels) == 1:
+        omega = level.omega if over else 1.0
+        for _ in range(level.sweeps):
+            _sweep(u, level.h, eps, omega, level.colours, level.root, g)
+        return
+    for _ in range(_SMOOTHING_SWEEPS):
+        _sweep(u, level.h, eps, 1.0, level.colours, level.root, g)
+    core = (slice(1, -1),) * u.ndim
+    r = np.zeros_like(u)
+    r[core] = -_defect(u, level.h, term, eps)
+    if g is not None:
+        r += g
+    coarse = u[(slice(None, None, 2),) * u.ndim].copy()
+    g_coarse = _restrict(r)
+    g_coarse[core] += _defect(coarse, levels[1].h, term, eps)
+    start = coarse.copy()
+    _cycle(levels[1:], coarse, g_coarse, term, eps, over)
+    coarse -= start
+    u += _prolong(coarse)
+    np.maximum(u, 0.0, out=u)
+    for _ in range(_SMOOTHING_SWEEPS):
+        _sweep(u, level.h, eps, 1.0, level.colours, level.root, g)
+
+
+def _stop_reason(
+    res: float, iterations: int, v: np.ndarray, h: float, cfg: SolveConfig
+) -> str | None:
+    """Why a solve at this residual and cycle count stops, or None.
+
+    The floor is the defect of one rounding, q = spacing(max |neighbour
+    sum|) / h^2.
+    """
+    if res <= cfg.tol_residual:
+        return "tol"
+    if iterations >= cfg.max_iter:
+        return "max_iter"
+    if res <= _FLOOR_MULTIPLE * float(np.spacing(np.max(np.abs(_neighbour_sum(v))))) / h**2:
+        return "floor"
+    return None
 
 
 def minimize(
@@ -209,7 +402,7 @@ def minimize(
         init: starting guess on the same grid, agreeing with boundary on
             the boundary nodes.
         term: reaction term.
-        cfg: scale, residual tolerance and iteration cap.
+        cfg: scale, residual tolerance and cycle cap.
 
     Returns:
         (solution field, report).  Non-convergence is reported, not raised.
@@ -228,16 +421,7 @@ def minimize(
         raise ValueError("boundary data must be nonnegative")
     if np.max(np.abs(init.values[edge] - boundary.values[edge])) > 1e-12:
         raise ValueError("init does not match the boundary trace")
-    try:
-        root = term.shifted_inverse(2.0 * grid.dim * cfg.eps**2 / grid.h**2)
-    except ValueError as exc:
-        bound = ""
-        if term.family == "reference":
-            bound = f", sqrt(d)*T*eps = {np.sqrt(grid.dim) * term.T * cfg.eps:g}"
-        raise ValueError(
-            f"grid spacing h = {grid.h:g} is at or above the bound of strictly"
-            f" convex node energies{bound}: {exc}"
-        ) from exc
+    levels = _levels(grid, term, cfg.eps)
 
     u = np.maximum(0.0, init.values.copy())
     u[edge] = boundary.values[edge]
@@ -246,22 +430,29 @@ def minimize(
     res = residual(field, term, cfg.eps)
     iterations = 0
 
-    omega = _auto_omega(grid)
-    colours = _colour_blocks(grid.shape)
     # Over-relaxed sweeps amplify arithmetic noise by ~1/(2 - omega)
     # and can floor the residual near 1e-8 at fine h; plain sweeps damp
     # that high-frequency floor.  Healthy over-relaxation contracts the
-    # residual by >= 2% within a handful of bundles on any grid solvable
-    # under the iteration cap, while the floor only wobbles, so a long
+    # residual by >= 2% within a handful of cycles on any grid solvable
+    # under the cycle cap, while the floor only wobbles, so a long
     # stretch without a new low marks the floor and triggers the switch.
-    for relax in (omega, 1.0):
+    # On several levels only the coarsest solve and the fallback bundle
+    # are over-relaxed.
+    for over in (True, False):
         best = res
         stale = 0
-        while res > cfg.tol_residual and iterations < cfg.max_iter:
-            for _ in range(_SWEEPS_PER_ITERATION):
-                _sweep(u, grid.h, cfg.eps, relax, colours, root)
-            field = ScalarField(grid=grid, values=u)
-            trace.append(energy(field, term, cfg.eps))
+        while (stop := _stop_reason(res, iterations, u, grid.h, cfg)) is None:
+            if stale >= _STALL_CYCLES:
+                break
+            # A one-level cycle has no coarse correction to refuse.
+            saved = u.copy() if len(levels) > 1 else None
+            _cycle(levels, u, None, term, cfg.eps, over)
+            e = energy(field, term, cfg.eps)
+            if saved is not None and e > trace[-1] + _DESCENT_ULPS * np.spacing(trace[-1]):
+                u[...] = saved
+                _cycle(levels[:1], u, None, term, cfg.eps, over)
+                e = energy(field, term, cfg.eps)
+            trace.append(e)
             iterations += 1
             res = residual(field, term, cfg.eps)
             if res < 0.98 * best:
@@ -269,17 +460,14 @@ def minimize(
                 stale = 0
             else:
                 stale += 1
-                if stale >= _STALL_BUNDLES:
-                    break
-        if res <= cfg.tol_residual:
+        if stop is not None:
             break
 
-    converged = res <= cfg.tol_residual
     report = SolveReport(
         iterations=iterations,
         final_residual=res,
         energy_trace=tuple(trace),
-        converged=converged,
+        converged=stop == "tol",
+        stop_reason=stop or "stalled",
     )
     return field, report
-

@@ -78,9 +78,10 @@ def _certified(u0, eps, tol=1e-8, max_iter=5_000):
 def _column(eps, lo, hi, n):
     line = make_grid(lo, hi, n)
     bc = _profile_field(line, eps)
-    col, _ = minimize(
+    col, rep = minimize(
         bc, bc, _term(), SolveConfig(eps=eps, tol_residual=1e-10, max_iter=60_000)
     )
+    assert rep.converged or rep.stop_reason == "floor"
     return col
 
 

@@ -523,10 +523,10 @@ def test_rerun_is_byte_identical(tmp_path):
     [
         (
             ["--eps", "0.2", "--n", "41"],
-            "3c6b655f0683ac65565e2a0588ec94f51aac5b25e2033b03d307d0a5015fc574",
-            14,
-            "0x1.d3a9e34e00000p-28",
-            "0x1.249a5ec9ffe78p+2",
+            "73b2a2b59cc98bb944b7129d04ed03d41ac7dd26cd7d1459249d9b88f4fedac0",
+            10,
+            "0x1.caf8dfffffffep-28",
+            "0x1.249a5ec9ffe76p+2",
         ),
         (
             ["--eps", "0.1", "--lo=-1", "--hi=1", "--n", "81"],

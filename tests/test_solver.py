@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from onephase.field import ScalarField, interior_mask, laplacian, make_grid
+from onephase.field import GridSpec, ScalarField, interior_mask, laplacian, make_grid
 from onephase.ode1d import solve_monotone
 from onephase.potentials import f_eps, make_reference, make_tabulated
 from onephase.records import from_json, to_json
@@ -11,6 +11,9 @@ from onephase.solver import (
     SolveConfig,
     SolveReport,
     _colour_blocks,
+    _levels,
+    _prolong,
+    _restrict,
     _sweep,
     energy,
     minimize,
@@ -441,3 +444,134 @@ def test_colour_block_sweep_is_the_masked_sweep_bit_for_bit(make_term, shape):
                 assert np.array_equal(np.signbit(got), np.signbit(want))
             moved = moved or not np.array_equal(got, start)
     assert moved
+
+
+@pytest.mark.parametrize(
+    "make_term", [lambda: make_reference(1.0), _tabulated_term], ids=["reference", "tabulated"]
+)
+@pytest.mark.parametrize("shape", [(41,), (21, 24)])
+def test_sweep_with_a_right_hand_side_solves_each_node(make_term, shape):
+    term = make_term()
+    eps = 0.1
+    dim = len(shape)
+    h = 0.5 * eps * term.T
+    diag = 2.0 * dim / h**2
+    root = term.shifted_inverse(diag * eps**2)
+    colours = _colour_blocks(shape)
+    rng = np.random.default_rng(dim)
+    start = rng.uniform(0.0, 2.0 * term.T * eps, shape)
+    grid = GridSpec(dim=dim, origin=(0.0,) * dim, h=h, shape=shape)
+    inner = interior_mask(grid)
+    # Zero right-hand side: the bits of the sweep without one.
+    got, want = start.copy(), start.copy()
+    _sweep(got, h, eps, 1.7, colours, root, np.zeros(shape))
+    _sweep(want, h, eps, 1.7, colours, root)
+    assert np.array_equal(got, want)
+    # |g| up to twice diag*T*eps: some nodes solve Delta w - f_eps(w) = g
+    # and others are held at 0, where the equation would need w < 0.
+    g = np.where(inner, rng.uniform(-2.0, 2.0, shape) * diag * term.T * eps, 0.0)
+    w = start.copy()
+    _sweep(w, h, eps, 1.0, colours, root, g)
+    last = np.zeros(shape, dtype=bool)  # the colour swept last saw its final neighbours
+    for b in colours[1]:
+        last[b] = True
+    lap = laplacian(ScalarField(grid=grid, values=w)).values
+    defect = lap - f_eps(term, eps, w) - g
+    scale = np.abs(lap) + 2.0 * diag * w + np.abs(g)
+    solved, held = last & (w > 0.0), last & (w == 0.0)
+    assert np.count_nonzero(solved) > 3 and np.count_nonzero(held) > 3
+    assert np.all(np.abs(defect[solved]) <= 16.0 * np.finfo(float).eps * scale[solved])
+    assert np.all(defect[held] <= 16.0 * np.finfo(float).eps * scale[held])
+
+
+@pytest.mark.parametrize("shape", [(9,), (5, 7), (7, 7)])
+def test_full_weighting_is_the_scaled_transpose_of_interpolation(shape):
+    coarse = tuple(n // 2 + 1 for n in shape)
+
+    def matrix(op, src, dst):
+        cols = []
+        for idx in np.ndindex(*(n - 2 for n in src)):
+            e = np.zeros(src)
+            e[tuple(i + 1 for i in idx)] = 1.0
+            out = op(e)
+            assert out.shape == dst
+            cols.append(out[tuple(slice(1, n - 1) for n in dst)].ravel())
+        return np.array(cols).T
+
+    P = matrix(_prolong, coarse, shape)
+    R = matrix(_restrict, shape, coarse)
+    assert np.array_equal(R, P.T / 2.0 ** len(shape))
+    # Interpolation keeps multilinear functions, boundary included.
+    axes = np.meshgrid(*(np.arange(n, dtype=float) for n in coarse), indexing="ij")
+    fine = np.meshgrid(*(np.arange(n, dtype=float) / 2.0 for n in shape), indexing="ij")
+    assert np.array_equal(_prolong(1.0 + np.prod(axes, axis=0)), 1.0 + np.prod(fine, axis=0))
+
+
+@pytest.mark.parametrize(
+    "dim, n, eps, factors",
+    [
+        (2, 41, 0.2, [1, 2]),  # spacing 0.1 is 0.35 of sqrt(2)*T*eps; 0.2 is 0.71
+        (1, 81, 0.1, [1]),  # 0.05 is 0.5 of T*eps
+        (2, 101, 0.05, [1]),  # 0.04 is 0.57 of the bound
+        (2, 201, 0.1, [1, 2, 4]),  # 0.08 is 0.57
+        (1, 1001, 0.1, [1, 2, 4, 8]),  # 126 nodes: 125 intervals do not halve
+        (2, 5, 2.0, [1, 2]),  # 3 nodes per axis is the least grid
+    ],
+)
+def test_levels_halve_the_grid_below_a_fraction_of_the_bound(dim, n, eps, factors):
+    grid = make_grid((-1.0,) * dim, (1.0,) * dim, n)
+    levels = _levels(grid, _term(), eps)
+    assert [lv.h / grid.h for lv in levels] == factors
+    assert [lv.sweeps for lv in levels] == [8] + [24] * (len(factors) - 1)
+
+
+def test_cycle_count_is_flat_over_one_dimensional_grids():
+    term = _term()
+    eps = 0.1
+    counts = []
+    for n in (257, 513, 1025):
+        grid = make_grid(-1.0, 1.0, n)
+        data = ScalarField(grid=grid, values=_profile_on_axis(term, eps, grid.axes()[0]))
+        _, report = minimize(data, data, term, SolveConfig(eps=eps))
+        assert report.stop_reason == "tol"
+        trace = np.asarray(report.energy_trace)
+        assert np.max(np.diff(trace)) <= 1e-12 * (1.0 + abs(trace[0]))
+        counts.append(report.iterations)
+    # 12, 12 and 10 cycles; red-black SOR alone took 87, 178 and 344 bundles.
+    assert max(counts) <= 16
+    assert max(counts) - min(counts) <= 4
+
+
+def test_affine_column_stops_at_the_rounding_floor():
+    # f = 0 above T*eps, so the solution is affine; its rounded values
+    # leave a 3-point defect near spacing(max neighbour sum)/h^2 = 1.1e-10
+    # at h = 0.002, which a tolerance of 1e-12 cannot get below.  Started a
+    # defect of 2e-9 away, the solve stops a few cycles later, where it
+    # would grind for two stall stretches of 60 otherwise.
+    term = _term()
+    eps = 0.1
+    grid = make_grid(-1.0, 1.0, 1001)
+    x = grid.axes()[0]
+    data = ScalarField(grid=grid, values=1.2 + 0.5 * x)
+    q = np.spacing(2.0 * 1.7) / grid.h**2
+    for bump, most in ((0.0, 0), (1e-9, 10)):
+        start = ScalarField(grid=grid, values=data.values + bump * (1.0 - x**2))
+        u, report = minimize(data, start, term, SolveConfig(eps=eps, tol_residual=1e-12))
+        assert report.stop_reason == "floor"
+        assert not report.converged
+        assert report.iterations <= most
+        assert report.final_residual <= 4.0 * q
+        assert np.max(np.abs(u.values - data.values)) < 1e-10
+
+
+def test_report_states_why_the_solve_stopped():
+    term = _term()
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 41)
+    y = np.meshgrid(*grid.axes(), indexing="ij")[1]
+    data = ScalarField(grid=grid, values=np.maximum(y, 0.0))
+    _, capped = minimize(data, data, term, SolveConfig(eps=0.2, max_iter=2))
+    assert (capped.stop_reason, capped.iterations, capped.converged) == ("max_iter", 2, False)
+    assert len(capped.energy_trace) == 3
+    _, done = minimize(data, data, term, SolveConfig(eps=0.2))
+    assert done.stop_reason == "tol" and done.converged
+    assert to_json(done)["stop_reason"] == "tol"
