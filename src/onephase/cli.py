@@ -364,7 +364,7 @@ def _run_check(args, out: Path) -> dict:
         radii = _floats(args.radii)
         if what == "nondeg":
             payload = check_to_json(
-                nondegeneracy_scan(u, eps, theta, radii, None, args.threshold)
+                nondegeneracy_scan(u, eps, theta, radii, args.threshold)
             )
         elif what == "density":
             payload = check_to_json(
@@ -399,7 +399,7 @@ def _run_check(args, out: Path) -> dict:
         else:
             payload = {
                 "check": "poincare",
-                "value": poincare_ratio(u, None, args.zero_fraction),
+                "value": poincare_ratio(u, args.zero_fraction),
             }
     return payload
 
@@ -422,7 +422,7 @@ def _bump_suite_ratio(grid: GridSpec, count: int, seed: int, zero_fraction: floa
         )
         spec = VectorFieldSpec(dim=2, components=(bump, zero))
         g = ScalarField(grid=grid, values=evaluate(spec, grid)[..., 0])
-        worst = max(worst, poincare_ratio(g, None, zero_fraction))
+        worst = max(worst, poincare_ratio(g, zero_fraction))
     return worst
 
 

@@ -9,14 +9,15 @@ distance, and the rescaling u -> eps * u(x / eps) used to compare scales.
 
 Scans discretize balls as node sets {q : |q - p| <= r} and report areas
 as node counts times h^d.  Centers are restricted so every scanned ball
-lies inside the grid domain; callers pick the window and the pass/fail
-threshold, the scan only measures.
+lies inside the grid domain; callers pick the pass/fail threshold, the
+scan only measures.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,18 +90,19 @@ class CheckReport:
         values: measured constant per parameter; empty when nothing was
             eligible to scan.
         worst: extremal value over the grid (min for sense "min", max for
-            "max"); None exactly when values is empty.
+            "max"); None exactly when values is empty.  Derived from values.
         threshold: caller's pass bar.
         passed: whether worst clears the threshold; False on empty scans.
+            Derived from worst and threshold.
         sense: "min" (pass iff worst >= threshold) or "max" (worst <=).
     """
 
     check: str
     params: tuple[float, ...]
     values: tuple[float, ...]
-    worst: float | None
+    worst: float | None = field(init=False)
     threshold: float
-    passed: bool
+    passed: bool = field(init=False)
     sense: str = "min"
 
     def __post_init__(self) -> None:
@@ -110,41 +112,10 @@ class CheckReport:
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("scan values must be finite")
-        if self.values:
-            want = min(self.values) if self.sense == "min" else max(self.values)
-            if self.worst != want:
-                raise ValueError("worst must be the extremal scanned value")
-            ok = self.worst >= self.threshold
-            if self.sense == "max":
-                ok = self.worst <= self.threshold
-            if self.passed != ok:
-                raise ValueError("passed must reflect worst against threshold")
-        elif self.worst is not None or self.passed:
-            raise ValueError("empty scans must report worst=None and passed=False")
-
-
-def _report(check, params, values, threshold, sense="min"):
-    if len(values) == 0:
-        return CheckReport(
-            check=check,
-            params=tuple(params),
-            values=(),
-            worst=None,
-            threshold=threshold,
-            passed=False,
-            sense=sense,
-        )
-    worst = min(values) if sense == "min" else max(values)
-    passed = worst >= threshold if sense == "min" else worst <= threshold
-    return CheckReport(
-        check=check,
-        params=tuple(params),
-        values=tuple(values),
-        worst=worst,
-        threshold=threshold,
-        passed=passed,
-        sense=sense,
-    )
+        pick, clears = (min, operator.ge) if self.sense == "min" else (max, operator.le)
+        worst = pick(self.values, default=None)
+        object.__setattr__(self, "worst", worst)
+        object.__setattr__(self, "passed", worst is not None and clears(worst, self.threshold))
 
 
 def level_region(
@@ -288,46 +259,28 @@ def _margin_mask(grid: GridSpec, r: float) -> np.ndarray:
     return mask
 
 
-def _window_mask(grid: GridSpec, window) -> np.ndarray:
-    if window is None:
-        return np.ones(grid.shape, dtype=bool)
-    lo = np.atleast_1d(np.asarray(window[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(window[1], dtype=float))
-    if lo.shape != (grid.dim,) or hi.shape != (grid.dim,):
-        raise ValueError("window corners must match the grid dimension")
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax, axis_nodes in enumerate(grid.axes()):
-        ok = (axis_nodes >= lo[ax] - 1e-12) & (axis_nodes <= hi[ax] + 1e-12)
-        shape = [1] * grid.dim
-        shape[ax] = len(axis_nodes)
-        mask &= ok.reshape(shape)
-    return mask
-
-
 def nondegeneracy_scan(
     u: ScalarField,
     eps: float,
     theta: float,
     radii,
-    window=None,
     threshold: float = 0.0,
 ) -> CheckReport:
     """Measure the linear-growth constant sup_{B_r(p)} u / r.
 
     For each radius the scan minimizes the ratio over centers p with
-    u(p) >= theta * eps inside the window whose ball fits in the domain.
+    u(p) >= theta * eps whose ball fits in the domain.
 
     Args:
         u: sampled field.
         eps: scale of the threshold height.
         theta: height parameter; centers need u >= theta * eps.
         radii: positive ball radii to scan.
-        window: optional (lo, hi) box restricting centers.
         threshold: pass bar on the minimum constant.
 
     Returns:
         CheckReport with one constant per radius; empty when no node
-        clears the height threshold inside the window.
+        clears the height threshold.
 
     Raises:
         ValueError: on nonpositive inputs, or when a radius leaves no
@@ -338,9 +291,9 @@ def nondegeneracy_scan(
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
-    eligible = (u.values >= theta * eps) & _window_mask(u.grid, window)
+    eligible = u.values >= theta * eps
     if not eligible.any():
-        return _report("nondegeneracy", radii, [], threshold)
+        return CheckReport("nondegeneracy", radii, (), threshold)
     values = []
     for r in radii:
         centers = eligible & _margin_mask(u.grid, r)
@@ -348,7 +301,7 @@ def nondegeneracy_scan(
             raise ValueError(f"radius {r} leaves no eligible center in the domain")
         sup = _ball_max(u.values, r, u.grid.h)
         values.append(float(np.min(sup[centers])) / r)
-    return _report("nondegeneracy", radii, values, threshold)
+    return CheckReport("nondegeneracy", radii, values, threshold)
 
 
 def density_scan(
@@ -393,7 +346,7 @@ def density_scan(
     tau = term.T / 2.0
     band = (u.values >= tau * eps) & (u.values <= term.T * eps)
     if not band.any():
-        return _report("density", radii, [], threshold)
+        return CheckReport("density", radii, (), threshold)
     low = u.values <= (tau / 4.0) * eps
     values = []
     for r in radii:
@@ -403,7 +356,7 @@ def density_scan(
         count = _ball_count(low, r / 2.0, u.grid.h)
         total = _ball_size(r / 2.0, u.grid.h, u.grid.dim)
         values.append(float(np.min(count[centers])) / total)
-    return _report("density", radii, values, threshold)
+    return CheckReport("density", radii, values, threshold)
 
 
 def _zero_mask(values: np.ndarray) -> np.ndarray:
@@ -450,7 +403,7 @@ def zero_phase_density(u: ScalarField, radii, threshold: float = 0.0) -> CheckRe
         raise ValueError("radii must be positive")
     zero = _zero_mask(u.values)
     if not zero.any() or zero.all():
-        return _report("zero-phase-density", radii, [], threshold)
+        return CheckReport("zero-phase-density", radii, (), threshold)
     boundary = _limit_boundary(u.values)
     values = []
     for r in radii:
@@ -460,14 +413,13 @@ def zero_phase_density(u: ScalarField, radii, threshold: float = 0.0) -> CheckRe
         count = _ball_count(zero, r, u.grid.h)
         total = _ball_size(r, u.grid.h, u.grid.dim)
         values.append(float(np.min(count[centers])) / total)
-    return _report("zero-phase-density", radii, values, threshold)
+    return CheckReport("zero-phase-density", radii, values, threshold)
 
 
-def lipschitz_constant(u: ScalarField, window=None) -> float:
-    """Largest gradient magnitude over the window (whole domain by default)."""
+def lipschitz_constant(u: ScalarField) -> float:
+    """Largest gradient magnitude over the domain."""
     g = gradient(u)
-    norm = np.sqrt(np.sum(g * g, axis=0))
-    return float(np.max(norm[_window_mask(u.grid, window)]))
+    return float(np.max(np.sqrt(np.sum(g * g, axis=0))))
 
 
 def exit_radius(
@@ -519,42 +471,34 @@ def exit_radius(
     return dmin if dmin <= wall + 1e-12 else math.inf
 
 
-def poincare_ratio(g: ScalarField, region=None, zero_fraction: float = 0.0) -> float:
-    """L1 norm of g over R times the L1 norm of its gradient, on a box.
+def poincare_ratio(g: ScalarField, zero_fraction: float = 0.0) -> float:
+    """L1 norm of g over R times the L1 norm of its gradient, on the domain.
 
     Args:
-        g: sampled field vanishing on part of the region.
-        region: optional (lo, hi) box; whole domain by default.
-        zero_fraction: fraction of region nodes required to be zero
-            (relative tolerance); violating it is an error.
+        g: sampled field vanishing on part of the domain.
+        zero_fraction: fraction of nodes required to be zero (relative
+            tolerance); violating it is an error.
 
     Returns:
         ||g||_L1 / (R ||grad g||_L1) with R the half-diameter of the
-        region box, or 0.0 when the gradient norm vanishes.
+        domain box, or 0.0 when the gradient norm vanishes.
 
     Raises:
         ValueError: when g vanishes on fewer nodes than promised.
     """
-    mask = _window_mask(g.grid, region)
-    vals = np.abs(g.values[mask])
+    vals = np.abs(g.values).ravel()
     zeros = np.count_nonzero(vals <= _ZERO_REL_TOL * float(np.max(vals, initial=0.0)))
     if zeros < zero_fraction * vals.size - 1e-9:
         raise ValueError(
-            f"g vanishes on {zeros / vals.size:.3f} of the region, "
+            f"g vanishes on {zeros / vals.size:.3f} of the domain, "
             f"below the promised {zero_fraction}"
         )
     grad = gradient(g)
-    gnorm = np.sqrt(np.sum(grad * grad, axis=0))[mask]
+    gnorm = np.sqrt(np.sum(grad * grad, axis=0)).ravel()
     cell = g.grid.h**g.grid.dim
     num = float(np.sum(vals)) * cell
     den = float(np.sum(gnorm)) * cell
-    if region is None:
-        lo = np.asarray(g.grid.origin, dtype=float)
-        hi = np.asarray(g.grid.hi, dtype=float)
-    else:
-        lo = np.atleast_1d(np.asarray(region[0], dtype=float))
-        hi = np.atleast_1d(np.asarray(region[1], dtype=float))
-    radius = 0.5 * float(np.linalg.norm(hi - lo))
+    radius = 0.5 * float(np.linalg.norm(np.subtract(g.grid.hi, g.grid.origin, dtype=float)))
     if den * radius == 0.0:
         return 0.0
     return num / (radius * den)
@@ -648,7 +592,15 @@ def check_to_json(report: CheckReport) -> dict:
 
 
 def check_from_json(payload: dict) -> CheckReport:
-    """Rebuild a CheckReport from its JSON dict."""
+    """Rebuild a CheckReport from its JSON dict.
+
+    Raises:
+        ValueError: on unknown keys, or a stored worst or pass that the
+            stored values and threshold do not give.
+    """
     fields = dict(payload)
-    fields["passed"] = fields.pop("pass")
-    return from_json(CheckReport, fields)
+    stored = (fields.pop("worst"), fields.pop("pass"))
+    report = from_json(CheckReport, fields)
+    if stored != (report.worst, report.passed):
+        raise ValueError("stored worst and pass disagree with the scanned values")
+    return report

@@ -28,8 +28,8 @@ bundle of SOR sweeps in its place.  A grid with no admissible coarse
 level runs the same cycle on one level, which is exactly that bundle.
 A solve stops for one of four reasons (SolveReport.stop_reason): the
 residual reached the tolerance (tol), the cycle cap was hit (max_iter),
-the last relaxation phase stopped improving (stalled), or the residual is
-rounding alone (floor).
+the residual did not improve by 2% in _STALL_CYCLES cycles (stalled), or
+the residual is rounding alone (floor).
 
 A half-sweep touches only the nodes of its colour.  They form 2^(dim-1)
 strided blocks of the interior, which are gathered into one vector for the
@@ -61,8 +61,9 @@ __all__ = [
 # One cycle of a single-level solve, and the fallback of a refused
 # multilevel cycle, is a bundle of this many red-black sweeps.
 _SWEEPS_PER_ITERATION = 8
-# Cycles without a 2% residual improvement before a relaxation phase is
-# declared floored and the next one starts.
+# Cycles without a 2% residual improvement before a solve stops as
+# stalled: the guard against a solve that neither converges nor reaches
+# the floor grinding on to the cycle cap.
 _STALL_CYCLES = 60
 # A coarse level is kept while its spacing is below this fraction of the
 # grid bound sqrt(dim)*T*eps.  Toward the bound the coarse node energies
@@ -128,9 +129,10 @@ class SolveReport:
     len(energy_trace) == iterations + 1 and its last entry is the energy
     of the returned field.  A rise from one entry to the next means the
     sweeps went uphill.  stop_reason is "tol" (converged), "max_iter" (the
-    cycle cap), "stalled" (no relaxation phase improved any further) or
-    "floor" (the residual is within _FLOOR_MULTIPLE rounding quanta, above
-    a tolerance that float64 cannot reach).
+    cycle cap), "stalled" (the residual did not improve by 2% in
+    _STALL_CYCLES cycles) or "floor" (the residual is within
+    _FLOOR_MULTIPLE rounding quanta, above a tolerance that float64 cannot
+    reach).
     """
 
     iterations: int
@@ -335,25 +337,19 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
 
 
 def _cycle(
-    levels: list[_Level],
-    u: np.ndarray,
-    g: np.ndarray | None,
-    term: ReactionTerm,
-    eps: float,
-    over: bool,
+    levels: list[_Level], u: np.ndarray, g: np.ndarray | None, term: ReactionTerm, eps: float
 ) -> None:
     """One FAS V-cycle for Delta u - f_eps(u) = g on levels[0], in place.
 
-    The coarsest level runs its sweeps, over-relaxed if over and plain
-    otherwise.  Every finer level smooths, hands its injected iterate and
-    its restricted residual down, adds the interpolated correction, projects
-    to u >= 0 and smooths again.
+    The coarsest level runs its sweeps, over-relaxed.  Every finer level
+    smooths with plain sweeps, hands its injected iterate and its restricted
+    residual down, adds the interpolated correction, projects to u >= 0 and
+    smooths again.
     """
     level = levels[0]
     if len(levels) == 1:
-        omega = level.omega if over else 1.0
         for _ in range(level.sweeps):
-            _sweep(u, level.h, eps, omega, level.colours, level.root, g)
+            _sweep(u, level.h, eps, level.omega, level.colours, level.root, g)
         return
     for _ in range(_SMOOTHING_SWEEPS):
         _sweep(u, level.h, eps, 1.0, level.colours, level.root, g)
@@ -366,7 +362,7 @@ def _cycle(
     g_coarse = _restrict(r)
     g_coarse[core] += _defect(coarse, levels[1].h, term, eps)
     start = coarse.copy()
-    _cycle(levels[1:], coarse, g_coarse, term, eps, over)
+    _cycle(levels[1:], coarse, g_coarse, term, eps)
     coarse -= start
     u += _prolong(coarse)
     np.maximum(u, 0.0, out=u)
@@ -375,9 +371,9 @@ def _cycle(
 
 
 def _stop_reason(
-    res: float, iterations: int, v: np.ndarray, h: float, cfg: SolveConfig
+    res: float, iterations: int, stale: int, v: np.ndarray, h: float, cfg: SolveConfig
 ) -> str | None:
-    """Why a solve at this residual and cycle count stops, or None.
+    """Why a solve stops at this residual, cycle count and stale count, or None.
 
     The floor is the defect of one rounding, q = spacing(max |neighbour
     sum|) / h^2.
@@ -388,6 +384,8 @@ def _stop_reason(
         return "max_iter"
     if res <= _FLOOR_MULTIPLE * float(np.spacing(np.max(np.abs(_neighbour_sum(v))))) / h**2:
         return "floor"
+    if stale >= _STALL_CYCLES:
+        return "stalled"
     return None
 
 
@@ -427,47 +425,31 @@ def minimize(
     u[edge] = boundary.values[edge]
     field = ScalarField(grid=grid, values=u)
     trace = [energy(field, term, cfg.eps)]
-    res = residual(field, term, cfg.eps)
-    iterations = 0
-
-    # Over-relaxed sweeps amplify arithmetic noise by ~1/(2 - omega)
-    # and can floor the residual near 1e-8 at fine h; plain sweeps damp
-    # that high-frequency floor.  Healthy over-relaxation contracts the
-    # residual by >= 2% within a handful of cycles on any grid solvable
-    # under the cycle cap, while the floor only wobbles, so a long
-    # stretch without a new low marks the floor and triggers the switch.
-    # On several levels only the coarsest solve and the fallback bundle
-    # are over-relaxed.
-    for over in (True, False):
-        best = res
-        stale = 0
-        while (stop := _stop_reason(res, iterations, u, grid.h, cfg)) is None:
-            if stale >= _STALL_CYCLES:
-                break
-            # A one-level cycle has no coarse correction to refuse.
-            saved = u.copy() if len(levels) > 1 else None
-            _cycle(levels, u, None, term, cfg.eps, over)
+    res = best = residual(field, term, cfg.eps)
+    iterations = stale = 0
+    while (stop := _stop_reason(res, iterations, stale, u, grid.h, cfg)) is None:
+        # A one-level cycle has no coarse correction to refuse.
+        saved = u.copy() if len(levels) > 1 else None
+        _cycle(levels, u, None, term, cfg.eps)
+        e = energy(field, term, cfg.eps)
+        if saved is not None and e > trace[-1] + _DESCENT_ULPS * np.spacing(trace[-1]):
+            u[...] = saved
+            _cycle(levels[:1], u, None, term, cfg.eps)
             e = energy(field, term, cfg.eps)
-            if saved is not None and e > trace[-1] + _DESCENT_ULPS * np.spacing(trace[-1]):
-                u[...] = saved
-                _cycle(levels[:1], u, None, term, cfg.eps, over)
-                e = energy(field, term, cfg.eps)
-            trace.append(e)
-            iterations += 1
-            res = residual(field, term, cfg.eps)
-            if res < 0.98 * best:
-                best = res
-                stale = 0
-            else:
-                stale += 1
-        if stop is not None:
-            break
+        trace.append(e)
+        iterations += 1
+        res = residual(field, term, cfg.eps)
+        if res < 0.98 * best:
+            best = res
+            stale = 0
+        else:
+            stale += 1
 
     report = SolveReport(
         iterations=iterations,
         final_residual=res,
         energy_trace=tuple(trace),
         converged=stop == "tol",
-        stop_reason=stop or "stalled",
+        stop_reason=stop,
     )
     return field, report

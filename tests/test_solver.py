@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from onephase import solver
 from onephase.field import GridSpec, ScalarField, interior_mask, laplacian, make_grid
 from onephase.ode1d import solve_monotone
 from onephase.potentials import f_eps, make_reference, make_tabulated
@@ -547,7 +548,7 @@ def test_affine_column_stops_at_the_rounding_floor():
     # leave a 3-point defect near spacing(max neighbour sum)/h^2 = 1.1e-10
     # at h = 0.002, which a tolerance of 1e-12 cannot get below.  Started a
     # defect of 2e-9 away, the solve stops a few cycles later, where it
-    # would grind for two stall stretches of 60 otherwise.
+    # would grind for a stall stretch of 60 otherwise.
     term = _term()
     eps = 0.1
     grid = make_grid(-1.0, 1.0, 1001)
@@ -562,6 +563,38 @@ def test_affine_column_stops_at_the_rounding_floor():
         assert report.iterations <= most
         assert report.final_residual <= 4.0 * q
         assert np.max(np.abs(u.values - data.values)) < 1e-10
+
+
+def test_affine_column_without_the_floor_stops_as_stalled(monkeypatch):
+    # The rounded affine column cannot improve its residual by 2%, so with
+    # the floor stop switched off the stall rule ends the solve.
+    monkeypatch.setattr(solver, "_FLOOR_MULTIPLE", 0.0)
+    grid = make_grid(-1.0, 1.0, 1001)
+    data = ScalarField(grid=grid, values=1.2 + 0.5 * grid.axes()[0])
+    _, report = minimize(data, data, _term(), SolveConfig(eps=0.1, tol_residual=1e-12))
+    assert (report.stop_reason, report.iterations) == ("stalled", solver._STALL_CYCLES)
+    assert not report.converged
+
+
+@pytest.mark.parametrize("dim, n, eps", [(1, 257, 0.1), (2, 41, 0.3)])
+def test_refused_cycles_fall_back_to_one_bundle(monkeypatch, dim, n, eps):
+    # A coarse correction shifted up by 1 raises the energy, so every cycle
+    # is refused and replaced by the single-level bundle: the solve is the
+    # single-level solve, bit for bit.
+    term = _term()
+    grid = make_grid((-1.0,) * dim, (1.0,) * dim, n)
+    y = np.meshgrid(*grid.axes(), indexing="ij")[-1]
+    data = ScalarField(grid=grid, values=_profile_on_axis(term, eps, y))
+    cfg = SolveConfig(eps=eps)
+    assert len(_levels(grid, term, eps)) > 1
+    prolong, levels = solver._prolong, solver._levels
+    monkeypatch.setattr(solver, "_prolong", lambda e: prolong(e) + 1.0)
+    uphill, uphill_report = minimize(data, data, term, cfg)
+    monkeypatch.setattr(solver, "_levels", lambda *args: levels(*args)[:1])
+    single, single_report = minimize(data, data, term, cfg)
+    assert uphill_report.stop_reason == "tol"
+    assert uphill_report == single_report
+    assert np.array_equal(uphill.values, single.values)
 
 
 def test_report_states_why_the_solve_stopped():
