@@ -19,7 +19,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .records import from_json, read_json, read_table, to_json, write_json, write_table
+from .records import (
+    _read_last_column,
+    _write_grid_table,
+    from_json,
+    read_json,
+    to_json,
+    write_json,
+)
 
 __all__ = [
     "DomainError",
@@ -336,8 +343,33 @@ class VectorFieldSpec:
         object.__setattr__(self, "components", tuple(self.components))
 
 
-# Row a of _DIFF @ (1, y, y^2, y^3) is d/dy y^a = a * y^(a - 1).
-_DIFF = np.diag([1.0, 2.0, 3.0], k=-1)
+def _contract(c, g) -> np.ndarray:
+    """sum_a c[a] * g[a], accumulated from a = 0 in plain products.
+
+    It stands in for a matrix product, whose last bits depend on the BLAS
+    kernel the CPU selects.
+    """
+    acc = c[0] * g[0]
+    for a in range(1, len(g)):
+        acc = acc + c[a] * g[a]
+    return acc
+
+
+def _sparse_contract(c: np.ndarray, g) -> np.ndarray:
+    """_contract over the a with c[a] != 0; a zero term adds a signed zero at most."""
+    terms = np.flatnonzero(c)
+    return _contract(c[terms], [g[a] for a in terms])
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of dim x dim matrices, in plain products (see _contract)."""
+    dim = a.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i in range(dim):
+        for j in range(dim):
+            row = [a[..., i, k] for k in range(dim)]
+            out[..., i, j] = _contract(row, [b[..., k, j] for k in range(dim)])
+    return out
 
 
 def _axis_factors(y: np.ndarray, order: int) -> list[np.ndarray]:
@@ -353,16 +385,16 @@ def _axis_factors(y: np.ndarray, order: int) -> list[np.ndarray]:
         psi.append(-8.0 * y * q2 * q)
     if order >= 2:
         psi.append(8.0 * q2 * (7.0 * y * y - 1.0))
-    pw = np.stack([np.ones_like(y), y, y * y, y * y * y])
-    g = [pw * psi[0]]
+    # dpw[r, a] = d^r/dy^r y^a = a! / (a - r)! * y^(a - r)
+    dpw = np.zeros((order + 1, 4) + y.shape)
+    dpw[0, 0], dpw[0, 1], dpw[0, 2], dpw[0, 3] = 1.0, y, y * y, y * y * y
+    for r in range(1, order + 1):
+        for a in range(r, 4):
+            dpw[r, a] = math.perm(a, r) * dpw[0, a - r]
+    g = [dpw[0] * psi[0]]
     for m in range(1, order + 1):
         # Leibniz rule for the m-th derivative of the product y^a * psi.
-        g.append(
-            sum(
-                math.comb(m, r) * (np.linalg.matrix_power(_DIFF, r) @ pw) * psi[m - r]
-                for r in range(m + 1)
-            )
-        )
+        g.append(sum(math.comb(m, r) * dpw[r] * psi[m - r] for r in range(m + 1)))
     return g
 
 
@@ -386,13 +418,23 @@ def tables(spec: VectorFieldSpec, p, order: int) -> list[np.ndarray]:
         D2X[i, j, k] = d^2 X^i / dx_j dx_k, each behind the leading axes
         lead: () for a point, (...) for a batch, grid.shape for a grid.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    dim = spec.dim
     if isinstance(p, GridSpec):
         coords = np.ix_(*p.axes())
     else:
         coords = tuple(np.moveaxis(np.asarray(p, dtype=float), -1, 0))
+    out = _tables(spec, coords, order)
+    return [np.moveaxis(t, range(k + 1), range(-k - 1, 0)) for k, t in enumerate(out)]
+
+
+def _tables(spec: VectorFieldSpec, coords, order: int) -> list[np.ndarray]:
+    """tables on one coordinate array per axis, arrays that broadcast together.
+
+    The component axes lead: X[i], DX[i, j] and D2X[i, j, k] are each one
+    contiguous array over the points.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    dim = spec.dim
     if len(coords) != dim:
         raise ValueError(f"points must have {dim} coordinates, got {len(coords)}")
     # Box-edge nodes can round to |y| < 1, where psi is ~1e-63, not 0: mask them.
@@ -400,7 +442,7 @@ def tables(spec: VectorFieldSpec, p, order: int) -> list[np.ndarray]:
     inside = True
     for x, a, b in zip(coords, lo, hi):
         inside = inside & (x > a) & (x < b)
-    out = [np.empty(inside.shape + (dim,) * (k + 1)) for k in range(order + 1)]
+    out = [np.empty((dim,) * (k + 1) + inside.shape) for k in range(order + 1)]
     for i, comp in enumerate(spec.components):
         w = np.asarray(comp.halfwidths)
         g = []
@@ -412,12 +454,17 @@ def tables(spec: VectorFieldSpec, p, order: int) -> list[np.ndarray]:
             for idx in np.ndindex(*(dim,) * k):
                 der = tuple(idx.count(ax) for ax in range(dim))
                 if der not in parts:
-                    val = comp.coeffs.T @ g[0][der[0]].reshape(4, -1)
-                    val = val.reshape(val.shape[:-1] + coords[0].shape)
-                    if dim == 2:
-                        val = np.sum(val * g[1][der[1]], axis=0)
+                    g0 = g[0][der[0]]
+                    if not comp.coeffs.any():
+                        val = np.zeros(inside.shape)
+                    elif dim == 1:
+                        val = _sparse_contract(comp.coeffs, g0)
+                    else:
+                        cols = [b for b in range(4) if comp.coeffs[:, b].any()]
+                        rows = [_sparse_contract(comp.coeffs[:, b], g0) for b in cols]
+                        val = _contract(rows, [g[1][der[1]][b] for b in cols])
                     parts[der] = np.where(inside, val / np.prod(w**der), 0.0)
-                out[k][(..., i) + idx] = parts[der]
+                out[k][(i,) + idx] = parts[der]
     return out
 
 
@@ -493,7 +540,7 @@ def flow(
 
     def rates(qs, js):
         x, dx = tables(spec, qs, 1)
-        return x, dx @ js
+        return x, _matmul(dx, js)
 
     dt = t / n_steps
     for _ in range(n_steps):
@@ -513,20 +560,15 @@ def save_field(u: ScalarField, path: str | Path) -> None:
     2D rows are "i,j,x,y,u" in row-major node order; 1D rows are "i,x,u".
     The node indices are written as integers.
     """
-    dim = u.grid.dim
-    index = np.indices(u.grid.shape).reshape(dim, -1)
-    coords = [a.ravel() for a in np.meshgrid(*u.grid.axes(), indexing="ij")]
-    rows = np.column_stack([*index, *coords, u.values.ravel()])
-    header = ",".join(["i", "j"][:dim] + ["x", "y"][:dim] + ["u"])
-    fmt = ["%d"] * dim + ["%.17g"] * (dim + 1)
-    write_table(path, header, rows, to_json(u.grid), fmt)
+    header = ",".join(["i", "j"][: u.grid.dim] + ["x", "y"][: u.grid.dim] + ["u"])
+    _write_grid_table(path, header, u.grid.axes(), u.values, to_json(u.grid))
 
 
 def load_field(path: str | Path) -> ScalarField:
-    """Read a field written by save_field."""
-    rows, sidecar = read_table(path)
+    """Read a field written by save_field; only the value column is parsed."""
+    values, sidecar = _read_last_column(path)
     grid = from_json(GridSpec, sidecar)
-    return ScalarField(grid=grid, values=rows[:, -1].reshape(grid.shape))
+    return ScalarField(grid=grid, values=values.reshape(grid.shape))
 
 
 def spec_to_json(spec: VectorFieldSpec) -> dict:

@@ -21,18 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from .field import (
+    GridSpec,
     ScalarField,
     VectorFieldSpec,
+    _contract,
+    _matmul,
     _shift,
-    evaluate,
+    _tables,
     flow,
     gradient,
     integrate,
-    jacobian,
     max_norm,
     sample,
     support_box,
-    tables,
 )
 from .potentials import F_eps, ReactionTerm, f_eps
 from .records import read_table, write_table
@@ -69,6 +70,9 @@ _SINGULAR_CURVATURE = 10.0
 # (dt = 0.1, 0.05, 0.025) drops to 1.5, with two it is 3.86, and more steps
 # raise it by less than 0.02.
 _FD_STEPS = 2
+# Nodes a gradient stencil reads on each side of a node: the phase
+# gradient's reach, and np.gradient's at a grid edge.
+_REACH = 2
 
 
 class NotClassicalSolutionError(ValueError):
@@ -196,10 +200,71 @@ def _phase_gradient(values: np.ndarray, h: float, mask: np.ndarray) -> np.ndarra
     return out
 
 
-def _energy_gradient(u: ScalarField, eps: float) -> np.ndarray:
-    if eps == 0.0:
-        return _phase_gradient(u.values, u.grid.h, u.values > 0.0)
-    return gradient(u)
+def _support_block(grid: GridSpec, spec: VectorFieldSpec) -> tuple[slice, ...] | None:
+    """Per-axis slices of the nodes strictly inside support_box(spec).
+
+    Off this block X and all its partials are exactly zero, and so is every
+    variation density.  None when no node lies inside.
+    """
+    lo, hi = support_box(spec)
+    block = []
+    for ax, a, b in zip(grid.axes(), lo, hi):
+        start, stop = int(np.searchsorted(ax, a, "right")), int(np.searchsorted(ax, b, "left"))
+        if start >= stop:
+            return None
+        block.append(slice(start, stop))
+    return tuple(block)
+
+
+def _grow(block: tuple[slice, ...], reach: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """block grown by reach nodes per side, clipped at the grid edge."""
+    return tuple(
+        slice(max(s.start - reach, 0), min(s.stop + reach, n)) for s, n in zip(block, shape)
+    )
+
+
+def _within(block: tuple[slice, ...], outer: tuple[slice, ...]) -> tuple[slice, ...]:
+    """block as a component index into an array holding the outer block."""
+    return (slice(None),) + tuple(
+        slice(s.start - o.start, s.stop - o.start) for s, o in zip(block, outer)
+    )
+
+
+def _block_tables(spec: VectorFieldSpec, grid: GridSpec, block, order: int) -> list[np.ndarray]:
+    """tables(spec, grid, order) on the block's nodes only, component axes first."""
+    return _tables(spec, np.ix_(*(ax[s] for ax, s in zip(grid.axes(), block))), order)
+
+
+def _block_gradient(u: ScalarField, block, phase: bool) -> np.ndarray:
+    """The whole-grid gradient of u on block, bit for bit, shape (dim, *block).
+
+    The stencil runs on the block grown by _REACH nodes per side, so each
+    block node reads the neighbours it reads on the whole grid.  phase
+    selects _phase_gradient on {u > 0}, else gradient.
+    """
+    grid = u.grid
+    ext = _grow(block, _REACH, grid.shape)
+    v = u.values[ext]
+    if phase:
+        g = _phase_gradient(v, grid.h, v > 0.0)
+    else:
+        origin = tuple(ax[s.start] for ax, s in zip(grid.axes(), ext))
+        sub = GridSpec(dim=grid.dim, origin=origin, h=grid.h, shape=v.shape)
+        g = gradient(ScalarField(grid=sub, values=v))
+    return g[_within(block, ext)]
+
+
+def _integral(dens: np.ndarray, grid: GridSpec, region) -> float:
+    """integrate() of the grid field that is dens on region and zero off it.
+
+    A node weighs h per axis, h / 2 on the grid edge, as in the trapezoid rule.
+    """
+    for ax, (s, n) in enumerate(zip(region, grid.shape)):
+        edge = [k - s.start for k in sorted({0, n - 1}) if s.start <= k < s.stop]
+        if edge:
+            dens = dens.copy()
+            dens[(slice(None),) * ax + (edge,)] *= 0.5
+    return grid.h**grid.dim * float(np.sum(dens))
 
 
 def lie_derivative(u: ScalarField, spec: VectorFieldSpec) -> ScalarField:
@@ -210,14 +275,23 @@ def lie_derivative(u: ScalarField, spec: VectorFieldSpec) -> ScalarField:
         spec: deformation field on the same dimension.
 
     Returns:
-        ScalarField on the grid of u.
+        ScalarField on the grid of u, +0.0 off the support block of X.
     """
     if spec.dim != u.grid.dim:
         raise ValueError(f"X has dim {spec.dim}, field has dim {u.grid.dim}")
-    g = gradient(u)
-    xv = evaluate(spec, u.grid)
-    vals = sum(g[a] * xv[..., a] for a in range(u.grid.dim))
+    vals = np.zeros(u.grid.shape)
+    block = _support_block(u.grid, spec)
+    if block is not None:
+        xv = _block_tables(spec, u.grid, block, 0)[0]
+        g = _block_gradient(u, block, phase=False)
+        vals[block] = _contract(g, xv)
     return ScalarField(grid=u.grid, values=vals)
+
+
+def _energy_density(u, term, eps, block) -> tuple[np.ndarray, np.ndarray]:
+    """The energy gradient of u on block and the density |grad u|^2 + F_eps(u) there."""
+    g = _block_gradient(u, block, phase=eps == 0.0)
+    return g, _contract(g, g) + F_eps(term, eps, u.values[block])
 
 
 def first_inner_variation(
@@ -226,7 +300,8 @@ def first_inner_variation(
     """d/dt at t=0 of the energy of the deformed competitor u(phi_t^{-1}).
 
     Evaluates integral of (|grad u|^2 + F_eps(u)) div X - 2 u_i u_j d_j X^i
-    with exact X-derivatives and quadrature in u.
+    with exact X-derivatives and quadrature in u, on the nodes strictly
+    inside support_box(spec), off which the density vanishes.
 
     Args:
         u: field, any smoothness (eps = 0 admits kinked fields).
@@ -238,13 +313,15 @@ def first_inner_variation(
         The first inner variation.
     """
     _require_interior_support(u, spec)
-    grid = u.grid
-    g = _energy_gradient(u, eps)
-    e = np.sum(g * g, axis=0) + F_eps(term, eps, u.values)
-    jac = jacobian(spec, grid)
-    div = np.einsum("...ii->...", jac)
-    quad = np.einsum("i...,j...,...ij->...", g, g, jac)
-    return integrate(ScalarField(grid=grid, values=e * div - 2.0 * quad))
+    block = _support_block(u.grid, spec)
+    if block is None:
+        return 0.0
+    g, e = _energy_density(u, term, eps, block)
+    jac = _block_tables(spec, u.grid, block, 1)[1]
+    dims = range(u.grid.dim)
+    div = sum(jac[i, i] for i in dims)
+    quad = _contract(g, [_contract(jac[i], g) for i in dims])  # g . (J g)
+    return _integral(e * div - 2.0 * quad, u.grid, block)
 
 
 def second_inner_variation(
@@ -254,7 +331,8 @@ def second_inner_variation(
 
     The integrand contracts grad u with X and its first two derivatives:
     e div(X div X) plus 2 div X (L_X inverse-metric)(du, du) plus
-    (L_X^2 inverse-metric)(du, du), all X-derivatives analytic.
+    (L_X^2 inverse-metric)(du, du), all X-derivatives analytic, on the
+    nodes strictly inside support_box(spec).
 
     Args (as first_inner_variation).
 
@@ -262,24 +340,22 @@ def second_inner_variation(
         The second inner variation.
     """
     _require_interior_support(u, spec)
-    grid = u.grid
-    g = _energy_gradient(u, eps)
-    e = np.sum(g * g, axis=0) + F_eps(term, eps, u.values)
-    xv, jac, hes = tables(spec, grid, 2)
-    div = np.einsum("...ii->...", jac)
-    graddiv = np.einsum("...iik->...k", hes)
-    q1 = np.einsum("i...,j...,...ij->...", g, g, jac)
-    q2 = np.einsum("i...,j...,...k,...ijk->...", g, g, xv, hes)
-    r3 = np.einsum("i...,j...,...kj,...ik->...", g, g, jac, jac) + np.einsum(
-        "i...,j...,...jk,...ik->...", g, g, jac, jac
-    )
-    dens = (
-        e * (np.einsum("...k,...k->...", xv, graddiv) + div**2)
-        - 4.0 * div * q1
-        - 2.0 * q2
-        + 2.0 * r3
-    )
-    return integrate(ScalarField(grid=grid, values=dens))
+    block = _support_block(u.grid, spec)
+    if block is None:
+        return 0.0
+    g, e = _energy_density(u, term, eps, block)
+    xv, jac, hes = _block_tables(spec, u.grid, block, 2)
+    dims = range(u.grid.dim)
+    div = sum(jac[i, i] for i in dims)
+    graddiv = [sum(hes[i, i, k] for i in dims) for k in dims]
+    jg = [_contract(jac[i], g) for i in dims]  # J g
+    jtg = [_contract(g, jac[:, j]) for j in dims]  # J^T g
+    q1 = _contract(g, jg)  # g_i g_j d_j X^i
+    hx = [[_contract(hes[i, j], xv) for j in dims] for i in dims]  # X^k d_jk X^i
+    q2 = _contract(g, [_contract(hx[i], g) for i in dims])
+    r3 = _contract(jg, jtg) + _contract(jtg, jtg)
+    dens = e * (_contract(xv, graddiv) + div**2) - 4.0 * div * q1 - 2.0 * q2 + 2.0 * r3
+    return _integral(dens, u.grid, block)
 
 
 def inner_variation_fd(
@@ -298,10 +374,10 @@ def inner_variation_fd(
 
     an integral over u's own nodes with nothing resampled.  J_t comes from
     flow at the nodes strictly inside support_box(spec); every other node
-    keeps J_t = I and its density.  g is taken at t in {-2dt, ..., 2dt},
-    the +-2dt maps continuing the +-dt trajectories, and the 5-point
-    central first and second derivatives at 0 are returned, each accurate
-    to O(dt^4).
+    keeps J_t = I and its density, so only that block is summed.  g is
+    taken at t in {-2dt, ..., 2dt}, the +-2dt maps continuing the +-dt
+    trajectories, and the 5-point central first and second derivatives at
+    0 are returned, each accurate to O(dt^4).
 
     g shares the node gradient and the quadrature of first_ and
     second_inner_variation, so the oracle checks that those formulas are
@@ -330,32 +406,45 @@ def inner_variation_fd(
     elif not 0.0 < dt < np.inf:
         raise ValueError(f"dt = {dt} is not a finite positive step")
     grid = u.grid
-    lo, hi = support_box(spec)
-    nodes = grid.nodes()
-    moving = np.all((nodes > lo) & (nodes < hi), axis=-1).reshape(grid.shape)
-    g = _energy_gradient(u, eps)[:, moving].T
-    pot = F_eps(term, eps, u.values[moving])
-    e0 = np.sum(g * g, axis=-1) + pot
+    block = _support_block(grid, spec)
+    if block is None:
+        return 0.0, 0.0
+    g = _block_gradient(u, block, phase=eps == 0.0)
+    pot = F_eps(term, eps, u.values[block])
+    e0 = _contract(g, g) + pot
+    mesh = np.meshgrid(*(ax[s] for ax, s in zip(grid.axes(), block)), indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
 
     def change(jac: np.ndarray) -> float:
-        """g(t) - g(0) for the Jacobians J_t of the moving nodes."""
-        det = np.linalg.det(jac)
+        """g(t) - g(0) for the Jacobians J_t of the block nodes.
+
+        det J_t is the closed form and J_t^{-T} grad u comes from Cramer's
+        rule, in plain products: no LAPACK kernel chosen by the CPU sets
+        their bits.
+        """
+        jac = np.moveaxis(jac.reshape(e0.shape + jac.shape[-2:]), (-2, -1), (0, 1))
+        if grid.dim == 1:
+            det = jac[0, 0]
+        else:
+            (j00, j01), (j10, j11) = jac
+            det = j00 * j11 - j01 * j10
         if not np.all(np.isfinite(det) & (det > 0.0)):
             raise ValueError(
                 f"dt = {dt} folds the flow map (min det J = {np.min(det):.3g}); "
                 "pick a smaller dt"
             )
-        a = np.linalg.solve(np.swapaxes(jac, -1, -2), g[..., np.newaxis])[..., 0]
-        dens = np.zeros(grid.shape)
-        dens[moving] = (np.sum(a * a, axis=-1) + pot) * det - e0
-        return integrate(ScalarField(grid=grid, values=dens))
+        if grid.dim == 1:
+            a = [g[0] / det]
+        else:
+            a = [(g[0] * j11 - j10 * g[1]) / det, (j00 * g[1] - j01 * g[0]) / det]
+        return _integral((_contract(a, a) + pot) * det - e0, grid, block)
 
     vals = {0: 0.0}
     for sign in (-1, 1):
-        q, jac = flow(spec, sign * dt, nodes[moving.ravel()], _FD_STEPS)
+        q, jac = flow(spec, sign * dt, nodes, _FD_STEPS)
         vals[sign] = change(jac)
         _, step = flow(spec, sign * dt, q, _FD_STEPS)
-        vals[2 * sign] = change(step @ jac)
+        vals[2 * sign] = change(_matmul(step, jac))
     first = (vals[-2] - 8.0 * vals[-1] + 8.0 * vals[1] - vals[2]) / (12.0 * dt)
     second = (
         -vals[-2] + 16.0 * vals[-1] - 30.0 * vals[0] + 16.0 * vals[1] - vals[2]
@@ -644,11 +733,17 @@ def surface_second_variation(
             raise NotClassicalSolutionError(
                 f"|grad u| strays from 1 by {worst:.4f} on the interface"
             )
-    xv = evaluate(spec, grid)
-    lvals = sum(pg[a] * xv[..., a] for a in range(grid.dim))
-    lg = _phase_gradient(lvals, grid.h, mask)
-    dens = np.where(mask, np.sum(lg * lg, axis=0), 0.0)
-    bulk = integrate(ScalarField(grid=grid, values=dens))
+    block = _support_block(grid, spec)
+    if block is None:
+        return 0.0
+    lvals = np.zeros(grid.shape)
+    lvals[block] = _contract(pg[(slice(None),) + block], _block_tables(spec, grid, block, 0)[0])
+    # grad L_X u reaches _REACH nodes past the block; its stencil reads as far again.
+    region = _grow(block, _REACH, grid.shape)
+    ext = _grow(region, _REACH, grid.shape)
+    lg = _phase_gradient(lvals[ext], grid.h, mask[ext])[_within(region, ext)]
+    dens = np.where(mask[region], _contract(lg, lg), 0.0)
+    bulk = _integral(dens, grid, region)
     curve_term = 0.0
     if len(curve):
         lfield = ScalarField(grid=grid, values=lvals)

@@ -552,31 +552,59 @@ def test_solve_output_bits_are_pinned(
     assert float.hex(report["energy"]) == energy_hex
 
 
+# Report values of the pinned vary op.  Its path makes no BLAS or LAPACK
+# call, so they hold whichever OpenBLAS kernels the CPU selects.
+_VARY_PINS = {
+    "first_analytic": "-0x1.ce4d4f7bc60bap-7",
+    "second_analytic": "0x1.91cba032ac52ep-3",
+    "first_fd": "-0x1.ce4d4d5cc8a2ep-7",
+    "second_fd": "0x1.91cb9c9b7c20cp-3",
+    "classical_second": "0x1.bd0723241b635p-5",
+}
+
+
+def _pinned_vary_argv(path: Path) -> list[str]:
+    """Write the pinned op's inputs under path; its argv, --out excepted."""
+    field, spec = _layer_file(path), _spec_file(path)
+    return ["vary", "--eps", "0.1", "--field", str(field), "--x", str(spec)]
+
+
+def _pinned_hex(report: dict) -> dict[str, str]:
+    return {k: float.hex(report[k]) for k in _VARY_PINS}
+
+
 def test_variation_report_bits_are_pinned(tmp_path):
     # Tolerances cannot notice a change to the deformation tables or the
     # variation integrands that moves bits; these pins can.
-    spec = _spec_file(tmp_path)
-    field = _layer_file(tmp_path)
-    argv = ["vary", "--eps", "0.1", "--field", str(field), "--x", str(spec)]
-    assert main([*argv, "--out", str(tmp_path / "v")]) == 0
-    report = _read(tmp_path / "v" / "report.json")
-    keys = ("first_analytic", "second_analytic", "first_fd", "second_fd", "classical_second")
-    assert {k: float.hex(report[k]) for k in keys} == {
-        "first_analytic": "-0x1.ce4d4f7bc60bap-7",
-        "second_analytic": "0x1.91cba032ac532p-3",
-        "first_fd": "-0x1.ce4d4d5cc89a9p-7",
-        "second_fd": "0x1.91cb9c9b7c6e7p-3",
-        "classical_second": "0x1.bd0723241b635p-5",
-    }
+    assert main([*_pinned_vary_argv(tmp_path), "--out", str(tmp_path / "v")]) == 0
+    assert _pinned_hex(_read(tmp_path / "v" / "report.json")) == _VARY_PINS
+    spec = tmp_path / "x.json"
     argv = ["cone", "--kind", "radial", "--h", "0.01", "--x", str(spec)]
     assert main([*argv, "--out", str(tmp_path / "c")]) == 0
     forms = _read(tmp_path / "c" / "report.json")["forms"]
     assert {k: float.hex(v) for k, v in forms.items()} == {
         "cjk": "0x1.1f2cf10d65de2p-3",
-        "first_volume": "0x1.12a11a0453260p-15",
+        "first_volume": "0x1.12a11a045315cp-15",
         "second_surface": "0x1.2822e5fc8ae78p-3",
         "second_volume": "0x1.1068a2577556cp-3",
     }
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_variation_pins_hold_on_other_blas_kernels(tmp_path, coretype):
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernels when numpy loads, so only
+    # a child process sees it.  The child gives the pinned bits only if no
+    # BLAS or LAPACK kernel sets them.
+    argv = _pinned_vary_argv(tmp_path)
+    src = str(Path(onephase.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys; from onephase.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run(
+        [sys.executable, "-c", probe, *argv, "--out", "v"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    assert _pinned_hex(_read(tmp_path / "v" / "report.json")) == _VARY_PINS
 
 
 def test_config_supplies_defaults_flags_override(tmp_path):

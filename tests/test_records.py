@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onephase
 from onephase.field import (
@@ -145,3 +147,38 @@ def test_only_records_writes_tables_and_names_sidecars():
         assert "savetxt" not in text, module.name
         assert not sidecar_rule.search(text), module.name
         assert text.count("loadtxt") == (module.name == "cli.py"), module.name
+
+
+_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1.5e-310,
+    1e300, -1e300, 1e-300, -1e-300, 1.0, -3.0, 2.0**53, -12345.0,
+]
+
+
+@st.composite
+def _fields(draw) -> ScalarField:
+    dim = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.lists(st.integers(3, 9), min_size=dim, max_size=dim)))
+    origin = tuple(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+    h = draw(st.floats(1e-6, 10.0))
+    size = int(np.prod(shape))
+    value = st.sampled_from(_EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(value, min_size=size, max_size=size))
+    grid = GridSpec(dim, origin, h, shape)
+    return ScalarField(grid=grid, values=np.array(values).reshape(shape))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_fields())
+def test_field_round_trip_is_savetxt_bytes_and_bits(tmp_path_factory, u):
+    path = tmp_path_factory.mktemp("field") / "f.csv"
+    save_field(u, path)
+    dim = u.grid.dim
+    index = np.indices(u.grid.shape).reshape(dim, -1)
+    coords = [a.ravel() for a in np.meshgrid(*u.grid.axes(), indexing="ij")]
+    rows = np.column_stack([*index, *coords, u.values.ravel()])
+    header = ",".join(["i", "j"][:dim] + ["x", "y"][:dim] + ["u"])
+    assert path.read_bytes() == _savetxt(rows, header, ["%d"] * dim + ["%.17g"] * (dim + 1))
+    again = load_field(path)
+    assert again.grid == u.grid
+    assert _same_bits(again.values, u.values)

@@ -10,19 +10,23 @@ from onephase.field import (
     PolyBump,
     ScalarField,
     VectorFieldSpec,
+    evaluate,
     gradient,
     integrate,
     make_grid,
     max_norm,
+    support_box,
+    tables,
 )
 from onephase.ode1d import solve_monotone
-from onephase.potentials import f_eps, make_reference
+from onephase.potentials import F_eps, f_eps, make_reference
 from onephase.records import from_json, to_json
 from onephase.solver import SolveConfig, minimize
 from onephase.variations import (
     InterfaceCurve,
     NotClassicalSolutionError,
     VariationReport,
+    _phase_gradient,
     cjk_form,
     classical_second_variation,
     default_fd_step,
@@ -459,3 +463,104 @@ def test_interior_support_is_required():
     )
     with pytest.raises(ValueError):
         first_inner_variation(u, spec, _term(), 0.5)
+
+
+# The support boxes below have dyadic edges, so on the h = 1/16 grid some
+# nodes lie exactly on them.  The second box ends one node inside the grid
+# edge, so the padded stencil blocks are clipped there.
+_ON_NODES = VectorFieldSpec(
+    dim=2,
+    components=(
+        _bump(0.0625, -0.125, 0.5625, 0.5, {(0, 0): 0.8, (1, 0): 0.3, (0, 2): -0.4}),
+        _bump(0.125, 0.0, 0.5, 0.5625, {(0, 0): -0.5, (1, 1): 0.6, (2, 0): 0.2}),
+    ),
+)
+_NEAR_EDGE = VectorFieldSpec(
+    dim=2,
+    components=(
+        _bump(0.34375, -0.34375, 0.59375, 0.59375, {(0, 0): 0.7, (0, 1): -0.3, (1, 1): 0.4}),
+        _bump(0.34375, -0.34375, 0.59375, 0.59375, {(0, 0): 0.2, (1, 0): 0.5, (2, 0): -0.3}),
+    ),
+)
+
+
+def _full_grid_variations(u, spec, term, eps):
+    """First and second inner variation densities on every node, integrated."""
+    g = _phase_gradient(u.values, u.grid.h, u.values > 0.0) if eps == 0.0 else gradient(u)
+    e = np.sum(g * g, axis=0) + F_eps(term, eps, u.values)
+    xv, jac, hes = tables(spec, u.grid, 2)
+    div = np.einsum("...ii->...", jac)
+    q1 = np.einsum("i...,j...,...ij->...", g, g, jac)
+    q2 = np.einsum("i...,j...,...k,...ijk->...", g, g, xv, hes)
+    r3 = np.einsum("i...,j...,...kj,...ik->...", g, g, jac, jac) + np.einsum(
+        "i...,j...,...jk,...ik->...", g, g, jac, jac
+    )
+    xgd = np.einsum("...k,...k->...", xv, np.einsum("...iik->...k", hes))
+    second = e * (xgd + div**2) - 4.0 * div * q1 - 2.0 * q2 + 2.0 * r3
+    return (
+        integrate(ScalarField(grid=u.grid, values=e * div - 2.0 * q1)),
+        integrate(ScalarField(grid=u.grid, values=second)),
+    )
+
+
+def _full_grid_surface_bulk(u, spec):
+    """2 int_{u>0} |grad L_X u|^2 with every stencil on the whole grid."""
+    mask = u.values > 0.0
+    pg = _phase_gradient(u.values, u.grid.h, mask)
+    lvals = np.sum(pg * np.moveaxis(evaluate(spec, u.grid), -1, 0), axis=0)
+    lg = _phase_gradient(lvals, u.grid.h, mask)
+    dens = np.where(mask, np.sum(lg * lg, axis=0), 0.0)
+    return 2.0 * integrate(ScalarField(grid=u.grid, values=dens))
+
+
+def _inside_box(grid, spec):
+    lo, hi = support_box(spec)
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    return np.all([(m > a) & (m < b) for m, a, b in zip(mesh, lo, hi)], axis=0)
+
+
+@pytest.mark.parametrize("spec", [_ON_NODES, _NEAR_EDGE], ids=["on-nodes", "near-edge"])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_support_block_crop_matches_the_full_grid(spec, eps):
+    term = _term()
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 33)
+    xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
+    s = 0.6 * xm + 0.8 * ym - 0.05
+    # Slope 1.5 at eps = 0: at slope 1 the first variation is a sum that
+    # cancels to 1e-4 of its terms, and a relative gap would measure that.
+    kinked = 1.5 * np.maximum(s, 0.0)
+    u = ScalarField(grid=grid, values=kinked if eps == 0.0 else 0.1 * np.logaddexp(0.0, s / 0.1))
+    inside = _inside_box(grid, spec)
+    assert np.any(inside) and not np.all(inside)
+    first, second = _full_grid_variations(u, spec, term, eps)
+    assert first_inner_variation(u, spec, term, eps) == pytest.approx(first, rel=1e-13, abs=0.0)
+    assert second_inner_variation(u, spec, term, eps) == pytest.approx(second, rel=1e-13, abs=0.0)
+
+    lie = lie_derivative(u, spec).values
+    full = np.sum(gradient(u) * np.moveaxis(evaluate(spec, grid), -1, 0), axis=0)
+    assert np.max(np.abs(lie - full)) <= 1e-13 * np.max(np.abs(full))
+    off = lie[~inside]
+    assert np.all(off == 0.0) and not np.any(np.signbit(off))
+
+    if eps == 0.0:
+        empty = extract_interface(u, 10.0)  # no curve term: the bulk alone
+        bulk = surface_second_variation(u, spec, empty)
+        assert bulk == pytest.approx(_full_grid_surface_bulk(u, spec), rel=1e-13, abs=0.0)
+
+
+def test_support_block_crop_matches_the_full_grid_1d():
+    term = _term()
+    grid = make_grid(-1.0, 1.0, 33)
+    x = grid.axes()[0]
+    u = ScalarField(grid=grid, values=0.1 * np.logaddexp(0.0, (x - 0.05) / 0.1))
+    c = np.array([0.6, -0.4, 0.3, 0.0])
+    bump = PolyBump(coeffs=c, center=(0.40625,), halfwidths=(0.46875,))
+    spec = VectorFieldSpec(dim=1, components=(bump,))
+    first, second = _full_grid_variations(u, spec, term, 0.1)
+    assert first_inner_variation(u, spec, term, 0.1) == pytest.approx(first, rel=1e-13, abs=0.0)
+    assert second_inner_variation(u, spec, term, 0.1) == pytest.approx(second, rel=1e-13, abs=0.0)
+    lie = lie_derivative(u, spec).values
+    full = gradient(u)[0] * evaluate(spec, grid)[:, 0]
+    assert np.max(np.abs(lie - full)) <= 1e-13 * np.max(np.abs(full))
+    off = lie[~_inside_box(grid, spec)]
+    assert np.all(off == 0.0) and not np.any(np.signbit(off))
