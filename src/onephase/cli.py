@@ -50,6 +50,7 @@ from .field import (
     save_field,
 )
 from .ode1d import (
+    _profile_at,
     first_integral_residual,
     rescale,
     save_profile,
@@ -242,7 +243,7 @@ def _field_from_source(source: str, grid: GridSpec, eps: float, term, args) -> S
         return ScalarField(grid=grid, values=np.maximum(axis, 0.0))
     if source == "profile":
         base = _base_profile(term)
-        return ScalarField(grid=grid, values=eps * np.interp(axis / eps, base.t, base.V))
+        return ScalarField(grid=grid, values=eps * _profile_at(base, axis / eps)[0])
     if source == "wedge":
         s = args.s if getattr(args, "s", None) is not None else eps
         span = float(np.max(np.abs([axis.min(), axis.max()])))
@@ -384,7 +385,7 @@ def _run_check(args, out: Path) -> dict:
             payload = {
                 "check": "hausdorff",
                 "eps": eps,
-                "value": hausdorff_distance(band.indices, boundary, u.grid.h),
+                "value": hausdorff_distance(band, boundary, u.grid.h),
             }
         elif what == "exit":
             if args.point is None:

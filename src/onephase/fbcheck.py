@@ -16,7 +16,6 @@ scan only measures.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,6 @@ from .potentials import F_eps, ReactionTerm, make_reference
 from .records import from_json, to_json
 
 __all__ = [
-    "LevelRegion",
     "CheckReport",
     "level_region",
     "nondegeneracy_scan",
@@ -46,40 +44,6 @@ __all__ = [
 _ZERO_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class LevelRegion:
-    """Node set cut out of a field by a value band.
-
-    Fields:
-        indices: (n, dim) integer node multi-indices, in scan order.
-        lo: lower band edge in units of u (-inf for one-sided bands).
-        hi: upper band edge in units of u.
-        eps: scale the band was derived from.
-        theta: band parameter in profile units.
-    """
-
-    indices: np.ndarray
-    lo: float
-    hi: float
-    eps: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=int)
-        if idx.ndim == 1:
-            idx = idx.reshape(-1, 1)
-        if idx.ndim != 2:
-            raise ValueError("indices must be an (n, dim) array")
-        object.__setattr__(self, "indices", idx)
-        if not (self.lo <= self.hi):
-            raise ValueError("band must satisfy lo <= hi")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be positive, got {self.eps}")
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of a parameter scan against a caller threshold.
@@ -89,12 +53,9 @@ class CheckReport:
         params: scanned parameter values, one per entry of values.
         values: measured constant per parameter; empty when nothing was
             eligible to scan.
-        worst: extremal value over the grid (min for sense "min", max for
-            "max"); None exactly when values is empty.  Derived from values.
+        worst: min of values; None exactly when values is empty.
         threshold: caller's pass bar.
-        passed: whether worst clears the threshold; False on empty scans.
-            Derived from worst and threshold.
-        sense: "min" (pass iff worst >= threshold) or "max" (worst <=).
+        passed: whether worst >= threshold; False on empty scans.
     """
 
     check: str
@@ -103,24 +64,20 @@ class CheckReport:
     worst: float | None = field(init=False)
     threshold: float
     passed: bool = field(init=False)
-    sense: str = "min"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("scan values must be finite")
-        pick, clears = (min, operator.ge) if self.sense == "min" else (max, operator.le)
-        worst = pick(self.values, default=None)
+        worst = min(self.values, default=None)
         object.__setattr__(self, "worst", worst)
-        object.__setattr__(self, "passed", worst is not None and clears(worst, self.threshold))
+        object.__setattr__(self, "passed", worst is not None and worst >= self.threshold)
 
 
 def level_region(
     u: ScalarField, term: ReactionTerm, eps: float, kind: str, theta: float
-) -> LevelRegion:
+) -> np.ndarray:
     """Cut the low band Z or the transition band F out of a field.
 
     Args:
@@ -132,7 +89,7 @@ def level_region(
         theta: band parameter, 0 < theta <= T.
 
     Returns:
-        LevelRegion with the selected node multi-indices.
+        (n, dim) integer multi-indices of the selected nodes, in scan order.
 
     Raises:
         ValueError: on a bad kind, theta out of range, or eps <= 0.
@@ -142,16 +99,12 @@ def level_region(
     if not 0.0 < theta <= term.T:
         raise ValueError(f"theta must lie in (0, {term.T}], got {theta}")
     if kind == "Z":
-        lo, hi = -math.inf, theta * eps
-        mask = u.values <= hi
+        mask = u.values <= theta * eps
     elif kind == "F":
-        lo, hi = theta * eps, term.T * eps
-        mask = (u.values >= lo) & (u.values <= hi)
+        mask = (u.values >= theta * eps) & (u.values <= term.T * eps)
     else:
         raise ValueError(f"kind must be 'Z' or 'F', got {kind!r}")
-    return LevelRegion(
-        indices=np.argwhere(mask), lo=lo, hi=hi, eps=eps, theta=theta
-    )
+    return np.argwhere(mask)
 
 
 def _row_halfwidths(r: float, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -239,24 +192,41 @@ def _ball_count(mask: np.ndarray, r: float, h: float) -> np.ndarray:
     return out
 
 
-def _ball_size(r: float, h: float, dim: int) -> int:
-    if dim == 1:
-        return 2 * int(r / h + 1e-9) + 1
-    _, widths = _row_halfwidths(r, h)
-    return int(np.sum(2 * widths + 1))
+def _ball_fraction(mask: np.ndarray, r: float, h: float) -> np.ndarray:
+    """Share of the closed ball of radius r around each node that mask fills."""
+    if mask.ndim == 1:
+        size = 2 * int(r / h + 1e-9) + 1
+    else:
+        size = int(np.sum(2 * _row_halfwidths(r, h)[1] + 1))
+    return _ball_count(mask, r, h) / size
 
 
 def _margin_mask(grid: GridSpec, r: float) -> np.ndarray:
     """True where the closed ball of radius r stays inside the domain."""
-    need = r / grid.h - 1e-9
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax, n in enumerate(grid.shape):
-        i = np.arange(n)
-        ok = (i >= need) & (n - 1 - i >= need)
-        shape = [1] * len(grid.shape)
-        shape[ax] = n
-        mask &= ok.reshape(shape)
+    k = math.ceil(r / grid.h - 1e-9)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[tuple(slice(k, n - k) for n in grid.shape)] = True
     return mask
+
+
+def _scan(
+    check: str, grid: GridSpec, radii, scale: float, centers: np.ndarray, measure, threshold
+) -> CheckReport:
+    """Per radius r, the min of measure(scale * r) over the centers whose
+    ball of radius scale * r fits in the domain; empty without centers.
+
+    Raises:
+        ValueError: when a radius leaves no center with its ball inside.
+    """
+    if not centers.any():
+        return CheckReport(check, radii, (), threshold)
+    values = []
+    for r in radii:
+        fit = centers & _margin_mask(grid, scale * r)
+        if not fit.any():
+            raise ValueError(f"radius {r} leaves no {check} center in the domain")
+        values.append(float(np.min(measure(scale * r)[fit])))
+    return CheckReport(check, radii, values, threshold)
 
 
 def nondegeneracy_scan(
@@ -291,17 +261,10 @@ def nondegeneracy_scan(
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
-    eligible = u.values >= theta * eps
-    if not eligible.any():
-        return CheckReport("nondegeneracy", radii, (), threshold)
-    values = []
-    for r in radii:
-        centers = eligible & _margin_mask(u.grid, r)
-        if not centers.any():
-            raise ValueError(f"radius {r} leaves no eligible center in the domain")
-        sup = _ball_max(u.values, r, u.grid.h)
-        values.append(float(np.min(sup[centers])) / r)
-    return CheckReport("nondegeneracy", radii, values, threshold)
+    return _scan(
+        "nondegeneracy", u.grid, radii, 1.0, u.values >= theta * eps,
+        lambda r: _ball_max(u.values, r, u.grid.h) / r, threshold,
+    )
 
 
 def density_scan(
@@ -345,18 +308,11 @@ def density_scan(
         raise ValueError("every radius must be at least L * eps")
     tau = term.T / 2.0
     band = (u.values >= tau * eps) & (u.values <= term.T * eps)
-    if not band.any():
-        return CheckReport("density", radii, (), threshold)
     low = u.values <= (tau / 4.0) * eps
-    values = []
-    for r in radii:
-        centers = band & _margin_mask(u.grid, r / 2.0)
-        if not centers.any():
-            raise ValueError(f"radius {r} leaves no band center in the domain")
-        count = _ball_count(low, r / 2.0, u.grid.h)
-        total = _ball_size(r / 2.0, u.grid.h, u.grid.dim)
-        values.append(float(np.min(count[centers])) / total)
-    return CheckReport("density", radii, values, threshold)
+    return _scan(
+        "density", u.grid, radii, 0.5, band,
+        lambda r: _ball_fraction(low, r, u.grid.h), threshold,
+    )
 
 
 def _zero_mask(values: np.ndarray) -> np.ndarray:
@@ -402,18 +358,10 @@ def zero_phase_density(u: ScalarField, radii, threshold: float = 0.0) -> CheckRe
     if not radii or any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     zero = _zero_mask(u.values)
-    if not zero.any() or zero.all():
-        return CheckReport("zero-phase-density", radii, (), threshold)
-    boundary = _limit_boundary(u.values)
-    values = []
-    for r in radii:
-        centers = boundary & _margin_mask(u.grid, r)
-        if not centers.any():
-            raise ValueError(f"radius {r} leaves no boundary center in the domain")
-        count = _ball_count(zero, r, u.grid.h)
-        total = _ball_size(r, u.grid.h, u.grid.dim)
-        values.append(float(np.min(count[centers])) / total)
-    return CheckReport("zero-phase-density", radii, values, threshold)
+    return _scan(
+        "zero-phase-density", u.grid, radii, 1.0, _limit_boundary(u.values),
+        lambda r: _ball_fraction(zero, r, u.grid.h), threshold,
+    )
 
 
 def lipschitz_constant(u: ScalarField) -> float:

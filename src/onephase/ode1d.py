@@ -197,18 +197,13 @@ def first_integral_residual(p: Profile1D, term: ReactionTerm) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def rescale(p: Profile1D, eps_new: float) -> Profile1D:
-    """Rescale a profile to a new eps: t -> (eps_new/eps) * V(t * eps/eps_new).
+def _profile_at(p: Profile1D, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V and V' of p at the arguments tq.
 
-    The result is resampled on the original grid span.  Arguments that fall
-    outside the stored span use affine continuation from the nearest end
-    (exact wherever the reaction vanishes) clamped at 0.
+    Arguments that fall outside the stored span use affine continuation
+    from the nearest end (exact wherever the reaction vanishes) clamped
+    at 0.
     """
-    if not eps_new > 0:
-        raise ValueError(f"eps_new must be positive, got {eps_new}")
-    lam = eps_new / p.eps
-    tq = p.t / lam
-
     V = np.interp(tq, p.t, p.V)
     Vp = np.interp(tq, p.t, p.Vp)
     left = tq < p.t[0]
@@ -220,7 +215,19 @@ def rescale(p: Profile1D, eps_new: float) -> Profile1D:
     clamped = V < 0.0
     V[clamped] = 0.0
     Vp[clamped] = 0.0
+    return V, Vp
 
+
+def rescale(p: Profile1D, eps_new: float) -> Profile1D:
+    """Rescale a profile to a new eps: t -> (eps_new/eps) * V(t * eps/eps_new).
+
+    The result is resampled on the original grid span, continued past the
+    stored span as _profile_at does.
+    """
+    if not eps_new > 0:
+        raise ValueError(f"eps_new must be positive, got {eps_new}")
+    lam = eps_new / p.eps
+    V, Vp = _profile_at(p, p.t / lam)
     return Profile1D(
         eps=eps_new,
         kind=p.kind,

@@ -7,8 +7,8 @@ a two-space indent and a trailing newline, so reruns write the same bytes.
 
 A table is a CSV file with the bytes `np.savetxt` writes: one header line
 of comma-separated column names, then one line per row, each value as
-"%.17g" (so it reloads bit for bit) unless the writer gives per-column
-formats.  Its JSON sidecar, if any, has the same path with suffix ".json".
+"%.17g" (so it reloads bit for bit); a grid table writes its node indices
+as "%d".  Its JSON sidecar, if any, has the same path with suffix ".json".
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ def _write_chunks(path: str | Path, header: str, chunks, sidecar: dict | None) -
 
 
 def write_table(
-    path: str | Path, header: str, rows: np.ndarray, sidecar: dict | None = None, fmt=None
+    path: str | Path, header: str, rows: np.ndarray, sidecar: dict | None = None
 ) -> None:
-    """Write the (n, k) array rows under header; fmt holds one %-format per column."""
-    line = ",".join(fmt or ["%.17g"] * rows.shape[1]) + "\n"
+    """Write the (n, k) array rows under header."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     blocks = (rows[start : start + _CHUNK] for start in range(0, len(rows), _CHUNK))
     chunks = ((line * len(b), tuple(b.ravel().tolist())) for b in blocks)
     _write_chunks(path, header, chunks, sidecar)
@@ -82,7 +82,7 @@ def _write_grid_table(
 ) -> None:
     """Write one row "i[,j],x[,y],v" per node of a tensor grid, in row-major order.
 
-    The bytes are write_table's with fmt ["%d"] * dim + ["%.17g"] * (dim + 1),
+    The bytes are np.savetxt's with fmt ["%d"] * dim + ["%.17g"] * (dim + 1),
     but each axis's indices and coordinates are formatted once: the rows of
     an axis-0 line share a template holding them as literals, so "%.17g"
     runs only on the values.

@@ -363,7 +363,7 @@ def test_reaction_band_shrinks_linearly_and_tracks_limit_boundary():
         gaps.append(l1_gap(u, limit, term, eps))
         band = level_region(u, term, eps, "F", term.tau)
         boundary = np.argwhere(_limit_boundary(limit.values))
-        d = hausdorff_distance(band.indices, boundary, u.grid.h)
+        d = hausdorff_distance(band, boundary, u.grid.h)
         assert d <= term.T * eps + u.grid.h
     for big, small in zip(gaps, gaps[1:]):
         assert 1.5 <= big / small <= 2.5

@@ -115,6 +115,8 @@ def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
     field = _layer_file(tmp_path)
     commands = [
         ["check", "--what", "nondeg"],
+        ["check", "--what", "density"],
+        ["check", "--what", "zero-density", "--field", "halfplane"],
         ["check", "--what", "exit", "--point=0.1,-0.08"],
         ["cone", "--kind", "radial", "--emit-interface"],
         ["cone", "--kind", "radial", "--h", "0.02", "--x", str(spec)],
@@ -269,6 +271,16 @@ def test_solve_profile_boundary_scales_with_T(tmp_path):
     want = scale * np.interp(y / scale, base.t, base.V)
     edge = ~interior_mask(u.grid)
     assert np.max(np.abs(u.values[edge] - want[edge])) < 1e-9
+
+
+def test_solve_profile_boundary_continues_past_the_profile_span(tmp_path):
+    # y / eps = 50 lies past the cached profile's end at 30 T.  f vanishes
+    # above T, so V(t) = T + t there: the top boundary is eps * (1 + 50).
+    argv = ["solve", "--lo=-1", "--hi", "1", "--n", "201", "--eps", "0.02"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    u = load_field(tmp_path / "solution.csv")
+    assert u.values[0] == 0.0
+    assert u.values[-1] == pytest.approx(1.02, abs=1e-9)
 
 
 def test_solve_rejects_grid_coarser_than_layer(tmp_path, capsys):
@@ -483,14 +495,12 @@ def test_sweep_l1_gaps_shrink(tmp_path):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_sweep_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+def test_sweep_rerun_is_byte_identical(tmp_path):
     argv = ["sweep", "--check", "l1", "--eps", "0.2,0.1", "--out", str(tmp_path)]
-    monkeypatch.setenv("ONEPHASE_THREADS", "2")
     assert main(argv) == 0
-    parallel = _tree_hashes(tmp_path)
-    monkeypatch.setenv("ONEPHASE_THREADS", "1")
+    first = _tree_hashes(tmp_path)
     assert main(argv) == 0
-    assert _tree_hashes(tmp_path) == parallel
+    assert _tree_hashes(tmp_path) == first
 
 
 def test_sweep_rejects_colliding_directories(tmp_path, capsys):
@@ -550,6 +560,30 @@ def test_solve_output_bits_are_pinned(
     assert report["iterations"] == iterations
     assert float.hex(report["final_residual"]) == residual_hex
     assert float.hex(report["energy"]) == energy_hex
+
+
+@pytest.mark.parametrize(
+    "argv, values_hex",
+    [
+        (["--what", "nondeg"], ["0x1.d70a3d70a3b70p-1", "0x1.eb851eb851e48p-1"]),
+        (
+            ["--what", "density", "--n", "401", "--radii", "0.5,1.0"],
+            ["0x1.9bf313df7f8f4p-3", "0x1.6208b80652bd5p-2"],
+        ),
+        (
+            ["--what", "zero-density", "--field", "halfplane"],
+            ["0x1.f2af31373886cp-2", "0x1.f9688566902b5p-2"],
+        ),
+        (["--what", "hausdorff", "--eps", "0.05"], ["0x1.47ae147ae147bp-6"]),
+    ],
+    ids=["nondeg", "density-401", "zero-density", "hausdorff"],
+)
+def test_check_scan_bits_are_pinned(tmp_path, argv, values_hex):
+    # The scans' ball statistics, margins and minima, bit for bit.
+    assert main(["check", *argv, "--out", str(tmp_path)]) == 0
+    report = _read(tmp_path / "report.json")
+    values = report["values"] if "values" in report else [report["value"]]
+    assert [float.hex(v) for v in values] == values_hex
 
 
 # Report values of the pinned vary op.  Its path makes no BLAS or LAPACK

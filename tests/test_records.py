@@ -80,25 +80,20 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# header and per-column formats of every table the package writes
-_KINDS = {
-    "field": ("i,j,x,y,u", ["%d"] * 2 + ["%.17g"] * 3),
-    "profile": ("t,V,Vp", None),
-    "curve": ("x,y,nu_x,nu_y,H", None),
-    "potential": ("s,f,F", None),
-}
+# headers of the write_table tables the package writes
+_KINDS = {"profile": "t,V,Vp", "curve": "x,y,nu_x,nu_y,H", "potential": "s,f,F"}
+# header and per-column formats of a 2D field table
+_FIELD = ("i,j,x,y,u", ["%d"] * 2 + ["%.17g"] * 3)
 
 
 @pytest.mark.parametrize("n", [0, 1, 4097])  # 4097 crosses chunk boundaries
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_table_bytes_match_savetxt_and_reload_bit_for_bit(tmp_path, kind, n):
-    header, fmt = _KINDS[kind]
+    header = _KINDS[kind]
     rows = _rows(n, header.count(",") + 1)
-    if fmt is not None:  # node indices in the %d columns
-        rows[:, :2] = np.column_stack(np.divmod(np.arange(n), 64))
     path = tmp_path / "t.csv"
-    write_table(path, header, rows, {"kind": kind}, fmt)
-    assert path.read_bytes() == _savetxt(rows, header, fmt or "%.17g")
+    write_table(path, header, rows, {"kind": kind})
+    assert path.read_bytes() == _savetxt(rows, header)
     again, sidecar = read_table(path)
     assert sidecar == {"kind": kind}
     assert _same_bits(again, rows)
@@ -114,7 +109,7 @@ def test_package_writers_use_the_table_format(tmp_path):
     values = _rows(3, 4)
     save_field(ScalarField(grid=grid, values=values), tmp_path / "f.csv")
     rows, _ = read_table(tmp_path / "f.csv")
-    assert (tmp_path / "f.csv").read_bytes() == _savetxt(rows, *_KINDS["field"])
+    assert (tmp_path / "f.csv").read_bytes() == _savetxt(rows, *_FIELD)
     assert _same_bits(load_field(tmp_path / "f.csv").values, values)
 
     t, V, Vp = _rows(5, 3).T
