@@ -238,24 +238,26 @@ def _grid_from_args(args) -> GridSpec:
 def _field_from_source(source: str, grid: GridSpec, eps: float, term, args) -> ScalarField:
     if source not in _FIELD_SOURCES:
         return load_field(source)
-    axis = np.meshgrid(*grid.axes(), indexing="ij")[grid.dim - 1]
+    if source == "radial":
+        if grid.dim != 2:
+            raise ValueError("radial fields need a 2D grid")
+        xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
+        rr = np.sqrt(xm**2 + ym**2)
+        radius = getattr(args, "radius", 0.5)
+        vals = np.where(rr > radius, radius * np.log(np.maximum(rr, 1e-300) / radius), 0.0)
+        return ScalarField(grid=grid, values=vals)
+    # The other sources depend on the last coordinate alone.
+    y = grid.axes()[-1]
     if source == "halfplane":
-        return ScalarField(grid=grid, values=np.maximum(axis, 0.0))
-    if source == "profile":
-        base = _base_profile(term)
-        return ScalarField(grid=grid, values=eps * _profile_at(base, axis / eps)[0])
-    if source == "wedge":
+        column = np.maximum(y, 0.0)
+    elif source == "profile":
+        column = eps * _profile_at(_base_profile(term), y / eps)[0]
+    else:
         s = args.s if getattr(args, "s", None) is not None else eps
-        span = float(np.max(np.abs([axis.min(), axis.max()])))
+        span = float(np.max(np.abs([y.min(), y.max()])))
         wedge = solve_wedge(term, eps, s, span + grid.h, min(1e-4, grid.h / 4.0))
-        return ScalarField(grid=grid, values=np.interp(axis, wedge.t, wedge.V))
-    if grid.dim != 2:
-        raise ValueError("radial fields need a 2D grid")
-    xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
-    rr = np.sqrt(xm**2 + ym**2)
-    radius = getattr(args, "radius", 0.5)
-    vals = np.where(rr > radius, radius * np.log(np.maximum(rr, 1e-300) / radius), 0.0)
-    return ScalarField(grid=grid, values=vals)
+        column = np.interp(y, wedge.t, wedge.V)
+    return ScalarField(grid=grid, values=np.broadcast_to(column, grid.shape).copy())
 
 
 def _run_potential(args, out: Path) -> dict:

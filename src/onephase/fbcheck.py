@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import GridSpec, ScalarField, _shift, gradient, integrate, sample
+from .field import GridSpec, ScalarField, _span, gradient, integrate, sample
 from .potentials import F_eps, ReactionTerm, make_reference
 from .records import from_json, to_json
 
@@ -107,98 +107,57 @@ def level_region(
     return np.argwhere(mask)
 
 
-def _row_halfwidths(r: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row offsets of the disc of radius r and the integer x-halfwidth at each."""
+def _disc(r: float, h: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the closed disc {q : |q - p| <= r} on a grid of spacing h.
+
+    Returns:
+        (offsets, widths): each row's offset along axis 0 and its integer
+        halfwidth along the last axis, up to a 1e-9 slack.  In 1D the disc
+        is one row, at offset 0 with halfwidth floor(r / h).
+    """
     m = int(r / h + 1e-9)
-    di = np.arange(-m, m + 1)
+    di = np.arange(-m, m + 1) if dim > 1 else np.zeros(1, dtype=int)
     return di, np.floor(np.sqrt(np.maximum(r**2 - (di * h) ** 2, 0.0)) / h + 1e-9).astype(int)
 
 
-def _widening_maxes(values: np.ndarray, w_max: int, axis: int):
-    """Yield the running max along axis of halfwidth w = 0, 1, ..., w_max.
+def _ball_reduce(values: np.ndarray, r: float, h: float, op, fill) -> np.ndarray:
+    """Reduce values with op over the closed disc of radius r around each node.
 
-    Each window is the previous one widened by a node on each side, so a
-    step is two shifted maxima, exact, with -inf outside the array.  Every
-    yield equals scipy.ndimage.maximum_filter1d(size=2w+1, mode="constant",
-    cval=-inf), up to the sign of a zero tie.
+    A running op along the last axis widens by one node per side at each
+    step, and each row of _disc takes it, moved to the row's axis-0 offset,
+    once it reaches the row's halfwidth: O(r/h) in-place passes over the
+    array for the whole disc, the order of the row loop itself.  Nodes
+    outside the array are left out of every disc.  The van Herk / Gil-Werman
+    block max (van Herk, Pattern Recognit. Lett. 13, 1992; Gil & Werman,
+    IEEE TPAMI 15, 1993) is O(1) per window but needs one run per halfwidth,
+    which measured 3-4x slower on 201^2 and 401^2 grids at r = 0.25 and 0.5.
+
+    Args:
+        values: 1D or 2D array.
+        r: disc radius.
+        h: grid spacing.
+        op: np.maximum, np.add or np.logical_or.  Each result is exact (a
+            max, an or, or a sum of integer-valued floats), so it does not
+            depend on the order of the passes.
+        fill: identity of op, the value of a node before its disc is added.
     """
-    row = values
-    yield row
-    for w in range(1, w_max + 1):
-        row = np.maximum(
-            row,
-            np.maximum(_shift(values, w, axis, -np.inf), _shift(values, -w, axis, -np.inf)),
-        )
-        yield row
-
-
-def _ball_max(values: np.ndarray, r: float, h: float) -> np.ndarray:
-    """Max of values over the closed ball of radius r around each node.
-
-    In 2D the disc is a stack of row segments.  The running max along the
-    rows widens one node at a time (_widening_maxes), and each row offset
-    takes it, shifted, once it reaches that offset's halfwidth: O(r/h)
-    array passes for the whole disc, the order of the offset loop itself.
-    The van Herk / Gil-Werman block max (van Herk, Pattern Recognit. Lett.
-    13, 1992; Gil & Werman, IEEE TPAMI 15, 1993) is O(1) per window but
-    needs one run per halfwidth, which measured 3-4x slower on 201^2 and
-    401^2 grids at r = 0.25 and 0.5.
-    """
-    if values.ndim == 1:
-        *_, row = _widening_maxes(values, int(r / h + 1e-9), 0)
-        return row
-    offs, widths = _row_halfwidths(r, h)
-    out = np.full_like(values, -np.inf)
-    for w, row in enumerate(_widening_maxes(values, int(widths.max()), 1)):
+    offs, widths = _disc(r, h, values.ndim)
+    row = values.copy()
+    out = np.full_like(values, fill)
+    for w in range(int(widths.max()) + 1):
+        for k in ((w, -w) if w else ()):
+            dst, src = _span(k, values.shape[-1])
+            op(row[..., dst], values[..., src], out=row[..., dst])
         for di in offs[widths == w]:
-            np.maximum(out, _shift(row, di, 0, -np.inf), out=out)
-    return out
-
-
-def _prefix_sum(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Cumulative sum along axis with a leading zero slice."""
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (1, 0)
-    return np.pad(np.cumsum(arr, axis=axis, dtype=float), pad)
-
-
-def _window_sum(csum: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """Sum over the centered window of halfwidth w along axis, from the
-    _prefix_sum of the summed array."""
-    n = csum.shape[axis] - 1
-    hi = np.clip(np.arange(n) + w + 1, 0, n)
-    lo = np.clip(np.arange(n) - w, 0, n)
-    return np.take(csum, hi, axis=axis) - np.take(csum, lo, axis=axis)
-
-
-def _ball_count(mask: np.ndarray, r: float, h: float) -> np.ndarray:
-    """Node count of mask inside the closed ball of radius r, per center.
-
-    In 2D, as in _ball_max: one prefix sum along the rows per call, one
-    window sum per distinct halfwidth, added at each row offset that has
-    it.  Counts are integer-valued floats, so every sum is exact in any
-    order.
-    """
-    dense = mask.astype(float)
-    if mask.ndim == 1:
-        return _window_sum(_prefix_sum(dense, 0), int(r / h + 1e-9), 0)
-    csum = _prefix_sum(dense, 1)
-    offs, widths = _row_halfwidths(r, h)
-    out = np.zeros_like(dense)
-    for w in np.unique(widths):
-        row = _window_sum(csum, int(w), 1)
-        for di in offs[widths == w]:
-            out += _shift(row, di, 0, 0.0)
+            dst, src = _span(int(di), values.shape[0])
+            op(out[dst], row[src], out=out[dst])
     return out
 
 
 def _ball_fraction(mask: np.ndarray, r: float, h: float) -> np.ndarray:
     """Share of the closed ball of radius r around each node that mask fills."""
-    if mask.ndim == 1:
-        size = 2 * int(r / h + 1e-9) + 1
-    else:
-        size = int(np.sum(2 * _row_halfwidths(r, h)[1] + 1))
-    return _ball_count(mask, r, h) / size
+    size = int(np.sum(2 * _disc(r, h, mask.ndim)[1] + 1))
+    return _ball_reduce(mask.astype(float), r, h, np.add, 0.0) / size
 
 
 def _margin_mask(grid: GridSpec, r: float) -> np.ndarray:
@@ -263,7 +222,8 @@ def nondegeneracy_scan(
         raise ValueError("radii must be positive")
     return _scan(
         "nondegeneracy", u.grid, radii, 1.0, u.values >= theta * eps,
-        lambda r: _ball_max(u.values, r, u.grid.h) / r, threshold,
+        lambda r: _ball_reduce(u.values, r, u.grid.h, np.maximum, -np.inf) / r,
+        threshold,
     )
 
 
@@ -320,19 +280,14 @@ def _zero_mask(values: np.ndarray) -> np.ndarray:
     return values <= _ZERO_REL_TOL * max(top, 0.0)
 
 
-def _dilate(mask: np.ndarray) -> np.ndarray:
-    """Mask grown by one node along each axis (the cross), False outside."""
-    out = mask.copy()
-    for axis in range(mask.ndim):
-        out |= _shift(mask, 1, axis, False) | _shift(mask, -1, axis, False)
-    return out
-
-
 def _limit_boundary(values: np.ndarray) -> np.ndarray:
     """Nodes adjacent (including themselves) to both phases."""
     zero = _zero_mask(values)
     pos = ~zero
-    return (zero & _dilate(pos)) | (pos & _dilate(zero))
+    # At r = h the disc is the cross: a node and its axis neighbours.
+    near_pos = _ball_reduce(pos, 1.0, 1.0, np.logical_or, False)
+    near_zero = _ball_reduce(zero, 1.0, 1.0, np.logical_or, False)
+    return (zero & near_pos) | (pos & near_zero)
 
 
 def zero_phase_density(u: ScalarField, radii, threshold: float = 0.0) -> CheckReport:
@@ -435,7 +390,7 @@ def poincare_ratio(g: ScalarField, zero_fraction: float = 0.0) -> float:
         ValueError: when g vanishes on fewer nodes than promised.
     """
     vals = np.abs(g.values).ravel()
-    zeros = np.count_nonzero(vals <= _ZERO_REL_TOL * float(np.max(vals, initial=0.0)))
+    zeros = np.count_nonzero(_zero_mask(vals))
     if zeros < zero_fraction * vals.size - 1e-9:
         raise ValueError(
             f"g vanishes on {zeros / vals.size:.3f} of the domain, "

@@ -212,6 +212,13 @@ def interior_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
+def _span(k: int, n: int) -> tuple[slice, slice]:
+    """Slices (dst, src) of an axis of n nodes that pair node i with i + k;
+    both are empty when |k| >= n."""
+    k = max(-n, min(k, n))
+    return slice(max(-k, 0), n - max(k, 0)), slice(max(k, 0), n + min(k, 0))
+
+
 def _shift(a: np.ndarray, k: int, axis: int, fill) -> np.ndarray:
     """Shift so that out[i] = a[i + k] along axis, padding with fill."""
     if k == 0:
@@ -219,10 +226,7 @@ def _shift(a: np.ndarray, k: int, axis: int, fill) -> np.ndarray:
     out = np.full_like(a, fill)
     src = [slice(None)] * a.ndim
     dst = [slice(None)] * a.ndim
-    if k > 0:
-        src[axis], dst[axis] = slice(k, None), slice(None, -k)
-    else:
-        src[axis], dst[axis] = slice(None, k), slice(-k, None)
+    dst[axis], src[axis] = _span(k, a.shape[axis])
     out[tuple(dst)] = a[tuple(src)]
     return out
 

@@ -562,6 +562,10 @@ def test_solve_output_bits_are_pinned(
     assert float.hex(report["energy"]) == energy_hex
 
 
+# A 1D grid of 401 nodes on [-1, 1].
+_LINE_401 = ["--lo=-1", "--hi", "1", "--n", "401"]
+
+
 @pytest.mark.parametrize(
     "argv, values_hex",
     [
@@ -575,8 +579,23 @@ def test_solve_output_bits_are_pinned(
             ["0x1.f2af31373886cp-2", "0x1.f9688566902b5p-2"],
         ),
         (["--what", "hausdorff", "--eps", "0.05"], ["0x1.47ae147ae147bp-6"]),
+        (
+            ["--what", "nondeg", *_LINE_401],
+            ["0x1.d70a3d70a3b70p-1", "0x1.eb851eb851e48p-1"],
+        ),
+        (
+            ["--what", "density", "--radii", "0.5,1.0", *_LINE_401],
+            ["0x1.079a9d260511cp-2", "0x1.832f1fd73e687p-2"],
+        ),
+        (
+            ["--what", "zero-density", "--field", "halfplane", *_LINE_401],
+            ["0x1.faee41e6a7498p-2", "0x1.fd73e68701461p-2"],
+        ),
     ],
-    ids=["nondeg", "density-401", "zero-density", "hausdorff"],
+    ids=[
+        "nondeg", "density-401", "zero-density", "hausdorff",
+        "nondeg-1d", "density-1d", "zero-density-1d",
+    ],
 )
 def test_check_scan_bits_are_pinned(tmp_path, argv, values_hex):
     # The scans' ball statistics, margins and minima, bit for bit.

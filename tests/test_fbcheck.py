@@ -487,53 +487,59 @@ def test_check_report_json_roundtrip():
 
 @pytest.mark.parametrize("n", [1, 3, 41])
 def test_widening_maxes_equal_scipy_maximum_filter(n):
-    # Sizes 1, 3 and 2m + 1, with windows narrower and wider than the array.
+    # Sizes 1, 3 and 2m + 1, with discs narrower and wider than the array.
+    # A line, one row and one column: every disc row off the array is empty,
+    # so each disc is a window of halfwidth w along the array.
     from scipy.ndimage import maximum_filter1d
 
-    from onephase.fbcheck import _widening_maxes
+    from onephase.fbcheck import _ball_reduce
 
     rng = np.random.default_rng(n)
     line = rng.standard_normal(n)
-    plane = rng.standard_normal((n, 7))
-    cases = [(line, 0), (plane, 0), (plane, 1), (plane.T.copy(), 1)]
+    cases = [(line, 0), (line.reshape(1, n), 1), (line.reshape(n, 1), 0)]
     for arr, axis in cases:
-        maxes = list(_widening_maxes(arr, 45, axis))
-        assert len(maxes) == 46
-        for w, got in enumerate(maxes):
+        for w in range(46):
+            got = _ball_reduce(arr, float(w), 1.0, np.maximum, -np.inf)
             want = maximum_filter1d(arr, 2 * w + 1, axis=axis, mode="constant", cval=-np.inf)
             assert np.array_equal(got, want)
 
 
 def test_dilation_equals_scipy_binary_dilation():
+    # At r = h the disc is scipy's default structuring element, the cross.
     from scipy.ndimage import binary_dilation
 
-    from onephase.fbcheck import _dilate
+    from onephase.fbcheck import _ball_reduce
+
+    def dilate(mask):
+        return _ball_reduce(mask, 1.0, 1.0, np.logical_or, False)
 
     rng = np.random.default_rng(11)
     for shape in [(1,), (2,), (17,), (1, 1), (3, 4), (23, 31)]:
         for density in (0.05, 0.5):
             mask = rng.random(shape) < density
-            assert np.array_equal(_dilate(mask), binary_dilation(mask))
+            assert np.array_equal(dilate(mask), binary_dilation(mask))
     edge = np.zeros((5, 5), dtype=bool)
     edge[0, 0] = True
-    assert np.array_equal(_dilate(edge), binary_dilation(edge))
+    assert np.array_equal(dilate(edge), binary_dilation(edge))
 
 
 @pytest.mark.parametrize("r", [0.05, 0.13, 0.3, 2.0])
 def test_ball_max_and_count_match_brute_force_discs(r):
-    from onephase.fbcheck import _ball_count, _ball_max
+    # Every op _ball_reduce serves (max, count, or) on 2D and 1D arrays,
+    # some smaller than the disc.
+    from onephase.fbcheck import _ball_reduce
 
     h = 0.05
     rng = np.random.default_rng(int(100 * r))
-    values = rng.standard_normal((13, 17))
-    mask = rng.random((13, 17)) < 0.4
-    idx = np.argwhere(np.ones(values.shape, dtype=bool))
-    want_max = np.empty(values.shape)
-    want_count = np.empty(values.shape)
-    for p in idx:
-        # Same disc as _row_halfwidths: |q - p| <= r up to the 1e-9 slack.
-        inside = np.linalg.norm((idx - p) * h, axis=1) <= r + 1e-9 * h
-        want_max[tuple(p)] = values.reshape(-1)[inside].max()
-        want_count[tuple(p)] = mask.reshape(-1)[inside].sum()
-    assert np.array_equal(_ball_max(values, r, h), want_max)
-    assert np.array_equal(_ball_count(mask, r, h), want_count)
+    for op, fill in [(np.maximum, -np.inf), (np.add, 0.0), (np.logical_or, False)]:
+        for shape in [(13, 17), (1,), (2,), (1, 1), (3, 2)]:
+            values = rng.standard_normal(shape)
+            if op is not np.maximum:
+                values = (values > 0.25).astype(float if op is np.add else bool)
+            idx = np.argwhere(np.ones(shape, dtype=bool))
+            want = np.empty_like(values)
+            for p in idx:
+                # Same disc as _disc: |q - p| <= r up to the 1e-9 slack.
+                inside = np.linalg.norm((idx - p) * h, axis=1) <= r + 1e-9 * h
+                want[tuple(p)] = op.reduce(values.reshape(-1)[inside])
+            assert np.array_equal(_ball_reduce(values, r, h, op, fill), want)

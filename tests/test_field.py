@@ -373,3 +373,20 @@ def test_vector_spec_json_round_trip(tmp_path):
         assert np.array_equal(a.coeffs, b.coeffs)
         assert a.center == b.center
         assert a.halfwidths == b.halfwidths
+
+
+def test_shift_matches_pad_reference():
+    # Every shift that keeps part of the array and every one that keeps
+    # none, on both axes: out[i] = a[i + k], fill elsewhere.
+    from onephase.field import _shift
+
+    a = np.arange(35, dtype=float).reshape(5, 7)
+    for axis, n in enumerate(a.shape):
+        for k in range(-n - 1, n + 2):
+            pad = [(0, 0), (0, 0)]
+            pad[axis] = (max(-k, 0), max(k, 0))
+            keep = [slice(None), slice(None)]
+            keep[axis] = slice(max(k, 0), max(k, 0) + n)
+            want = np.pad(a, pad, constant_values=99.0)[tuple(keep)]
+            assert np.array_equal(_shift(a, k, axis, 99.0), want)
+            assert np.array_equal(_shift(a > 17, k, axis, True), want > 17)

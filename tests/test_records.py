@@ -144,6 +144,19 @@ def test_only_records_writes_tables_and_names_sidecars():
         assert text.count("loadtxt") == (module.name == "cli.py"), module.name
 
 
+
+def test_every_module_all_names_resolve():
+    # The benchmark's tracer wraps what __all__ lists and skips a name that
+    # is missing, so a stale entry would drop a layer without an error.
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(onephase.__path__):
+        module = importlib.import_module(f"onephase.{info.name}")
+        names = module.__all__
+        assert len(set(names)) == len(names), info.name
+        assert [n for n in names if not hasattr(module, n)] == [], info.name
+
 _EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1.5e-310,
     1e300, -1e300, 1e-300, -1e-300, 1.0, -3.0, 2.0**53, -12345.0,
