@@ -168,11 +168,24 @@ def _margin_mask(grid: GridSpec, r: float) -> np.ndarray:
     return mask
 
 
+def _disc_box(mask: np.ndarray, r: float, h: float) -> tuple[slice, ...]:
+    """The bounding box of mask grown on each side by the halfwidth of the
+    disc of radius r: it holds every disc node of every node of mask."""
+    offs, widths = _disc(r, h, mask.ndim)
+    w = max(int(np.max(np.abs(offs))), int(np.max(widths)))
+    return tuple(slice(max(int(i.min()) - w, 0), int(i.max()) + w + 1) for i in np.nonzero(mask))
+
+
 def _scan(
     check: str, grid: GridSpec, radii, scale: float, centers: np.ndarray, measure, threshold
 ) -> CheckReport:
-    """Per radius r, the min of measure(scale * r) over the centers whose
-    ball of radius scale * r fits in the domain; empty without centers.
+    """Per radius r, the min of measure(scale * r, box) over the centers
+    whose ball of radius scale * r fits in the domain; empty without centers.
+
+    measure(r, box) is a ball statistic of radius r on the nodes of box
+    alone.  box is the _disc_box of the fitting centers, so each disc it
+    reduces at a center lies inside it, and the statistic is the one on
+    the whole grid.
 
     Raises:
         ValueError: when a radius leaves no center with its ball inside.
@@ -184,7 +197,8 @@ def _scan(
         fit = centers & _margin_mask(grid, scale * r)
         if not fit.any():
             raise ValueError(f"radius {r} leaves no {check} center in the domain")
-        values.append(float(np.min(measure(scale * r)[fit])))
+        box = _disc_box(fit, scale * r, grid.h)
+        values.append(float(np.min(measure(scale * r, box)[fit[box]])))
     return CheckReport(check, radii, values, threshold)
 
 
@@ -222,7 +236,7 @@ def nondegeneracy_scan(
         raise ValueError("radii must be positive")
     return _scan(
         "nondegeneracy", u.grid, radii, 1.0, u.values >= theta * eps,
-        lambda r: _ball_reduce(u.values, r, u.grid.h, np.maximum, -np.inf) / r,
+        lambda r, box: _ball_reduce(u.values[box], r, u.grid.h, np.maximum, -np.inf) / r,
         threshold,
     )
 
@@ -271,7 +285,7 @@ def density_scan(
     low = u.values <= (tau / 4.0) * eps
     return _scan(
         "density", u.grid, radii, 0.5, band,
-        lambda r: _ball_fraction(low, r, u.grid.h), threshold,
+        lambda r, box: _ball_fraction(low[box], r, u.grid.h), threshold,
     )
 
 
@@ -315,7 +329,7 @@ def zero_phase_density(u: ScalarField, radii, threshold: float = 0.0) -> CheckRe
     zero = _zero_mask(u.values)
     return _scan(
         "zero-phase-density", u.grid, radii, 1.0, _limit_boundary(u.values),
-        lambda r: _ball_fraction(zero, r, u.grid.h), threshold,
+        lambda r, box: _ball_fraction(zero[box], r, u.grid.h), threshold,
     )
 
 

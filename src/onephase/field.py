@@ -167,30 +167,47 @@ def gradient(u: ScalarField) -> np.ndarray:
     return np.stack(g, axis=0)
 
 
-def _neighbour_sum(v: np.ndarray, block: tuple[slice, ...] | None = None) -> np.ndarray:
-    """Sum of the 2*dim axis neighbours of the interior nodes of v in block.
+def _neighbours(block: tuple[slice, ...]) -> tuple[tuple[slice, ...], ...]:
+    """The 2*dim slices that select the axis neighbours of the nodes of block.
 
     block holds one slice per axis with explicit start >= 1, stop <= n - 1
-    and step 1 or 2; the default is the whole interior.  A slice moved by
-    one node selects the neighbours of every node it held, so the laplacian
-    (step 1) and a red-black colour block (step 2) share this sum.  It is
-    accumulated from zero as + lower + upper per axis for every block, so a
-    node's sum has the same bits whichever block it is taken in.
+    and step 1 or 2.  The slice moved by one node down, then up, along each
+    axis in turn selects the lower, then upper neighbour of every node it
+    held, so the laplacian (step 1) and a red-black colour block (step 2)
+    share them.
     """
-    if block is None:
-        block = tuple(slice(1, n - 1) for n in v.shape)
-
-    def moved(ax: int, k: int) -> tuple[slice, ...]:
-        return tuple(
+    return tuple(
+        tuple(
             slice(b.start + k, b.stop + k, b.step) if i == ax else b
             for i, b in enumerate(block)
         )
+        for ax in range(len(block))
+        for k in (-1, 1)
+    )
 
-    acc = np.zeros_like(v[block])
-    for ax in range(v.ndim):
-        acc += v[moved(ax, -1)]
-        acc += v[moved(ax, 1)]
-    return acc
+
+def _neighbour_sum(
+    v: np.ndarray,
+    neighbours: tuple[tuple[slice, ...], ...] | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sum of the 2*dim axis neighbours of the nodes of one block of v.
+
+    neighbours are the slices of _neighbours(block); the default block is
+    the whole interior.  The sum is written into out when given.  It is
+    accumulated from 0.0 as + lower + upper per axis for every block, so a
+    node's sum has the same bits, and the same sign of zero, whichever
+    block it is taken in.
+    """
+    if neighbours is None:
+        neighbours = _neighbours(tuple(slice(1, n - 1) for n in v.shape))
+    if out is None:
+        out = np.zeros(v[neighbours[0]].shape)
+    else:
+        out[...] = 0.0
+    for nb in neighbours:
+        out += v[nb]
+    return out
 
 
 def laplacian(u: ScalarField) -> ScalarField:

@@ -37,8 +37,10 @@ class ReactionTerm:
         T: support endpoint of f (f vanishes outside [0, T]).
         tau: right end of the linearity window, 0 < tau < T.
         c0: window constant in (0, 1], c0*s <= f(s) <= s/c0 on [0, tau].
-        f: the nonlinearity, vectorized over numpy arrays.
+        f: the nonlinearity, vectorized over numpy arrays; 0 off (0, T).
         F: antiderivative of 2f, clamped to 0 below 0 and to 1 above T.
+            The reference f, F and root evaluate their polynomial or cubic
+            only on the nodes of an array that need it (see make_reference).
         fprime: derivative of f (one-sided at kinks for tabulated terms).
         Finv: inverse of F on [0, 1] -> [0, T], resolved by bisection.
         shifted_inverse: shifted_inverse(k) returns root(m), the
@@ -97,12 +99,23 @@ def make_reference(T: float) -> ReactionTerm:
     constant compatible with f(s)/s = (6/T^4)(T - s)^2 on [0, tau]; at
     T = 1 this gives c0 = 1/6.
 
-    For a Python float argument f skips numpy and returns a Python float.
-    The RK4 profile integrators call f once per stage, and the numpy
-    round trip (asarray, where, float) costs about 10 us per call.  The
-    plain-float branch returns the same bits as the array path does for a
-    0-d input, so a profile does not depend on which path f takes.  Any
-    other input, numpy scalars included, takes the array path.
+    The nonlinearity lives on the transition band: f and F are constant
+    off (0, T), and above s = T the node root is linear, s = m/k.  On an
+    array each kernel runs its polynomial or cubic only where it is needed
+    and writes the constant elsewhere: f on (s > 0) & (s < T), F where not
+    (v <= 0 or v >= T), so that F(nan) is nan, and root where not
+    (m >= top).  Every node keeps the bits the whole-array expression gave
+    it, because each node goes through the same operations either way.
+    Most nodes of a solve lie off the band.
+
+    For a 0-d input f and F keep the numpy scalar path they always took:
+    numpy computes `** 2` of a numpy scalar with C pow but of an array
+    with square, and their last bits differ.  For a Python float argument
+    f skips numpy and returns a Python float with the same bits as for a
+    0-d input, so an RK4 profile, which calls f once per stage, does not
+    depend on which path f takes and saves the numpy round trip (about
+    10 us per call).  Any other input, numpy scalars included, takes the
+    array path.
 
     Args:
         T: support endpoint, must be positive.
@@ -118,20 +131,37 @@ def make_reference(T: float) -> ReactionTerm:
     T = float(T)
     a = 6.0 / T**4
 
+    def f_band(s: Any) -> Any:
+        return a * s * (T - s) ** 2
+
+    def F_band(v: Any) -> Any:
+        return 2.0 * a * (T**2 * v**2 / 2.0 - 2.0 * T * v**3 / 3.0 + v**4 / 4.0)
+
     def f(s: Any) -> Any:
         if type(s) is float:
             # `** 2` (C pow), not `d * d`: the 0-d numpy power below calls pow too.
-            return a * s * (T - s) ** 2 if 0.0 < s < T else 0.0
+            return f_band(s) if 0.0 < s < T else 0.0
         s_arr = np.asarray(s, dtype=float)
-        inside = (s_arr > 0.0) & (s_arr < T)
-        val = a * s_arr * (T - s_arr) ** 2
-        return _scalarize(np.where(inside, val, 0.0))
+        if s_arr.ndim == 0:
+            return float(f_band(s_arr)) if 0.0 < s_arr < T else 0.0
+        out = np.zeros(s_arr.shape)
+        band = (s_arr > 0.0) & (s_arr < T)
+        out[band] = f_band(s_arr[band])
+        return out
 
     def F(v: Any) -> Any:
         v_arr = np.asarray(v, dtype=float)
-        vc = np.clip(v_arr, 0.0, T)
-        val = 2.0 * a * (T**2 * vc**2 / 2.0 - 2.0 * T * vc**3 / 3.0 + vc**4 / 4.0)
-        return _scalarize(np.where(v_arr >= T, 1.0, np.where(v_arr <= 0.0, 0.0, val)))
+        if v_arr.ndim == 0:
+            if v_arr >= T or v_arr <= 0.0:
+                return 1.0 if v_arr >= T else 0.0
+            # The numpy scalar, not the 0-d array: their `**` differ.
+            return float(F_band(v_arr[()]))
+        top = v_arr >= T
+        out = top.astype(float)
+        # Not (v > 0) & (v < T): F(nan) is nan.
+        band = ~(top | (v_arr <= 0.0))
+        out[band] = F_band(v_arr[band])
+        return out
 
     def fprime(s: Any) -> Any:
         s_arr = np.asarray(s, dtype=float)
@@ -156,17 +186,15 @@ def make_reference(T: float) -> ReactionTerm:
         z0 = (2.0 * T / 3.0) * (T**2 / 9.0 + k / a) / (2.0 * r**3)
         zm = -1.0 / (2.0 * a * r**3)
         top = k * T
-        # Scratch for the sweeps, kept across calls: each op below writes
-        # into it, so a call allocates nothing once it is large enough.
-        scratch: list[np.ndarray] = []
 
         def root(m: Any) -> np.ndarray:
             m = np.asarray(m, dtype=float)
-            if not scratch or scratch[0].size < m.size:
-                scratch[:] = [np.empty(m.size), np.empty(m.size), np.empty(m.size, dtype=bool)]
-            s0, d, linear = (b[: m.size].reshape(m.shape) for b in scratch)
-            out = np.empty_like(m)
-            np.multiply(m, zm, out=s0)
+            out = np.empty(m.shape)
+            np.divide(m, k, out=out)
+            # Not m < top: the complement of the linear part, so a nan m takes the cubic.
+            band = ~(m >= top)
+            mb = m[band]
+            s0 = np.multiply(mb, zm)
             s0 += z0
             np.arcsinh(s0, out=s0)
             s0 /= 3.0
@@ -177,19 +205,17 @@ def make_reference(T: float) -> ReactionTerm:
             # (m + 2a*s^2*(s - T))/P'(s): it restores the relative accuracy
             # that the shift by 2T/3 costs where s << 1, and it sends
             # m = 0 to s <= 0.  P' >= k - 2/T^2 > 0.
-            np.subtract(s0, T, out=out)
-            out *= s0
-            out *= s0
-            out *= 2.0 * a
-            out += m
-            np.multiply(s0, 3.0 * a, out=d)
+            step = np.subtract(s0, T)
+            step *= s0
+            step *= s0
+            step *= 2.0 * a
+            step += mb
+            d = np.multiply(s0, 3.0 * a)
             d -= 4.0 * a * T
             d *= s0
             d += a * T**2 + k
-            out /= d
-            np.greater_equal(m, top, out=linear)
-            np.divide(m, k, out=d)
-            np.copyto(out, d, where=linear)
+            step /= d
+            out[band] = step
             return np.maximum(out, 0.0, out=out)
 
         return root

@@ -32,22 +32,28 @@ the residual did not improve by 2% in _STALL_CYCLES cycles (stalled), or
 the residual is rounding alone (floor).
 
 A half-sweep touches only the nodes of its colour.  They form 2^(dim-1)
-strided blocks of the interior, which are gathered into one vector for the
-node solve and scattered back.  Every node goes through the same
-floating-point operations in the same order whatever the layout, and nodes
-of one colour never neighbour each other, so neither the gathering nor the
-block order changes a bit of the result.
+strided blocks of the interior.  Each level holds a sweep plan, built once
+per minimize call: per colour, each block's slices, its 2*dim neighbour
+slices and its range in two buffers of the level, old and m.  A half-sweep
+copies each block into its range of old, sums its neighbours into its
+range of m, runs the node solve on the colour's part of m as one vector
+and scatters the result back; it builds no slices and gathers into no
+buffer of its own.  Every node goes through the same floating-point
+operations in the same order whatever the layout, and nodes of one colour
+never neighbour each other, so neither the layout nor the block order
+changes a bit of the result.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Callable
 
 import numpy as np
 
-from .field import ScalarField, _neighbour_sum, integrate, interior_mask
+from .field import ScalarField, _neighbour_sum, _neighbours, integrate, interior_mask
 from .potentials import F_eps, ReactionTerm, f_eps
 
 __all__ = [
@@ -191,20 +197,57 @@ def _defect(v: np.ndarray, h: float, term: ReactionTerm, eps: float) -> np.ndarr
     return (_neighbour_sum(v) - 2.0 * v.ndim * core) / h**2 - f_eps(term, eps, core)
 
 
-def _colour_blocks(shape: tuple[int, ...]) -> tuple[list[tuple[slice, ...]], ...]:
-    """Interior nodes of each red-black colour as strided blocks.
+@dataclasses.dataclass(frozen=True)
+class _Block:
+    """One strided block of a red-black colour, as a sweep visits it.
+
+    nodes selects the block in the grid array and neighbours its 2*dim
+    neighbour slices (field._neighbours).  span is the block's flat range in
+    its level's two sweep buffers; old and m are that range of them, in the
+    block's shape.
+    """
+
+    nodes: tuple[slice, ...]
+    neighbours: tuple[tuple[slice, ...], ...]
+    span: slice
+    old: np.ndarray
+    m: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class _Colour:
+    """The blocks of one colour and the flat views of the buffers they fill."""
+
+    blocks: tuple[_Block, ...]
+    old: np.ndarray
+    m: np.ndarray
+
+
+def _plan(shape: tuple[int, ...]) -> tuple[_Colour, _Colour]:
+    """How a red-black sweep visits the interior nodes of a grid of this shape.
 
     Offset o in {0, 1}^dim selects the block slice(1 + o_k, n_k - 1, 2) on
     every axis; its nodes have interior index parity sum(o) mod 2, so each
     colour is the union of 2^(dim - 1) blocks.  Colour 0 holds the node
-    next to the origin corner and is swept first.
+    next to the origin corner and is swept first.  The colours take turns
+    with one old buffer and one m buffer, sized for colour 0, the larger.
     """
-    colours: tuple[list[tuple[slice, ...]], ...] = ([], [])
-    for off in itertools.product((0, 1), repeat=len(shape)):
-        colours[sum(off) % 2].append(
-            tuple(slice(1 + o, n - 1, 2) for o, n in zip(off, shape))
-        )
-    return colours
+    size = (math.prod(n - 2 for n in shape) + 1) // 2
+    old, m = np.empty(size), np.empty(size)
+    colours = []
+    for parity in (0, 1):
+        blocks, stop = [], 0
+        for off in itertools.product((0, 1), repeat=len(shape)):
+            if sum(off) % 2 != parity:
+                continue
+            nodes = tuple(slice(1 + o, n - 1, 2) for o, n in zip(off, shape))
+            bshape = tuple(len(range(1 + o, n - 1, 2)) for o, n in zip(off, shape))
+            span = slice(stop, stop + math.prod(bshape))
+            stop = span.stop
+            views = old[span].reshape(bshape), m[span].reshape(bshape)
+            blocks.append(_Block(nodes, _neighbours(nodes), span, *views))
+        colours.append(_Colour(tuple(blocks), old[:stop], m[:stop]))
+    return colours[0], colours[1]
 
 
 def _sweep(
@@ -212,7 +255,7 @@ def _sweep(
     h: float,
     eps: float,
     omega: float,
-    colours: tuple[list[tuple[slice, ...]], ...],
+    plan: tuple[_Colour, _Colour],
     root: Callable[[np.ndarray], np.ndarray],
     g: np.ndarray | None = None,
 ) -> None:
@@ -233,26 +276,26 @@ def _sweep(
     it went uphill.
     """
     m_scale = eps / h**2
-    for blocks in colours:
+    for colour in plan:
         # Nodes of one colour never neighbour each other, so all their
         # neighbour sums can be taken before any of them moves: this is the
         # Gauss-Seidel half-sweep, with the node solve run on this colour only.
-        old = np.concatenate([values[b].ravel() for b in blocks])
-        m = np.concatenate([_neighbour_sum(values, b).ravel() for b in blocks])
+        for b in colour.blocks:
+            b.old[...] = values[b.nodes]
+            _neighbour_sum(values, b.neighbours, out=b.m)
+        m = colour.m
         m *= m_scale
         if g is not None:
-            m -= eps * np.concatenate([g[b].ravel() for b in blocks])
+            for b in colour.blocks:
+                np.subtract(b.m, eps * g[b.nodes], out=b.m)
         cand = root(m)
         cand *= eps
-        cand -= old
+        cand -= colour.old
         cand *= omega
-        cand += old
+        cand += colour.old
         np.maximum(cand, 0.0, out=cand)
-        start = 0
-        for b in blocks:
-            dst = values[b]
-            dst[...] = cand[start : start + dst.size].reshape(dst.shape)
-            start += dst.size
+        for b in colour.blocks:
+            values[b.nodes] = cand[b.span].reshape(b.old.shape)
 
 
 def _auto_omega(h: float, shape: tuple[int, ...]) -> float:
@@ -295,7 +338,7 @@ class _Level:
     """
 
     h: float
-    colours: tuple[list[tuple[slice, ...]], ...]
+    plan: tuple[_Colour, _Colour]
     root: Callable[[np.ndarray], np.ndarray]
     omega: float
     sweeps: int
@@ -321,7 +364,7 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
         ) from exc
     h, shape = grid.h, grid.shape
     omega = _auto_omega(h, shape)
-    levels = [_Level(h, _colour_blocks(shape), root, omega, _SWEEPS_PER_ITERATION)]
+    levels = [_Level(h, _plan(shape), root, omega, _SWEEPS_PER_ITERATION)]
     while min(shape) >= 5 and all(n % 2 == 1 for n in shape):
         h, shape = 2.0 * h, tuple(n // 2 + 1 for n in shape)
         try:
@@ -332,7 +375,7 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
             break
         root = term.shifted_inverse(2.0 * dim * eps**2 / h**2)
         omega = _auto_omega(h, shape)
-        levels.append(_Level(h, _colour_blocks(shape), root, omega, _COARSEST_SWEEPS))
+        levels.append(_Level(h, _plan(shape), root, omega, _COARSEST_SWEEPS))
     return levels
 
 
@@ -349,10 +392,10 @@ def _cycle(
     level = levels[0]
     if len(levels) == 1:
         for _ in range(level.sweeps):
-            _sweep(u, level.h, eps, level.omega, level.colours, level.root, g)
+            _sweep(u, level.h, eps, level.omega, level.plan, level.root, g)
         return
     for _ in range(_SMOOTHING_SWEEPS):
-        _sweep(u, level.h, eps, 1.0, level.colours, level.root, g)
+        _sweep(u, level.h, eps, 1.0, level.plan, level.root, g)
     core = (slice(1, -1),) * u.ndim
     r = np.zeros_like(u)
     r[core] = -_defect(u, level.h, term, eps)
@@ -367,7 +410,7 @@ def _cycle(
     u += _prolong(coarse)
     np.maximum(u, 0.0, out=u)
     for _ in range(_SMOOTHING_SWEEPS):
-        _sweep(u, level.h, eps, 1.0, level.colours, level.root, g)
+        _sweep(u, level.h, eps, 1.0, level.plan, level.root, g)
 
 
 def _stop_reason(

@@ -545,8 +545,17 @@ def test_rerun_is_byte_identical(tmp_path):
             "0x1.634aaffffffffp-28",
             "0x1.124d2bef6754bp+1",
         ),
+        (
+            # One level (its first coarse spacing is 1.4 of the bound), so
+            # each cycle is a bundle of over-relaxed sweeps.
+            ["--eps", "0.05", "--n", "41"],
+            "9cd3b889f17863c6ee4b98d59e935515f2a8dbe1b0f1d25478d0a80bbb32fa9d",
+            16,
+            "0x1.1ab88ffffffffp-27",
+            "0x1.0873fc12e0f19p+2",
+        ),
     ],
-    ids=["2d-41", "1d-81"],
+    ids=["2d-41", "1d-81", "2d-41-single"],
 )
 def test_solve_output_bits_are_pinned(
     tmp_path, argv, csv_sha256, iterations, residual_hex, energy_hex

@@ -543,3 +543,25 @@ def test_ball_max_and_count_match_brute_force_discs(r):
                 inside = np.linalg.norm((idx - p) * h, axis=1) <= r + 1e-9 * h
                 want[tuple(p)] = op.reduce(values.reshape(-1)[inside])
             assert np.array_equal(_ball_reduce(values, r, h, op, fill), want)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.12, 0.3])
+def test_ball_statistics_on_the_disc_box_are_the_whole_grid_ones(r):
+    # A scan reduces only the bounding box of its centers grown by the disc
+    # halfwidth; at each center that box holds the whole disc.
+    from onephase.fbcheck import _ball_reduce, _disc_box
+
+    h = 0.05
+    rng = np.random.default_rng(int(100 * r))
+    for op, fill in [(np.maximum, -np.inf), (np.add, 0.0), (np.logical_or, False)]:
+        for shape in [(41, 37), (61,)]:
+            values = rng.standard_normal(shape)
+            if op is not np.maximum:
+                values = (values > 0.25).astype(float if op is np.add else bool)
+            for share in (0.002, 0.05, 1.0):
+                centers = rng.random(shape) < share
+                centers.flat[rng.integers(centers.size)] = True
+                box = _disc_box(centers, r, h)
+                got = _ball_reduce(values[box], r, h, op, fill)[centers[box]]
+                want = _ball_reduce(values, r, h, op, fill)[centers]
+                assert np.array_equal(got, want)

@@ -8,6 +8,8 @@ import pytest
 
 from onephase.field import (
     DomainError,
+    _neighbour_sum,
+    _neighbours,
     GridSpec,
     PolyBump,
     ScalarField,
@@ -101,6 +103,31 @@ def test_laplacian_exact_on_quadratics():
     assert np.all(lap.values[~inner] == 0.0)
     harm = laplacian(ScalarField(grid=grid, values=mesh[0] ** 2 - mesh[1] ** 2))
     assert np.all(np.abs(harm.values[inner]) < 1e-11)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 9), (5, 4, 6)])
+def test_neighbour_sum_of_a_block_is_the_interior_sum_there_bit_for_bit(shape):
+    # Red-black blocks (step 2) and the whole interior (step 1) take a
+    # node's sum from 0.0 in one order, so an all -0.0 neighbourhood sums
+    # to +0.0 in any block, into a fresh array or into a given out.
+    rng = np.random.default_rng(len(shape))
+    v = rng.standard_normal(shape)
+    v[rng.random(shape) < 0.8] = -0.0
+    v[rng.random(shape) < 0.1] = 0.0
+    whole = _neighbour_sum(v)
+    core = tuple(slice(1, n - 1) for n in shape)
+    want = np.zeros(whole.shape)
+    for nb in _neighbours(core):
+        want = want + v[nb]
+    assert np.array_equal(whole.view(np.uint64), want.view(np.uint64))
+    assert np.any((whole == 0.0) & ~np.signbit(whole))
+    for off in np.ndindex(*(2,) * len(shape)):
+        block = tuple(slice(1 + o, n - 1, 2) for o, n in zip(off, shape))
+        at = tuple(slice(o, None, 2) for o in off)
+        out = np.full(v[block].shape, np.nan)
+        got = _neighbour_sum(v, _neighbours(block), out=out)
+        assert got is out
+        assert np.array_equal(got.view(np.uint64), whole[at].view(np.uint64))
 
 
 def test_laplacian_second_order_on_harmonic():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,128 @@ def test_reference_scalar_branch_is_the_array_path_bit_for_bit(T):
         got = term.f(x)
         assert type(got) is float
         assert got.hex() == float(term.f(np.asarray(x))).hex(), x
+
+
+def _full_reference_kernels(T: float):
+    """The reference f, F and shifted_inverse evaluated on every node, as
+    they were before the band-only kernels: the oracle of those kernels."""
+    a = 6.0 / T**4
+
+    def f(s):
+        s_arr = np.asarray(s, dtype=float)
+        inside = (s_arr > 0.0) & (s_arr < T)
+        val = a * s_arr * (T - s_arr) ** 2
+        return np.where(inside, val, 0.0)
+
+    def F(v):
+        v_arr = np.asarray(v, dtype=float)
+        vc = np.clip(v_arr, 0.0, T)
+        val = 2.0 * a * (T**2 * vc**2 / 2.0 - 2.0 * T * vc**3 / 3.0 + vc**4 / 4.0)
+        return np.where(v_arr >= T, 1.0, np.where(v_arr <= 0.0, 0.0, val))
+
+    def shifted_inverse(k):
+        p = k / a - T**2 / 3.0
+        r = math.sqrt(p / 3.0)
+        z0 = (2.0 * T / 3.0) * (T**2 / 9.0 + k / a) / (2.0 * r**3)
+        zm = -1.0 / (2.0 * a * r**3)
+        top = k * T
+
+        def root(m):
+            m = np.asarray(m, dtype=float)
+            s0, d, linear = np.empty(m.shape), np.empty(m.shape), np.empty(m.shape, dtype=bool)
+            out = np.empty_like(m)
+            np.multiply(m, zm, out=s0)
+            s0 += z0
+            np.arcsinh(s0, out=s0)
+            s0 /= 3.0
+            np.sinh(s0, out=s0)
+            s0 *= -2.0 * r
+            s0 += 2.0 * T / 3.0
+            np.subtract(s0, T, out=out)
+            out *= s0
+            out *= s0
+            out *= 2.0 * a
+            out += m
+            np.multiply(s0, 3.0 * a, out=d)
+            d -= 4.0 * a * T
+            d *= s0
+            d += a * T**2 + k
+            out /= d
+            np.greater_equal(m, top, out=linear)
+            np.divide(m, k, out=d)
+            np.copyto(out, d, where=linear)
+            return np.maximum(out, 0.0, out=out)
+
+        return root
+
+    return f, F, shifted_inverse
+
+
+def _kernel_inputs(rng, n: int, scale: float):
+    """n values over [-0.5, 1.5] * scale, every third one an edge value,
+    as a contiguous array and as a strided view of the same values."""
+    edges = [
+        0.0,
+        -0.0,
+        scale,
+        float(np.nextafter(scale, np.inf)),
+        float(np.nextafter(scale, -np.inf)),
+        5e-324,
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+    ]
+    x = rng.uniform(-0.5 * scale, 1.5 * scale, n)
+    for i in range(0, n, 3):
+        x[i] = edges[(i // 3 + n) % len(edges)]
+    wide = np.zeros(2 * n)
+    wide[::2] = x
+    return x, wide[::2]
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("T", [0.37, 1.0, 2.0])
+def test_band_only_reference_kernels_are_the_full_kernels_bit_for_bit(T):
+    # f, F and the node root evaluate their polynomial or cubic only on the
+    # nodes that need it; every other node gets the value the full-array
+    # expression gives it, nan and signed zeros included.
+    term = make_reference(T)
+    f, F, shifted_inverse = _full_reference_kernels(T)
+    rng = np.random.default_rng(int(T * 100))
+    ks = [2.0 / T**2 * (1.0 + 1e-9), 2.0 / T**2 * 1.5, 25.0, 2500.0]
+    roots = [(term.shifted_inverse(k), shifted_inverse(k), k * T) for k in ks]
+    cases = 0
+    with np.errstate(all="ignore"):  # inf and nan inputs
+        for n in [*range(1, 41), 999, 4900]:
+            for got_f, want_f, scale in [
+                (term.f, f, T),
+                (term.F, F, T),
+                *((got, want, top) for got, want, top in roots),
+            ]:
+                for x in _kernel_inputs(rng, n, scale):
+                    assert _same_bits(got_f(x), want_f(x)), (n, scale)
+                    cases += 1
+                if n == 4900:
+                    x = _kernel_inputs(rng, n, scale)[0].reshape(70, 70)
+                    for v in (x, x.T, x[::2, 1::3]):
+                        assert _same_bits(got_f(v), want_f(v)), scale
+                        cases += 1
+        # 0-d inputs keep the 0-d path: numpy scalar `**`, not `square`.
+        for x in _kernel_inputs(rng, 60, T)[0]:
+            assert float(term.f(np.asarray(x))).hex() == float(f(x)).hex()
+            assert float(term.F(np.asarray(x))).hex() == float(F(x)).hex()
+        for got, want, top in roots:
+            for x in _kernel_inputs(rng, 60, top)[0]:
+                assert _same_bits(got(np.asarray(x)), want(np.asarray(x)))
+    assert np.isnan(term.F(np.array([np.nan])))[0] and np.isnan(term.F(float("nan")))
+    assert term.f(np.array([np.nan]))[0] == 0.0
+    assert cases == 42 * 6 * 2 + 6 * 3
 
 
 def test_Finv_returns_when_bisection_reaches_adjacent_floats():

@@ -11,8 +11,8 @@ from onephase.records import from_json, to_json
 from onephase.solver import (
     SolveConfig,
     SolveReport,
-    _colour_blocks,
     _levels,
+    _plan,
     _prolong,
     _restrict,
     _sweep,
@@ -345,7 +345,7 @@ def test_report_round_trips_a_rising_trace():
     assert payload["converged"] is False
 
 
-def _masked_sweep(values, h, eps, omega, root):
+def _masked_sweep(values, h, eps, omega, root, g=None):
     """Reference red-black sweep: the node solve on every interior node, then
     keep the nodes of the active colour (interior index sum even, then odd)."""
     dim = values.ndim
@@ -357,7 +357,10 @@ def _masked_sweep(values, h, eps, omega, root):
             lo = tuple(slice(0, -2) if k == ax else slice(1, -1) for k in range(dim))
             hi = tuple(slice(2, None) if k == ax else slice(1, -1) for k in range(dim))
             neigh = neigh + values[lo] + values[hi]
-        target = root(neigh * (eps / h**2)) * eps
+        m = neigh * (eps / h**2)
+        if g is not None:
+            m = m - eps * g[core]
+        target = root(m) * eps
         cand = np.maximum(values[core] + omega * (target - values[core]), 0.0)
         values[core] = np.where(color, cand, values[core])
 
@@ -428,19 +431,25 @@ def test_tabulated_node_solve_below_the_first_row():
 def test_colour_block_sweep_is_the_masked_sweep_bit_for_bit(make_term, shape):
     term = make_term()
     rng = np.random.default_rng(sum(shape) * 7919 + len(shape))
-    colours = _colour_blocks(shape)
+    plan = _plan(shape)
     moved = False
     for eps in (0.5, 0.1):
         # h below sqrt(dim)*T*eps keeps every node energy strictly convex.
         h = 0.5 * eps * term.T
-        root = term.shifted_inverse(2.0 * len(shape) * eps**2 / h**2)
+        diag = 2.0 * len(shape) / h**2
+        root = term.shifted_inverse(diag * eps**2)
         start = rng.uniform(0.0, 2.0 * term.T * eps, shape)
         start[rng.random(shape) < 0.2] = 0.0
-        for omega in (1.7, 1.0):
+        start[rng.random(shape) < 0.1] = -0.0
+        # The right-hand side of a coarse level: up to diag*T*eps either way,
+        # so that some nodes are held at 0 and some at -0.0 scale to the root.
+        g = rng.uniform(-1.0, 1.0, shape) * diag * term.T * eps
+        g[rng.random(shape) < 0.2] = -0.0
+        for omega, rhs in ((1.7, None), (1.0, None), (1.0, g), (1.7, g)):
             got, want = start.copy(), start.copy()
             for _ in range(5):
-                _sweep(got, h, eps, omega, colours, root)
-                _masked_sweep(want, h, eps, omega, root)
+                _sweep(got, h, eps, omega, plan, root, rhs)
+                _masked_sweep(want, h, eps, omega, root, rhs)
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
             moved = moved or not np.array_equal(got, start)
@@ -458,24 +467,24 @@ def test_sweep_with_a_right_hand_side_solves_each_node(make_term, shape):
     h = 0.5 * eps * term.T
     diag = 2.0 * dim / h**2
     root = term.shifted_inverse(diag * eps**2)
-    colours = _colour_blocks(shape)
+    plan = _plan(shape)
     rng = np.random.default_rng(dim)
     start = rng.uniform(0.0, 2.0 * term.T * eps, shape)
     grid = GridSpec(dim=dim, origin=(0.0,) * dim, h=h, shape=shape)
     inner = interior_mask(grid)
     # Zero right-hand side: the bits of the sweep without one.
     got, want = start.copy(), start.copy()
-    _sweep(got, h, eps, 1.7, colours, root, np.zeros(shape))
-    _sweep(want, h, eps, 1.7, colours, root)
+    _sweep(got, h, eps, 1.7, plan, root, np.zeros(shape))
+    _sweep(want, h, eps, 1.7, plan, root)
     assert np.array_equal(got, want)
     # |g| up to twice diag*T*eps: some nodes solve Delta w - f_eps(w) = g
     # and others are held at 0, where the equation would need w < 0.
     g = np.where(inner, rng.uniform(-2.0, 2.0, shape) * diag * term.T * eps, 0.0)
     w = start.copy()
-    _sweep(w, h, eps, 1.0, colours, root, g)
+    _sweep(w, h, eps, 1.0, plan, root, g)
     last = np.zeros(shape, dtype=bool)  # the colour swept last saw its final neighbours
-    for b in colours[1]:
-        last[b] = True
+    for b in plan[1].blocks:
+        last[b.nodes] = True
     lap = laplacian(ScalarField(grid=grid, values=w)).values
     defect = lap - f_eps(term, eps, w) - g
     scale = np.abs(lap) + 2.0 * diag * w + np.abs(g)
