@@ -7,9 +7,11 @@ here the concern is wiring, reproducibility, and the error contract.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 import onephase
+from onephase import cli
 from onephase.cli import main
 from onephase.field import (
     PolyBump,
@@ -94,34 +97,53 @@ def test_help_exits_zero(capsys):
 
 _SCIPY_PROBE = """
 import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
 from onephase.cli import main
 loaded = {
-    "import": sorted(m for m in sys.modules if m.startswith("scipy")),
     "lazy": sorted(m for m in ("onephase.solver", "onephase.variations") if m in sys.modules),
 }
 for k, argv in enumerate(json.loads(sys.argv[1])):
-    rc = main(argv + ["--out", f"out{k}"])
-    loaded[" ".join(argv)] = rc or sorted(m for m in sys.modules if m.startswith("scipy"))
+    loaded[" ".join(argv)] = main(argv + ["--out", f"out{k}"])
+loaded["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps(loaded))
 """
 
 
 def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
-    # Only potential (Simpson) and the hausdorff check need scipy; the CLI
-    # import and the other ops must not load it.  The CLI import loads
-    # neither the solver nor the variations either: the subcommands that
-    # use them import them.
+    # Every subcommand runs on numpy alone: a fresh interpreter in which any
+    # scipy import raises runs each one to exit code 0.  The CLI import loads
+    # neither the solver nor the variations either: the subcommands that use
+    # them import them.
     spec = _spec_file(tmp_path)
     field = _layer_file(tmp_path)
+    table = tmp_path / "f.csv"
+    table.write_text("s,f\n0,0\n0.25,0.5\n0.5,1\n0.75,0.5\n1,0\n", encoding="utf-8")
     commands = [
+        ["potential", "--tabulate", "201"],
+        ["potential", "--table", str(table)],
+        ["profile"],
+        ["solve", "--n", "21"],
+        ["vary", "--eps", "0.1", "--field", str(field), "--x", str(spec)],
+        ["cone", "--kind", "radial", "--emit-interface"],
+        ["cone", "--kind", "radial", "--h", "0.02", "--x", str(spec)],
+        ["sweep", "--check", "hausdorff", "--eps", "0.2,0.1"],
         ["check", "--what", "nondeg"],
         ["check", "--what", "density"],
         ["check", "--what", "zero-density", "--field", "halfplane"],
+        ["check", "--what", "lipschitz"],
+        ["check", "--what", "l1"],
+        ["check", "--what", "hausdorff"],
         ["check", "--what", "exit", "--point=0.1,-0.08"],
-        ["cone", "--kind", "radial", "--emit-interface"],
-        ["cone", "--kind", "radial", "--h", "0.02", "--x", str(spec)],
-        ["vary", "--eps", "0.1", "--field", str(field), "--x", str(spec)],
+        ["check", "--what", "poincare"],
     ]
+    assert {c[2] for c in commands if c[0] == "check"} == set(cli._CHECKS)
     src = str(Path(onephase.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -130,7 +152,25 @@ def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     )
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "lazy": [], **{" ".join(c): [] for c in commands}}
+    assert loaded == {"lazy": [], **{" ".join(c): 0 for c in commands}, "scipy": []}
+
+
+def test_no_module_imports_scipy_and_numpy_is_the_only_dependency():
+    package = Path(onephase.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(n.split(".")[0] != "scipy" for n in names), (path.name, node.lineno)
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
 
 
 def test_grid_below_three_nodes_fails_without_warnings(tmp_path, capsys):

@@ -406,6 +406,72 @@ def test_hausdorff_basic():
         hausdorff_distance(a, a, 0.0)
 
 
+def test_hausdorff_rejects_sets_of_different_dimension():
+    # A broadcasting brute force would pair (n, 2) with (m, 1) silently.
+    a = np.array([[0, 0], [0, 1], [2, 2]])
+    with pytest.raises(ValueError, match="dimension"):
+        hausdorff_distance(a, np.array([[0], [3]]), 0.1)
+    with pytest.raises(ValueError, match="dimension"):
+        hausdorff_distance(np.array([0, 3]), a, 0.1)
+
+
+def _kdtree_hausdorff(a, b, h):
+    """The k-d tree form of the distance, the oracle of the brute force."""
+    from scipy.spatial import cKDTree
+
+    pa = np.asarray(a, dtype=float).reshape(len(a), -1)
+    pb = np.asarray(b, dtype=float).reshape(len(b), -1)
+    d_ab = float(np.max(cKDTree(pb).query(pa)[0]))
+    d_ba = float(np.max(cKDTree(pa).query(pb)[0]))
+    return h * max(d_ab, d_ba)
+
+
+def test_hausdorff_equals_kdtree_on_random_node_sets():
+    rng = np.random.default_rng(7)
+    cases = [
+        (rng.integers(0, 401, 300), rng.integers(0, 401, 200)),
+        (rng.integers(-50, 50, (250, 2)), rng.integers(0, 401, (400, 2))),
+        (rng.integers(0, 401, (1206, 2)), rng.integers(0, 401, (564, 2))),
+        (np.array([[5, 7]]), rng.integers(0, 40, (30, 2))),
+        (np.array([[5, 7]]), np.array([[-3, 2]])),
+        (np.array([4]), np.array([4])),
+        (np.repeat(rng.integers(0, 9, (6, 2)), 5, axis=0), rng.integers(0, 9, (4, 2))),
+    ]
+    for a, b in cases:
+        for h in (0.005, 2.0 / 400, 1.0):
+            assert hausdorff_distance(a, b, h) == _kdtree_hausdorff(a, b, h)
+
+
+def test_hausdorff_equals_kdtree_across_chunk_boundaries(monkeypatch):
+    # The farthest node sits in every row position, so a chunk split that
+    # drops or repeats a row changes the maximum.  1024 rows of b make a
+    # chunk of 1024 rows of a; the small chunk splits both directions often.
+    from onephase import fbcheck
+
+    far = (5000, -3000)
+    rng = np.random.default_rng(3)
+    b = rng.integers(0, 2000, (1024, 2))
+    for n in (1023, 1024, 1025):
+        a = rng.integers(0, 2000, (n, 2))
+        for k in (0, n - 2, n - 1):
+            row = a[k].copy()
+            a[k] = far
+            assert hausdorff_distance(a, b, 0.01) == _kdtree_hausdorff(a, b, 0.01)
+            a[k] = row
+    monkeypatch.setattr(fbcheck, "_CHUNK_PAIRS", 60)
+    for n in (1, 2, 3, 4, 7, 20):
+        a = rng.integers(0, 50, (n, 2))
+        b = rng.integers(0, 50, (20, 2))
+        for k in range(n):
+            bent = a.copy()
+            bent[k] = far
+            assert hausdorff_distance(bent, b, 0.1) == _kdtree_hausdorff(bent, b, 0.1)
+        for k in range(len(b)):
+            bent = b.copy()
+            bent[k] = far
+            assert hausdorff_distance(a, bent, 0.1) == _kdtree_hausdorff(a, bent, 0.1)
+
+
 def test_hausdorff_band_tracks_limit_boundary():
     from onephase.fbcheck import _limit_boundary
 

@@ -8,6 +8,7 @@ import pytest
 from onephase.potentials import (
     F_eps,
     _bisect_inverse,
+    _simpson,
     f_eps,
     make_reference,
     make_tabulated,
@@ -274,6 +275,33 @@ def test_validate_reference_passes_for_all_supports():
         report = validate(make_reference(T), n_samples=10_000)
         assert report["passed"], report
         assert report["conditions"]["normalization"]["worst"] < 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 51, 2001, 10001])
+@pytest.mark.parametrize("T", [0.37, 1.0, 2.0, 1e-3, 50.0])
+def test_simpson_equals_scipy_bit_for_bit(T, n):
+    # scipy is the oracle only: validate integrates with numpy alone.
+    from scipy.integrate import simpson
+
+    ref = make_reference(T)
+    s = np.linspace(0.0, T, 61)
+    tab = make_tabulated(np.column_stack([s, np.asarray(ref.f(s))]))
+    x = np.linspace(0.0, T, n)
+    for term in (ref, tab):
+        y = 2.0 * np.asarray(term.f(x), dtype=float)
+        assert _simpson(y, x) == float(simpson(y, x=x))
+
+
+def test_simpson_weights_each_pair_by_its_own_spacings():
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.uniform(0.1, 1.0, 41))
+    # Exact on each pair of intervals for a quadratic, whatever the spacings.
+    y = 3.0 * x**2 - x + 2.0
+    exact = (x[-1] ** 3 - x[0] ** 3) - (x[-1] ** 2 - x[0] ** 2) / 2.0 + 2.0 * (x[-1] - x[0])
+    assert _simpson(y, x) == pytest.approx(exact, rel=1e-13)
+    assert _simpson(y, x) == float(simpson(y, x=x))
 
 
 def test_validate_rejects_small_sample_count():
