@@ -416,7 +416,8 @@ def poincare_ratio(g: ScalarField, zero_fraction: float = 0.0) -> float:
     cell = g.grid.h**g.grid.dim
     num = float(np.sum(vals)) * cell
     den = float(np.sum(gnorm)) * cell
-    radius = 0.5 * float(np.linalg.norm(np.subtract(g.grid.hi, g.grid.origin, dtype=float)))
+    span = np.subtract(g.grid.hi, g.grid.origin, dtype=float)
+    radius = 0.5 * float(np.sqrt(np.sum(span * span)))
     if den * radius == 0.0:
         return 0.0
     return num / (radius * den)

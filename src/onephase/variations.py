@@ -73,6 +73,16 @@ _FD_STEPS = 2
 # Nodes a gradient stencil reads on each side of a node: the phase
 # gradient's reach, and np.gradient's at a grid edge.
 _REACH = 2
+# Marching-squares segments of a cell by its case s00 + 2*s10 + 4*s11 + 8*s01
+# (s marks nodes above the level), as pairs of cell edges 0-3 = S, E, N, W
+# padded with -1.  The saddle rows 5 and 10 join the corners above the level
+# through the cell centre; a saddle whose centre is not above takes the other.
+_CASES = np.array([
+    [-1, -1, -1, -1], [0, 3, -1, -1], [0, 1, -1, -1], [3, 1, -1, -1],
+    [1, 2, -1, -1], [0, 1, 2, 3], [0, 2, -1, -1], [2, 3, -1, -1],
+    [2, 3, -1, -1], [0, 2, -1, -1], [0, 3, 1, 2], [1, 2, -1, -1],
+    [3, 1, -1, -1], [0, 1, -1, -1], [0, 3, -1, -1], [-1, -1, -1, -1],
+])
 
 
 class NotClassicalSolutionError(ValueError):
@@ -495,60 +505,6 @@ def classical_second_variation(
     return 2.0 * integrate(ScalarField(grid=u.grid, values=dens))
 
 
-def _edge_point(grid, kind: str, i: int, j: int, level: float, v) -> tuple:
-    x0, y0 = grid.origin
-    h = grid.h
-    if kind == "h":
-        va, vb = v[i, j], v[i + 1, j]
-        theta = (level - va) / (vb - va)
-        return (x0 + h * (i + theta), y0 + h * j)
-    va, vb = v[i, j], v[i, j + 1]
-    theta = (level - va) / (vb - va)
-    return (x0 + h * i, y0 + h * (j + theta))
-
-
-def _cell_segments(s, center_above, i: int, j: int):
-    """Edge pairs crossed inside cell (i, j), saddle resolved by center."""
-    a, b, c, d = s[i, j], s[i + 1, j], s[i + 1, j + 1], s[i, j + 1]
-    south, north = ("h", i, j), ("h", i, j + 1)
-    west, east = ("v", i, j), ("v", i + 1, j)
-    code = (a, b, c, d)
-    if code in ((True, False, False, False), (False, True, True, True)):
-        return [(south, west)]
-    if code in ((False, True, False, False), (True, False, True, True)):
-        return [(south, east)]
-    if code in ((False, False, True, False), (True, True, False, True)):
-        return [(east, north)]
-    if code in ((False, False, False, True), (True, True, True, False)):
-        return [(north, west)]
-    if code in ((True, True, False, False), (False, False, True, True)):
-        return [(west, east)]
-    if code in ((True, False, False, True), (False, True, True, False)):
-        return [(south, north)]
-    if code == (True, False, True, False):
-        if center_above:
-            return [(south, east), (north, west)]
-        return [(south, west), (east, north)]
-    if code == (False, True, False, True):
-        if center_above:
-            return [(south, west), (east, north)]
-        return [(south, east), (north, west)]
-    return []
-
-
-def _chain(adj: dict, start, visited: set) -> list:
-    out = [start]
-    visited.add(start)
-    cur = start
-    while True:
-        nxt = next((e for e in adj[cur] if e not in visited), None)
-        if nxt is None:
-            return out
-        out.append(nxt)
-        visited.add(nxt)
-        cur = nxt
-
-
 def _clip_inside(grid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp points into the grid box; second output flags moved points."""
     lo = np.asarray(grid.origin)
@@ -580,7 +536,14 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
     """Longest level-set polyline of u with per-vertex normal and curvature.
 
     Marching squares links the crossing points of {u = level} into
-    chains; the longest chain (by arc length) is returned.  Normals come
+    chains; the longest chain (by arc length) is returned.  Cell (i, j)
+    has case s00 + 2*s10 + 4*s11 + 8*s01, where s_ab marks node
+    (i + a, j + b) above the level.  A saddle (case 5 or 10) joins its two
+    corners above the level when the cell centre is above it too, and
+    separates them otherwise.  Edges have integer ids: the edge from node
+    (i, j) to (i + 1, j), the south edge of cell (i, j), is i*ny + j, and
+    the edge to (i, j + 1), its west edge, is nh + i*(ny - 1) + j with
+    nh = (nx - 1)*ny.  Normals come
     from -grad u/|grad u| probed inside the positive phase; curvature is
     div(grad u/|grad u|) probed at two offsets along the inward normal
     and extrapolated back to the vertex, so stencils never straddle the
@@ -598,49 +561,61 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
         raise ValueError("interface extraction requires a 2D field")
     grid = u.grid
     v = u.values
-    s = v > level
-    empty = InterfaceCurve(
-        points=np.empty((0, 2)),
-        normals=np.empty((0, 2)),
-        curvature=np.empty(0),
-        singular=np.empty(0, dtype=bool),
-        closed=False,
-    )
-    counts = (
-        s[:-1, :-1].astype(int)
-        + s[1:, :-1].astype(int)
-        + s[1:, 1:].astype(int)
-        + s[:-1, 1:].astype(int)
-    )
-    cells = np.argwhere((counts > 0) & (counts < 4))
-    if len(cells) == 0:
-        return empty
-    center = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:])
-    adj: dict[tuple, list] = {}
-    for i, j in cells:
-        for ea, eb in _cell_segments(s, center[i, j] > level, int(i), int(j)):
-            adj.setdefault(ea, []).append(eb)
-            adj.setdefault(eb, []).append(ea)
-    if not adj:
-        return empty
-    visited: set = set()
+    h = grid.h
+    s = (v > level).astype(np.intp)
+    case = s[:-1, :-1] + 2 * s[1:, :-1] + 4 * s[1:, 1:] + 8 * s[:-1, 1:]
+    i, j = np.nonzero((case > 0) & (case < 15))
+    if len(i) == 0:
+        return InterfaceCurve(
+            points=np.empty((0, 2)),
+            normals=np.empty((0, 2)),
+            curvature=np.empty(0),
+            singular=np.empty(0, dtype=bool),
+            closed=False,
+        )
+    case = case[i, j]
+    saddle = (case == 5) | (case == 10)
+    si, sj = i[saddle], j[saddle]
+    centre = 0.25 * (v[si, sj] + v[si + 1, sj] + v[si + 1, sj + 1] + v[si, sj + 1])
+    case[saddle] ^= np.where(centre > level, 0, 15)
+    nx, ny = grid.shape
+    nh = (nx - 1) * ny
+    south, west = i * ny + j, nh + i * (ny - 1) + j
+    cell_edges = np.stack([south, west + ny - 1, south + 1, west], axis=1)
+    local = _CASES[case]
+    # Segment ends a0, b0, a1, b1, ... in cell order.
+    ends = np.take_along_axis(cell_edges, np.maximum(local, 0), axis=1)[local >= 0]
+    adj: dict[int, list[int]] = {}
+    for a, b in ends.reshape(-1, 2).tolist():
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen: set[int] = set()
     chains = []
-    for start in [e for e in adj if len(adj[e]) == 1]:
-        if start not in visited:
-            chains.append(_chain(adj, start, visited))
-    for start in adj:
-        if start not in visited:
-            chains.append(_chain(adj, start, visited))
-    pts_of = {
-        e: np.asarray(_edge_point(grid, *e, level, v)) for e in adj
-    }
+    for e in [e for e in adj if len(adj[e]) == 1] + list(adj):
+        chain = []
+        while e not in seen:
+            seen.add(e)
+            chain.append(e)
+            e = next((f for f in adj[e] if f not in seen), e)
+        if chain:
+            chains.append(chain)
 
-    def arclen(chain):
-        p = np.stack([pts_of[e] for e in chain])
-        return float(np.sum(np.linalg.norm(np.diff(p, axis=0), axis=1)))
-
-    best = max(chains, key=arclen)
-    points = np.stack([pts_of[e] for e in best])
+    # Each crossing lies at origin + h*(node + theta*step), step the unit
+    # vector along its edge from node (ia, ja).
+    path = np.concatenate(chains)
+    horiz = path < nh
+    ia, ja = np.where(horiz, np.divmod(path, ny), np.divmod(path - nh, ny - 1))
+    va = v[ia, ja]
+    theta = (level - va) / (v[ia + horiz, ja + ~horiz] - va)
+    along = np.where(np.stack([horiz, ~horiz], axis=1), theta[:, None], 0.0)
+    pts = np.asarray(grid.origin) + h * (np.stack([ia, ja], axis=1) + along)
+    d = np.diff(pts, axis=0)
+    ds = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    bounds = np.cumsum([0] + [len(c) for c in chains])
+    arclen = [np.sum(ds[a:b - 1]) for a, b in zip(bounds[:-1], bounds[1:])]
+    k = int(np.argmax(arclen))
+    best = chains[k]
+    points = pts[bounds[k]:bounds[k + 1]]
     closed = len(best) >= 3 and best[0] in adj[best[-1]]
 
     g = gradient(u)
@@ -653,7 +628,6 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
     ky = np.gradient(nhat[1], grid.h, axis=1, edge_order=2)
     kappa = ScalarField(grid=grid, values=kx + ky)
 
-    h = grid.h
     raw = np.stack([sample(gx, points), sample(gy, points)], axis=1)
     seed = -raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), floor)
     probe, moved = _clip_inside(grid, points - _PROBE_NEAR * h * seed)
@@ -686,15 +660,14 @@ def _curve_quadrature(curve: InterfaceCurve, vertex_vals: np.ndarray) -> float:
     vals = np.where(curve.singular, 0.0, vertex_vals)
     if len(pts) < 2:
         return 0.0
-    idx = list(range(len(pts)))
-    pairs = list(zip(idx[:-1], idx[1:]))
     if curve.closed:
-        pairs.append((idx[-1], idx[0]))
-    acc = 0.0
-    for a, b in pairs:
-        ds = float(np.linalg.norm(pts[b] - pts[a]))
-        acc += 0.5 * (vals[a] + vals[b]) * ds
-    return acc
+        pts = np.concatenate([pts, pts[:1]])
+        vals = np.concatenate([vals, vals[:1]])
+    # Lengths in plain products: a BLAS norm's last bit depends on its kernel.
+    d = np.diff(pts, axis=0)
+    ds = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    # Summed from 0.0 in order, not pairwise as np.sum adds, like a segment loop.
+    return float(np.cumsum(np.concatenate([[0.0], 0.5 * (vals[:-1] + vals[1:]) * ds]))[-1])
 
 
 def surface_second_variation(

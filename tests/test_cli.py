@@ -36,6 +36,7 @@ from onephase.field import (
 from onephase.ode1d import load_profile, solve_monotone
 from onephase.potentials import make_reference
 from onephase.solver import energy
+from onephase.variations import _curve_quadrature, extract_interface
 
 
 def _read(path: Path) -> dict:
@@ -171,6 +172,26 @@ def test_no_module_imports_scipy_and_numpy_is_the_only_dependency():
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_no_module_calls_blas_or_lapack():
+    # OpenBLAS picks its kernels by CPU, and they round differently, so a
+    # BLAS or LAPACK call would make reported bits depend on the machine.
+    # np.linalg.norm along an axis is sqrt(sum(x*x)) and calls neither.
+    package = Path(onephase.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            name, owner = node.func.attr, node.func.value
+            linalg = isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+            axis = any(k.arg == "axis" for k in node.keywords)
+            if name in ("dot", "matmul", "einsum") or (linalg and not (name == "norm" and axis)):
+                found.append((path.name, node.lineno, name))
+    assert found == []
 
 
 def test_grid_below_three_nodes_fails_without_warnings(tmp_path, capsys):
@@ -692,21 +713,46 @@ def test_variation_report_bits_are_pinned(tmp_path):
     }
 
 
+def _elliptic_cone_quadrature() -> str:
+    """Hex of the curvature's curve quadrature on an elliptic cone.
+
+    u = R·log(r/R)₊ with r = hypot(x, y/0.8) and R = 0.5, on the 201² grid
+    over [−1, 1]² at level h/2.  A segment length taken by a BLAS ddot moves
+    the last bit of this value between OpenBLAS kernels.
+    """
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 201)
+    xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
+    r = np.hypot(xm, ym / 0.8)
+    cone = np.where(r > 0.5, 0.5 * np.log(np.maximum(r, 1e-12) / 0.5), 0.0)
+    curve = extract_interface(ScalarField(grid=grid, values=cone), 0.5 * grid.h)
+    return float.hex(_curve_quadrature(curve, curve.curvature))
+
+
+_KERNEL_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_cli import _elliptic_cone_quadrature
+from onephase.cli import main
+print(_elliptic_cone_quadrature())
+sys.exit(main(sys.argv[2:]))
+"""
+
+
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
 def test_variation_pins_hold_on_other_blas_kernels(tmp_path, coretype):
     # OPENBLAS_CORETYPE picks OpenBLAS's kernels when numpy loads, so only
-    # a child process sees it.  The child gives the pinned bits only if no
-    # BLAS or LAPACK kernel sets them.
+    # a child process sees it.  The child gives the pinned bits, and the
+    # in-process curve quadrature, only if no BLAS or LAPACK kernel sets them.
     argv = _pinned_vary_argv(tmp_path)
     src = str(Path(onephase.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys; from onephase.cli import main; sys.exit(main(sys.argv[1:]))"
-    subprocess.run(
-        [sys.executable, "-c", probe, *argv, "--out", "v"],
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNEL_PROBE, str(Path(__file__).parent), *argv, "--out", "v"],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     )
     assert _pinned_hex(_read(tmp_path / "v" / "report.json")) == _VARY_PINS
+    assert proc.stdout.splitlines()[0] == _elliptic_cone_quadrature()
 
 
 def test_config_supplies_defaults_flags_override(tmp_path):

@@ -1,7 +1,9 @@
 """Tests for inner variations and free-boundary surface forms."""
 
 import functools
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from onephase.variations import (
     InterfaceCurve,
     NotClassicalSolutionError,
     VariationReport,
+    _curve_quadrature,
     _phase_gradient,
     cjk_form,
     classical_second_variation,
@@ -336,6 +339,56 @@ def test_extract_interface_empty_cases():
     u = ScalarField(grid=grid, values=np.full(grid.shape, 0.3))
     assert len(extract_interface(u, 0.5)) == 0
     assert len(extract_interface(u, 0.3)) == 0
+
+
+@pytest.mark.parametrize(
+    "flip, level, closed, points",
+    [
+        # case 5, centre above: the corners above join through the centre
+        (False, 0.25, False, [(0.75, 0), (1, 0.25), (1.75, 1), (1, 1.75), (0.25, 1), (0, 0.75)]),
+        # case 5, centre below: corner (1, 1) is cut off alone
+        (False, 0.75, True, [(1, 0.75), (0.75, 1), (1, 1.25), (1.25, 1)]),
+        # case 10 (the same field mirrored in x), centre above, then below
+        (True, 0.25, False, [(1.25, 0), (1, 0.25), (0.25, 1), (1, 1.75), (1.75, 1), (2, 0.75)]),
+        (True, 0.75, True, [(1, 0.75), (0.75, 1), (1, 1.25), (1.25, 1)]),
+    ],
+)
+def test_extract_interface_resolves_saddles_by_the_cell_centre(flip, level, closed, points):
+    # Nodes (0, 0) and (1, 1) are above the level, so cell (0, 0) is a case-5
+    # saddle; mirrored, cell (1, 0) is a case-10 one.  Its centre is 0.5.
+    grid = make_grid((0.0, 0.0), (2.0, 2.0), 3)
+    vals = np.zeros(grid.shape)
+    vals[0, 0] = vals[1, 1] = 1.0
+    curve = extract_interface(ScalarField(grid=grid, values=vals[::-1] if flip else vals), level)
+    assert curve.closed == closed
+    assert curve.points.tolist() == [list(p) for p in points]
+
+
+def test_extract_interface_bits_are_pinned_on_a_saddle_rich_field():
+    # 60 case-5 and 151 case-10 cells, and nodes on the level.
+    grid = make_grid((-1.0, -1.0), (1.0, 0.8), (41, 37))
+    i, j = np.meshgrid(np.arange(41), np.arange(37), indexing="ij")
+    vals = ((3 * i * i + 4 * j * j + i * j) % 7).astype(float)
+    curve = extract_interface(ScalarField(grid=grid, values=vals), 2.0)
+    arrays = (curve.points, curve.normals, curve.curvature, curve.singular)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays) + bytes([curve.closed]))
+    assert (len(curve), curve.closed) == (68, False)
+    assert digest.hexdigest() == "542d1a2f09d0c185d863bbd2fdfcbd64cae04c188de15ded6c335cd01974c1db"
+
+
+@pytest.mark.parametrize("u", [_halfplane(201), _radial(101)], ids=["open", "closed"])
+def test_curve_quadrature_is_the_segment_loop(u):
+    # The loop it replaces, with lengths in plain products, to the bit.
+    curve = extract_interface(u, 0.5 * u.grid.h)
+    vals = np.where(curve.singular, 0.0, curve.curvature)
+    pts = curve.points.tolist()
+    n = len(pts)
+    acc = 0.0
+    for a in range(n if curve.closed else n - 1):
+        b = (a + 1) % n
+        dx, dy = pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]
+        acc += 0.5 * (vals[a] + vals[b]) * math.sqrt(dx * dx + dy * dy)
+    assert _curve_quadrature(curve, curve.curvature) == acc
 
 
 def test_surface_form_rejects_non_unit_gradient():
