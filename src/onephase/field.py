@@ -101,8 +101,13 @@ class GridSpec:
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, row-major, as an (n_nodes, dim) array."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _nodes(self.axes())
+
+
+def _nodes(axes: Iterable[np.ndarray]) -> np.ndarray:
+    """The tensor grid of the axes, row-major, as an (n_nodes, dim) array."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def make_grid(
@@ -520,9 +525,7 @@ def support_box(spec: VectorFieldSpec) -> tuple[tuple[float, ...], tuple[float, 
 def max_norm(spec: VectorFieldSpec, n: int = 65) -> float:
     """Sampled estimate of sup |X| (componentwise max over a support lattice)."""
     lo, hi = support_box(spec)
-    axes = [np.linspace(a, b, n) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = _nodes(np.linspace(a, b, n) for a, b in zip(lo, hi))
     return float(np.max(np.abs(evaluate(spec, pts))))
 
 

@@ -68,8 +68,8 @@ def _rk4_scan(rhs, v0: float, w0: float, step: float, n_steps: int, neg_tol: flo
     """Integrate V'' = rhs(V) with RK4; stops once V underflows below 1e-14.
 
     rhs must return a Python float for a Python float argument: the loop
-    then runs on plain floats, and the reference term's f takes its fast
-    scalar branch at every stage.
+    then runs on plain floats.  The reference term's f takes its Python
+    float path at every stage, which gives the bits of its array path.
     """
     V = np.zeros(n_steps + 1)
     W = np.zeros(n_steps + 1)

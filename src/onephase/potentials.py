@@ -108,14 +108,10 @@ def make_reference(T: float) -> ReactionTerm:
     it, because each node goes through the same operations either way.
     Most nodes of a solve lie off the band.
 
-    For a 0-d input f and F keep the numpy scalar path they always took:
-    numpy computes `** 2` of a numpy scalar with C pow but of an array
-    with square, and their last bits differ.  For a Python float argument
-    f skips numpy and returns a Python float with the same bits as for a
-    0-d input, so an RK4 profile, which calls f once per stage, does not
-    depend on which path f takes and saves the numpy round trip (about
-    10 us per call).  Any other input, numpy scalars included, takes the
-    array path.
+    f and F are products and quotients, with no `**`: + - * / round
+    correctly on every path, so a Python float, a 0-d array and an array
+    element get the same bits whichever SIMD kernels numpy picks.  f takes
+    Python floats without numpy, as the RK4 profile calls it once per stage.
 
     Args:
         T: support endpoint, must be positive.
@@ -132,36 +128,29 @@ def make_reference(T: float) -> ReactionTerm:
     a = 6.0 / T**4
 
     def f_band(s: Any) -> Any:
-        return a * s * (T - s) ** 2
-
-    def F_band(v: Any) -> Any:
-        return 2.0 * a * (T**2 * v**2 / 2.0 - 2.0 * T * v**3 / 3.0 + v**4 / 4.0)
+        d = T - s
+        return a * s * (d * d)
 
     def f(s: Any) -> Any:
         if type(s) is float:
-            # `** 2` (C pow), not `d * d`: the 0-d numpy power below calls pow too.
             return f_band(s) if 0.0 < s < T else 0.0
         s_arr = np.asarray(s, dtype=float)
-        if s_arr.ndim == 0:
-            return float(f_band(s_arr)) if 0.0 < s_arr < T else 0.0
         out = np.zeros(s_arr.shape)
         band = (s_arr > 0.0) & (s_arr < T)
         out[band] = f_band(s_arr[band])
-        return out
+        return _scalarize(out)
 
     def F(v: Any) -> Any:
         v_arr = np.asarray(v, dtype=float)
-        if v_arr.ndim == 0:
-            if v_arr >= T or v_arr <= 0.0:
-                return 1.0 if v_arr >= T else 0.0
-            # The numpy scalar, not the 0-d array: their `**` differ.
-            return float(F_band(v_arr[()]))
         top = v_arr >= T
-        out = top.astype(float)
+        # Not top.astype(float): for a 0-d top that is a numpy scalar.
+        out = np.array(top, dtype=float)
         # Not (v > 0) & (v < T): F(nan) is nan.
         band = ~(top | (v_arr <= 0.0))
-        out[band] = F_band(v_arr[band])
-        return out
+        vb = v_arr[band]
+        v2 = vb * vb
+        out[band] = 2.0 * a * (T * T * v2 / 2.0 - 2.0 * T * (v2 * vb) / 3.0 + v2 * v2 / 4.0)
+        return _scalarize(out)
 
     def fprime(s: Any) -> Any:
         s_arr = np.asarray(s, dtype=float)

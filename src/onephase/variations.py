@@ -26,6 +26,7 @@ from .field import (
     VectorFieldSpec,
     _contract,
     _matmul,
+    _nodes,
     _shift,
     _tables,
     flow,
@@ -422,8 +423,7 @@ def inner_variation_fd(
     g = _block_gradient(u, block, phase=eps == 0.0)
     pot = F_eps(term, eps, u.values[block])
     e0 = _contract(g, g) + pot
-    mesh = np.meshgrid(*(ax[s] for ax, s in zip(grid.axes(), block)), indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+    nodes = _nodes(ax[s] for ax, s in zip(grid.axes(), block))
 
     def change(jac: np.ndarray) -> float:
         """g(t) - g(0) for the Jacobians J_t of the block nodes.

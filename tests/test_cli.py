@@ -676,12 +676,13 @@ def test_check_scan_bits_are_pinned(tmp_path, argv, values_hex):
 
 
 # Report values of the pinned vary op.  Its path makes no BLAS or LAPACK
-# call, so they hold whichever OpenBLAS kernels the CPU selects.
+# call, and its reaction kernels use + - * / alone, so they hold whichever
+# OpenBLAS kernels and numpy SIMD kernels the CPU selects.
 _VARY_PINS = {
     "first_analytic": "-0x1.ce4d4f7bc60bap-7",
-    "second_analytic": "0x1.91cba032ac52ep-3",
-    "first_fd": "-0x1.ce4d4d5cc8a2ep-7",
-    "second_fd": "0x1.91cb9c9b7c20cp-3",
+    "second_analytic": "0x1.91cba032ac532p-3",
+    "first_fd": "-0x1.ce4d4d5cc8a48p-7",
+    "second_fd": "0x1.91cb9c9b7c36ap-3",
     "classical_second": "0x1.bd0723241b635p-5",
 }
 
@@ -713,18 +714,30 @@ def test_variation_report_bits_are_pinned(tmp_path):
     }
 
 
-def _elliptic_cone_quadrature() -> str:
-    """Hex of the curvature's curve quadrature on an elliptic cone.
+_CONE_GRID = make_grid((-1.0, -1.0), (1.0, 1.0), 201)
+
+
+def _elliptic_cone(path: Path) -> Path:
+    """Write an elliptic cone's node values to path (.npy); return path.
 
     u = R·log(r/R)₊ with r = hypot(x, y/0.8) and R = 0.5, on the 201² grid
-    over [−1, 1]² at level h/2.  A segment length taken by a BLAS ddot moves
-    the last bit of this value between OpenBLAS kernels.
+    over [−1, 1]².  numpy's log moves last bits between its SIMD kernels,
+    so a child process reads these bytes instead of building its own.
     """
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 201)
-    xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
+    xm, ym = np.meshgrid(*_CONE_GRID.axes(), indexing="ij")
     r = np.hypot(xm, ym / 0.8)
-    cone = np.where(r > 0.5, 0.5 * np.log(np.maximum(r, 1e-12) / 0.5), 0.0)
-    curve = extract_interface(ScalarField(grid=grid, values=cone), 0.5 * grid.h)
+    np.save(path, np.where(r > 0.5, 0.5 * np.log(np.maximum(r, 1e-12) / 0.5), 0.0))
+    return path
+
+
+def _elliptic_cone_quadrature(path: Path) -> str:
+    """Hex of the curvature's curve quadrature on the cone stored at path.
+
+    The interface is taken at level h/2.  A segment length taken by a BLAS
+    ddot moves the last bit of this value between OpenBLAS kernels.
+    """
+    field = ScalarField(grid=_CONE_GRID, values=np.load(path))
+    curve = extract_interface(field, 0.5 * _CONE_GRID.h)
     return float.hex(_curve_quadrature(curve, curve.curvature))
 
 
@@ -733,26 +746,39 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from test_cli import _elliptic_cone_quadrature
 from onephase.cli import main
-print(_elliptic_cone_quadrature())
-sys.exit(main(sys.argv[2:]))
+print(_elliptic_cone_quadrature(sys.argv[2]))
+sys.exit(main(sys.argv[3:]))
 """
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_variation_pins_hold_on_other_blas_kernels(tmp_path, coretype):
-    # OPENBLAS_CORETYPE picks OpenBLAS's kernels when numpy loads, so only
-    # a child process sees it.  The child gives the pinned bits, and the
-    # in-process curve quadrature, only if no BLAS or LAPACK kernel sets them.
+@pytest.mark.parametrize(
+    "kernels",
+    [
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Prescott"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"},
+    ],
+    ids=["Haswell", "Prescott", "numpy-AVX2", "numpy-baseline"],
+)
+def test_variation_pins_hold_on_other_blas_kernels(tmp_path, kernels):
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernels and NPY_DISABLE_CPU_FEATURES
+    # numpy's SIMD kernels when numpy loads, so only a child process sees
+    # them.  The child gives the pinned bits, and the in-process curve
+    # quadrature, only if no BLAS, LAPACK or CPU-dependent numpy kernel
+    # sets them.
     argv = _pinned_vary_argv(tmp_path)
+    cone = _elliptic_cone(tmp_path / "cone.npy")
     src = str(Path(onephase.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env = dict(os.environ, **kernels)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _KERNEL_PROBE, str(Path(__file__).parent), *argv, "--out", "v"],
+        [sys.executable, "-c", _KERNEL_PROBE, str(Path(__file__).parent), str(cone), *argv,
+         "--out", "v"],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     )
     assert _pinned_hex(_read(tmp_path / "v" / "report.json")) == _VARY_PINS
-    assert proc.stdout.splitlines()[0] == _elliptic_cone_quadrature()
+    assert proc.stdout.splitlines()[0] == _elliptic_cone_quadrature(cone)
 
 
 def test_config_supplies_defaults_flags_override(tmp_path):

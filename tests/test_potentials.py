@@ -104,10 +104,10 @@ def test_Finv_round_trip_and_small_values():
 
 @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
 def test_reference_scalar_branch_is_the_array_path_bit_for_bit(T):
-    # The oracle is the 0-d array path, so an RK4 profile does not depend on
-    # which path f takes.  (A length-1 array is not an oracle: numpy turns
-    # `** 2` on arrays into `square`, which differs from the 0-d `pow` in
-    # the last bit at about 1 point in 2500.)
+    # The oracles are the 0-d array path and a length-1 array, so an RK4
+    # profile does not depend on which path f takes.  f uses + - * / alone,
+    # which round the same on a Python float, a numpy scalar and an array
+    # element.
     term = make_reference(T)
     rng = np.random.default_rng(6)
     points = rng.uniform(-0.5 * T, 1.5 * T, 100_000).tolist()
@@ -128,6 +128,7 @@ def test_reference_scalar_branch_is_the_array_path_bit_for_bit(T):
         got = term.f(x)
         assert type(got) is float
         assert got.hex() == float(term.f(np.asarray(x))).hex(), x
+        assert got.hex() == float(term.f(np.asarray([x]))[0]).hex(), x
 
 
 def _full_reference_kernels(T: float):
@@ -138,13 +139,15 @@ def _full_reference_kernels(T: float):
     def f(s):
         s_arr = np.asarray(s, dtype=float)
         inside = (s_arr > 0.0) & (s_arr < T)
-        val = a * s_arr * (T - s_arr) ** 2
+        d = T - s_arr
+        val = a * s_arr * (d * d)
         return np.where(inside, val, 0.0)
 
     def F(v):
         v_arr = np.asarray(v, dtype=float)
         vc = np.clip(v_arr, 0.0, T)
-        val = 2.0 * a * (T**2 * vc**2 / 2.0 - 2.0 * T * vc**3 / 3.0 + vc**4 / 4.0)
+        v2 = vc * vc
+        val = 2.0 * a * (T * T * v2 / 2.0 - 2.0 * T * (v2 * vc) / 3.0 + v2 * v2 / 4.0)
         return np.where(v_arr >= T, 1.0, np.where(v_arr <= 0.0, 0.0, val))
 
     def shifted_inverse(k):
