@@ -25,19 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fbcheck import (
-    _limit_boundary,
-    check_to_json,
-    density_scan,
-    exit_radius,
-    hausdorff_distance,
-    l1_gap,
-    level_region,
-    lipschitz_constant,
-    nondegeneracy_scan,
-    poincare_ratio,
-    zero_phase_density,
-)
 from .field import (
     GridSpec,
     PolyBump,
@@ -64,9 +51,10 @@ __all__ = ["main", "entry"]
 
 
 def __getattr__(name: str):
-    # The solver and the variations are imported by the subcommands that
-    # use them, so `import onephase.cli` loads neither.  `cli.minimize`
-    # stays readable: perfbench's tracer test checks that it is wrapped.
+    # The solver, the variations and fbcheck are imported by the
+    # subcommands that use them, so `import onephase.cli` loads none of
+    # them.  `cli.minimize` stays readable: perfbench's tracer test checks
+    # that it is wrapped.
     if name == "minimize":
         from .solver import minimize
 
@@ -349,6 +337,20 @@ def _run_vary(args, out: Path) -> dict:
 def _run_check(args, out: Path) -> dict:
     if args.what is None:
         raise ConfigError("check needs --what")
+    from .fbcheck import (
+        _limit_boundary,
+        check_to_json,
+        density_scan,
+        exit_radius,
+        hausdorff_distance,
+        l1_gap,
+        level_region,
+        lipschitz_constant,
+        nondegeneracy_scan,
+        poincare_ratio,
+        zero_phase_density,
+    )
+
     term = make_reference(args.T)
     tau = term.T / 2.0
     theta = args.theta if args.theta is not None else tau / 4.0
@@ -408,6 +410,8 @@ def _run_check(args, out: Path) -> dict:
 
 
 def _bump_suite_ratio(grid: GridSpec, count: int, seed: int, zero_fraction: float) -> float:
+    from .fbcheck import poincare_ratio
+
     if grid.dim != 2:
         raise ValueError("the bump suite needs a 2D grid")
     rng = np.random.default_rng(seed)

@@ -64,18 +64,41 @@ class Profile1D:
     T: float
 
 
-def _rk4_scan(rhs, v0: float, w0: float, step: float, n_steps: int, neg_tol: float):
+def _rk4_scan(
+    rhs,
+    v0: float,
+    w0: float,
+    step: float,
+    n_steps: int,
+    neg_tol: float,
+    top: float = np.inf,
+    eps: float = 1.0,
+):
     """Integrate V'' = rhs(V) with RK4; stops once V underflows below 1e-14.
 
     rhs must return a Python float for a Python float argument: the loop
     then runs on plain floats.  The reference term's f takes its Python
     float path at every stage, which gives the bits of its array path.
+
+    rhs(v) must be exactly 0.0 wherever v / eps >= top, as f_eps is at and
+    above T*eps.  Once v / eps >= top with w >= 0 and step > 0, every later
+    stage lies there too, so each step adds the same c = step/6 * (w + 2w +
+    2w + w) to v and 0.0 to w, with w + 0.0 for w as the stages form it,
+    and v, above the underflow floor, never falls below it.  The rest of V
+    is then one in-place cumulative sum of c, which adds in the loop's
+    order and so gives its bits.
     """
     V = np.zeros(n_steps + 1)
     W = np.zeros(n_steps + 1)
     V[0], W[0] = v0, w0
     v, w = v0, w0
     for k in range(n_steps):
+        if step > 0.0 and w >= 0.0 and v / eps >= top and v >= _UNDERFLOW_FLOOR:
+            w += 0.0
+            V[k + 1 :] = step / 6.0 * (w + 2.0 * w + 2.0 * w + w)
+            np.cumsum(V[k:], out=V[k:])
+            W[k + 1 :] = w
+            break
         k1v = w
         k1w = rhs(v)
         k2v = w + 0.5 * step * k1w
@@ -131,7 +154,7 @@ def solve_monotone(
     # below that scale are zero-filled; only larger ones signal a bad term.
     neg_tol = 1e-5 * term.T
 
-    V_fwd, W_fwd = _rk4_scan(term.f, term.T, 1.0, h, n_pos, neg_tol)
+    V_fwd, W_fwd = _rk4_scan(term.f, term.T, 1.0, h, n_pos, neg_tol, term.T)
     V_bwd, W_bwd = _rk4_scan(term.f, term.T, 1.0, -h, n_neg, neg_tol)
 
     t = np.arange(-n_neg, n_pos + 1) * h
@@ -182,7 +205,7 @@ def solve_wedge(
     neg_tol = 1e-9 * term.T * eps
 
     v0 = eps * term.Finv(1.0 - s * s)
-    V_fwd, W_fwd = _rk4_scan(rhs, v0, 0.0, h, n_pos, neg_tol)
+    V_fwd, W_fwd = _rk4_scan(rhs, v0, 0.0, h, n_pos, neg_tol, term.T, eps)
     t = np.arange(-n_pos, n_pos + 1) * h
     V = np.concatenate([V_fwd[::-1], V_fwd[1:]])
     Vp = np.concatenate([-W_fwd[::-1], W_fwd[1:]])

@@ -26,6 +26,15 @@ in Kornhuber's monotone multigrid (Numer. Math. 69, 1994), a cycle counts
 only if the energy does not rise; otherwise the finest level runs one
 bundle of SOR sweeps in its place.  A grid with no admissible coarse
 level runs the same cycle on one level, which is exactly that bundle.
+
+After each cycle G, the fallback included, minimize takes a type-II
+Anderson step (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; Washio &
+Oosterlee, ETNA 6, 1997, on nonlinear multigrid): with f = G(x) - x and
+dF, dG the differences of the last _ANDERSON_DEPTH f and G, the candidate
+G(x_k) - dG gamma, gamma the least-squares fit of f_k by dF, projected to
+u >= 0, is kept only if its energy is not above that of G(x_k).  It
+removes the few slow modes a cycle leaves, such as the bending of the
+layer on a grid with no admissible coarse level.
 A solve stops for one of four reasons (SolveReport.stop_reason): the
 residual reached the tolerance (tol), the cycle cap was hit (max_iter),
 the residual did not improve by 2% in _STALL_CYCLES cycles (stalled), or
@@ -41,7 +50,9 @@ and scatters the result back; it builds no slices and gathers into no
 buffer of its own.  Every node goes through the same floating-point
 operations in the same order whatever the layout, and nodes of one colour
 never neighbour each other, so neither the layout nor the block order
-changes a bit of the result.
+changes a bit of the result.  The rest of a cycle and the diagnostics
+after it run on the levels' buffers (_Level) too, each value and each
+reduction as on fresh arrays, so no bit depends on the buffers.
 """
 
 from __future__ import annotations
@@ -101,6 +112,14 @@ _FLOOR_MULTIPLE = 4.0
 # and near convergence a cycle lowers it by less than that: an exact
 # comparison refused good cycles at random (20 of 31 on a 513-node column).
 _DESCENT_ULPS = 16
+# Cycles an Anderson step fits (0: plain cycles).  The one-level 101^2,
+# eps = 0.05 solve, layer midway, takes 55-60 cycles at 3, 66-73 at 2.
+_ANDERSON_DEPTH = 3
+# Ridge of the Anderson normal equations, relative to their diagonal.
+_ANDERSON_RIDGE = 1e-12
+# Rows of about this many nodes per call of a reaction kernel: whole-grid
+# calls on the band of a 201^2 solve took more than three grid arrays.
+_BLOCK_NODES = 8192
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,7 +157,8 @@ class SolveReport:
     cycle cap), "stalled" (the residual did not improve by 2% in
     _STALL_CYCLES cycles) or "floor" (the residual is within
     _FLOOR_MULTIPLE rounding quanta, above a tolerance that float64 cannot
-    reach).
+    reach).  extrapolated counts the cycles that end at their Anderson
+    candidate, not at the cycle's own result.
     """
 
     iterations: int
@@ -146,6 +166,7 @@ class SolveReport:
     energy_trace: tuple[float, ...]
     converged: bool
     stop_reason: str = "max_iter"
+    extrapolated: int = 0
 
 
 def energy(u: ScalarField, term: ReactionTerm, eps: float) -> float:
@@ -153,8 +174,9 @@ def energy(u: ScalarField, term: ReactionTerm, eps: float) -> float:
 
     Squared forward differences over h^2, by the midpoint rule along each
     difference and the trapezoid rule across it, plus the trapezoid rule
-    of F_eps(u).  Its derivative in an interior value is exactly
-    -2 h^dim (Delta_h u - f_eps(u)): the sweeps of minimize descend it.
+    of F_eps(u), evaluated on blocks of rows.  Its derivative in an
+    interior value is exactly -2 h^dim (Delta_h u - f_eps(u)): the sweeps
+    of minimize descend it.
 
     Args:
         u: field on its grid.
@@ -164,10 +186,19 @@ def energy(u: ScalarField, term: ReactionTerm, eps: float) -> float:
     Returns:
         The energy over the whole grid domain.
     """
+    return _energy(u, term, eps, np.empty_like(u.values))
+
+
+def _energy(u: ScalarField, term: ReactionTerm, eps: float, Fv: np.ndarray) -> float:
+    """energy of u, its F_eps values taken in the buffer Fv."""
     v, h = u.values, u.grid.h
-    total = integrate(ScalarField(grid=u.grid, values=F_eps(term, eps, v)))
+    for b in _blocks(v):
+        Fv[b] = F_eps(term, eps, v[b])
+    total = integrate(ScalarField(grid=u.grid, values=Fv))
     for ax in range(v.ndim):
-        acc = np.sum(np.diff(v, axis=ax) ** 2, axis=ax) / h
+        d = np.diff(v, axis=ax)
+        d *= d
+        acc = np.sum(d, axis=ax) / h
         for _ in range(v.ndim - 1):
             acc = np.trapezoid(acc, dx=h, axis=-1)
         total += float(acc)
@@ -188,13 +219,33 @@ def residual(u: ScalarField, term: ReactionTerm, eps: float) -> float:
     Raises:
         ValueError: if eps <= 0.
     """
-    return float(np.max(np.abs(_defect(u.values, u.grid.h, term, eps))))
+    v, h = u.values, u.grid.h
+    return float(np.max(np.abs(_defect(v, h, term, eps, _neighbour_sum(v)))))
 
 
-def _defect(v: np.ndarray, h: float, term: ReactionTerm, eps: float) -> np.ndarray:
-    """Delta_h v - f_eps(v) on the interior nodes of v."""
+def _defect(
+    v: np.ndarray, h: float, term: ReactionTerm, eps: float, nsum: np.ndarray
+) -> np.ndarray:
+    """Turn nsum, the neighbour sums of the interior nodes of v, into
+    Delta_h v - f_eps(v) there, in place, one block of rows at a time."""
     core = v[(slice(1, -1),) * v.ndim]
-    return (_neighbour_sum(v) - 2.0 * v.ndim * core) / h**2 - f_eps(term, eps, core)
+    for b in _blocks(nsum):
+        d, c = nsum[b], core[b]
+        d -= 2.0 * v.ndim * c
+        d /= h * h
+        d -= f_eps(term, eps, c)
+    return nsum
+
+
+def _blocks(a: np.ndarray) -> list[slice]:
+    """Blocks of rows of a, of about _BLOCK_NODES nodes each."""
+    step = max(1, _BLOCK_NODES // max(1, a[0].size))
+    return [slice(i, i + step) for i in range(0, len(a), step)]
+
+
+def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The head of the flat buffer buf as a C-ordered array of this shape."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,17 +274,19 @@ class _Colour:
     m: np.ndarray
 
 
-def _plan(shape: tuple[int, ...]) -> tuple[_Colour, _Colour]:
+def _plan(shape: tuple[int, ...], work: np.ndarray | None = None) -> tuple[_Colour, _Colour]:
     """How a red-black sweep visits the interior nodes of a grid of this shape.
 
     Offset o in {0, 1}^dim selects the block slice(1 + o_k, n_k - 1, 2) on
     every axis; its nodes have interior index parity sum(o) mod 2, so each
     colour is the union of 2^(dim - 1) blocks.  Colour 0 holds the node
     next to the origin corner and is swept first.  The colours take turns
-    with one old buffer and one m buffer, sized for colour 0, the larger.
+    with one old buffer and one m buffer, sized for colour 0, the larger:
+    the head of the flat buffer work when given.
     """
     size = (math.prod(n - 2 for n in shape) + 1) // 2
-    old, m = np.empty(size), np.empty(size)
+    work = np.empty(2 * size) if work is None else work
+    old, m = work[:size], work[size : 2 * size]
     colours = []
     for parity in (0, 1):
         blocks, stop = [], 0
@@ -275,7 +328,7 @@ def _sweep(
     guarantee, and close to the grid bound, where its divisor nears zero,
     it went uphill.
     """
-    m_scale = eps / h**2
+    m_scale = eps / (h * h)
     for colour in plan:
         # Nodes of one colour never neighbour each other, so all their
         # neighbour sums can be taken before any of them moves: this is the
@@ -303,38 +356,58 @@ def _auto_omega(h: float, shape: tuple[int, ...]) -> float:
     return 2.0 / (1.0 + np.sin(np.pi * h / span))
 
 
-def _restrict(r: np.ndarray) -> np.ndarray:
+def _restrict(r: np.ndarray, out: np.ndarray | None = None, bufs: tuple = ()) -> np.ndarray:
     """Full weighting of a fine grid array that is 0 on its boundary.
 
     Along each axis a coarse node takes 1/4, 1/2, 1/4 of the fine nodes at
-    and beside it; the coarse boundary is 0.
+    and beside it, as (2b + a + c)/4, which has the bits of a/4 + b/2 + c/4
+    (scaling by 2 and 4 is exact).  Only interiors are read and written:
+    out's boundary is kept, and a new out's is 0.  Pass k but the last
+    goes to the flat buffer bufs[k % 2] when bufs are given.
     """
+    core = (slice(1, -1),) * r.ndim
+    out = np.zeros(tuple(n // 2 + 1 for n in r.shape)) if out is None else out
+    x = r[core]
     for ax in range(r.ndim):
-        x = np.moveaxis(r, ax, 0)
-        c = np.zeros((x.shape[0] // 2 + 1,) + x.shape[1:])
-        c[1:-1] = 0.25 * x[1:-2:2] + 0.5 * x[2:-1:2] + 0.25 * x[3::2]
-        r = np.moveaxis(c, 0, ax)
-    return r
+        x = np.moveaxis(x, ax, 0)
+        shape = ((x.shape[0] - 1) // 2,) + x.shape[1:]
+        c = _view(bufs[ax % 2], shape) if bufs else np.empty(shape)
+        c = np.moveaxis(out[core], ax, 0) if ax == r.ndim - 1 else c
+        np.multiply(x[1::2], 2.0, out=c)
+        c += x[:-2:2]
+        c += x[2::2]
+        c *= 0.25
+        x = np.moveaxis(c, 0, ax)
+    return out
 
 
-def _prolong(e: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of a coarse grid array to the fine grid."""
+def _prolong(e: np.ndarray, bufs: tuple = ()) -> np.ndarray:
+    """Multilinear interpolation of a coarse grid array to the fine grid.
+
+    Given two flat buffers of the fine node count, the passes take turns
+    in them, the last in bufs[0].
+    """
     for ax in range(e.ndim):
         x = np.moveaxis(e, ax, 0)
-        f = np.empty((2 * x.shape[0] - 1,) + x.shape[1:])
+        shape = (2 * x.shape[0] - 1,) + x.shape[1:]
+        f = _view(bufs[(e.ndim - 1 - ax) % 2], shape) if bufs else np.empty(shape)
         f[::2] = x
-        f[1::2] = 0.5 * (x[:-1] + x[1:])
+        np.add(x[:-1], x[1:], out=f[1::2])
+        f[1::2] *= 0.5
         e = np.moveaxis(f, 0, ax)
     return e
 
 
 @dataclasses.dataclass(frozen=True)
 class _Level:
-    """One grid of the hierarchy and how it is swept.
+    """One grid of the hierarchy, how it is swept, and its buffers.
 
     sweeps is the count it runs at its SOR factor omega when it is the
     coarsest level of a cycle: a bundle for the finest level alone,
-    _COARSEST_SWEEPS for a coarse level.
+    _COARSEST_SWEEPS for a coarse level.  work (the level's node count)
+    holds the plan's sweep buffers at its head, so it is free between
+    sweeps; scratch (the finest node count) is shared by all levels.  A
+    coarse level holds its iterate u and right-hand side g.
     """
 
     h: float
@@ -342,6 +415,10 @@ class _Level:
     root: Callable[[np.ndarray], np.ndarray]
     omega: float
     sweeps: int
+    work: np.ndarray
+    scratch: np.ndarray
+    u: np.ndarray | None = None
+    g: np.ndarray | None = None
 
 
 def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
@@ -353,7 +430,7 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
     """
     dim = grid.dim
     try:
-        root = term.shifted_inverse(2.0 * dim * eps**2 / grid.h**2)
+        root = term.shifted_inverse(2.0 * dim * (eps * eps) / (grid.h * grid.h))
     except ValueError as exc:
         bound = ""
         if term.family == "reference":
@@ -362,20 +439,24 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
             f"grid spacing h = {grid.h:g} is at or above the bound of strictly"
             f" convex node energies{bound}: {exc}"
         ) from exc
-    h, shape = grid.h, grid.shape
-    omega = _auto_omega(h, shape)
-    levels = [_Level(h, _plan(shape), root, omega, _SWEEPS_PER_ITERATION)]
-    while min(shape) >= 5 and all(n % 2 == 1 for n in shape):
+    h, shape, sweeps, own = grid.h, grid.shape, _SWEEPS_PER_ITERATION, ()
+    scratch, levels = np.empty(math.prod(shape)), []
+    while True:
+        work = np.empty(math.prod(shape))
+        plan, omega = _plan(shape, work), _auto_omega(h, shape)
+        levels.append(_Level(h, plan, root, omega, sweeps, work, scratch, *own))
+        if not (min(shape) >= 5 and all(n % 2 == 1 for n in shape)):
+            break
         h, shape = 2.0 * h, tuple(n // 2 + 1 for n in shape)
+        c = _COARSE_FRACTION * eps / h
         try:
             # Below the fraction of the bound exactly when the node energies
             # at spacing h / _COARSE_FRACTION are still strictly convex.
-            term.shifted_inverse(2.0 * dim * (_COARSE_FRACTION * eps / h) ** 2)
+            term.shifted_inverse(2.0 * dim * (c * c))
         except ValueError:
             break
-        root = term.shifted_inverse(2.0 * dim * eps**2 / h**2)
-        omega = _auto_omega(h, shape)
-        levels.append(_Level(h, _plan(shape), root, omega, _COARSEST_SWEEPS))
+        root = term.shifted_inverse(2.0 * dim * (eps * eps) / (h * h))
+        sweeps, own = _COARSEST_SWEEPS, (np.empty(shape), np.zeros(shape))
     return levels
 
 
@@ -387,7 +468,8 @@ def _cycle(
     The coarsest level runs its sweeps, over-relaxed.  Every finer level
     smooths with plain sweeps, hands its injected iterate and its restricted
     residual down, adds the interpolated correction, projects to u >= 0 and
-    smooths again.
+    smooths again.  The residual goes to the level's work, and the
+    transfers take turns in it and the scratch.
     """
     level = levels[0]
     if len(levels) == 1:
@@ -397,39 +479,71 @@ def _cycle(
     for _ in range(_SMOOTHING_SWEEPS):
         _sweep(u, level.h, eps, 1.0, level.plan, level.root, g)
     core = (slice(1, -1),) * u.ndim
-    r = np.zeros_like(u)
-    r[core] = -_defect(u, level.h, term, eps)
+    r = _view(level.work, u.shape)
+    _defect(u, level.h, term, eps, _neighbour_sum(u, out=r[core]))
+    np.negative(r[core], out=r[core])
     if g is not None:
-        r += g
-    coarse = u[(slice(None, None, 2),) * u.ndim].copy()
-    g_coarse = _restrict(r)
-    g_coarse[core] += _defect(coarse, levels[1].h, term, eps)
-    start = coarse.copy()
-    _cycle(levels[1:], coarse, g_coarse, term, eps)
-    coarse -= start
-    u += _prolong(coarse)
+        r[core] += g[core]
+    coarse, injected = levels[1], u[(slice(None, None, 2),) * u.ndim]
+    _restrict(r, coarse.g, (level.scratch, level.work))
+    np.copyto(coarse.u, injected)
+    d = _neighbour_sum(coarse.u, out=_view(coarse.work, coarse.u[core].shape))
+    coarse.g[core] += _defect(coarse.u, coarse.h, term, eps, d)
+    _cycle(levels[1:], coarse.u, coarse.g, term, eps)
+    correction = np.subtract(coarse.u, injected, out=coarse.u)
+    u += _prolong(correction, (level.scratch, level.work))
     np.maximum(u, 0.0, out=u)
     for _ in range(_SMOOTHING_SWEEPS):
         _sweep(u, level.h, eps, 1.0, level.plan, level.root, g)
 
 
 def _stop_reason(
-    res: float, iterations: int, stale: int, v: np.ndarray, h: float, cfg: SolveConfig
+    res: float, iterations: int, stale: int, floor: float, cfg: SolveConfig
 ) -> str | None:
     """Why a solve stops at this residual, cycle count and stale count, or None.
 
-    The floor is the defect of one rounding, q = spacing(max |neighbour
-    sum|) / h^2.
+    floor is the defect of _FLOOR_MULTIPLE roundings,
+    q = spacing(max |neighbour sum|) / h^2 each.
     """
     if res <= cfg.tol_residual:
         return "tol"
     if iterations >= cfg.max_iter:
         return "max_iter"
-    if res <= _FLOOR_MULTIPLE * float(np.spacing(np.max(np.abs(_neighbour_sum(v))))) / h**2:
+    if res <= floor:
         return "floor"
     if stale >= _STALL_CYCLES:
         return "stalled"
     return None
+
+
+def _extrapolate(u: np.ndarray, f: np.ndarray, df: list, dg: list, scratch: np.ndarray) -> bool:
+    """Move u = G(x) to the Anderson candidate u - dG gamma, in place.
+
+    gamma minimizes |f - dF gamma| over the columns df of dF, by the normal
+    equations with a ridge, solved in Python floats; their entries are sums
+    of products in scratch, so no BLAS kernel sets their bits.  Returns
+    False, leaving u, when every difference is 0.
+    """
+
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.sum(np.multiply(a, b, out=scratch, dtype=float)))
+
+    # Row i holds dF_i . dF_j for each j, then dF_i . f.  With the ridge the
+    # system is positive definite: Gauss-Jordan elimination needs no pivots.
+    a = [[dot(p, q) for q in df] + [dot(p, f)] for p in df]
+    ridge = _ANDERSON_RIDGE * max(row[i] for i, row in enumerate(a))
+    if not ridge > 0.0:
+        return False
+    for i, row in enumerate(a):
+        row[i] += ridge
+    for i, pivot in enumerate(a):
+        for row in a:
+            if row is not pivot:
+                q = row[i] / pivot[i]
+                row[:] = [x - q * y for x, y in zip(row, pivot)]
+    for i, (row, d) in enumerate(zip(a, dg)):
+        u -= np.multiply(d, row[-1] / row[i], out=scratch, dtype=float)
+    return True
 
 
 def minimize(
@@ -463,25 +577,55 @@ def minimize(
     if np.max(np.abs(init.values[edge] - boundary.values[edge])) > 1e-12:
         raise ValueError("init does not match the boundary trace")
     levels = _levels(grid, term, cfg.eps)
+    h, eps, fine = grid.h, cfg.eps, levels[0]
 
     u = np.maximum(0.0, init.values.copy())
-    u[edge] = boundary.values[edge]
+    u[edge] = data = boundary.values[edge]
     field = ScalarField(grid=grid, values=u)
-    trace = [energy(field, term, cfg.eps)]
-    res = best = residual(field, term, cfg.eps)
-    iterations = stale = 0
-    while (stop := _stop_reason(res, iterations, stale, u, grid.h, cfg)) is None:
+    d, Fv = _view(fine.work, tuple(n - 2 for n in u.shape)), _view(fine.scratch, u.shape)
+
+    def diagnose() -> tuple[float, float]:
+        """The residual of u and its floor; as u >= 0, max N = max |N|."""
+        top = float(np.max(_neighbour_sum(u, out=d)))
+        floor = _FLOOR_MULTIPLE * float(np.spacing(top)) / (h * h)
+        return float(np.max(np.abs(_defect(u, h, term, eps, d)))), floor
+
+    # The Anderson history, newest last, and the latest f are single
+    # precision: they only steer the candidate, which is formed in double
+    # and tested.  g is the latest G and x the start of the running cycle.
+    depth = _ANDERSON_DEPTH
+    df, dg = ([np.empty(u.shape, np.float32) for _ in range(depth)] for _ in "fg")
+    f, x, g = np.empty(u.shape, np.float32), np.empty_like(u), np.empty_like(u)
+    trace = [_energy(field, term, eps, Fv)]
+    (res, floor), iterations, stale, kept = diagnose(), 0, 0, 0
+    best = res
+    while (stop := _stop_reason(res, iterations, stale, floor, cfg)) is None:
+        x[...] = u
+        _cycle(levels, u, None, term, eps)
+        e = _energy(field, term, eps, Fv)
         # A one-level cycle has no coarse correction to refuse.
-        saved = u.copy() if len(levels) > 1 else None
-        _cycle(levels, u, None, term, cfg.eps)
-        e = energy(field, term, cfg.eps)
-        if saved is not None and e > trace[-1] + _DESCENT_ULPS * np.spacing(trace[-1]):
-            u[...] = saved
-            _cycle(levels[:1], u, None, term, cfg.eps)
-            e = energy(field, term, cfg.eps)
+        if len(levels) > 1 and e > trace[-1] + _DESCENT_ULPS * np.spacing(trace[-1]):
+            u[...] = x
+            _cycle(levels[:1], u, None, term, eps)
+            e = _energy(field, term, eps, Fv)
+        np.subtract(u, x, out=x)
+        if depth and iterations:
+            df.append(np.subtract(x, f, out=df.pop(0)))
+            dg.append(np.subtract(u, g, out=dg.pop(0)))
+        np.copyto(f, x, casting="same_kind")
+        g[...] = u
+        n = min(iterations, depth)
+        if n and _extrapolate(u, x, df[depth - n :], dg[depth - n :], Fv):
+            np.maximum(u, 0.0, out=u)
+            u[edge] = data
+            e_new = _energy(field, term, eps, Fv)
+            if e_new <= e:
+                e, kept = e_new, kept + 1
+            else:
+                u[...] = g
         trace.append(e)
         iterations += 1
-        res = residual(field, term, cfg.eps)
+        res, floor = diagnose()
         if res < 0.98 * best:
             best = res
             stale = 0
@@ -494,5 +638,6 @@ def minimize(
         energy_trace=tuple(trace),
         converged=stop == "tol",
         stop_reason=stop,
+        extrapolated=kept,
     )
     return field, report

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import onephase
-from onephase import cli
+from onephase import cli, solver
 from onephase.cli import main
 from onephase.field import (
     PolyBump,
@@ -107,9 +107,8 @@ class NoScipy:
 
 sys.meta_path.insert(0, NoScipy())
 from onephase.cli import main
-loaded = {
-    "lazy": sorted(m for m in ("onephase.solver", "onephase.variations") if m in sys.modules),
-}
+lazy = ("onephase.solver", "onephase.variations", "onephase.fbcheck")
+loaded = {"lazy": sorted(m for m in lazy if m in sys.modules)}
 for k, argv in enumerate(json.loads(sys.argv[1])):
     loaded[" ".join(argv)] = main(argv + ["--out", f"out{k}"])
 loaded["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -120,8 +119,8 @@ print(json.dumps(loaded))
 def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
     # Every subcommand runs on numpy alone: a fresh interpreter in which any
     # scipy import raises runs each one to exit code 0.  The CLI import loads
-    # neither the solver nor the variations either: the subcommands that use
-    # them import them.
+    # none of the solver, the variations and fbcheck either: the
+    # subcommands that use them import them.
     spec = _spec_file(tmp_path)
     field = _layer_file(tmp_path)
     table = tmp_path / "f.csv"
@@ -305,6 +304,7 @@ def test_solve_writes_solution_and_report(tmp_path):
     trace = report["energy_trace"]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
     assert report["energy"] == energy(u, make_reference(1.0), 0.2)
+    assert 0 <= report["extrapolated"] <= report["iterations"] == len(trace) - 1
 
 
 def test_solve_report_states_boundary_csv_grid(tmp_path):
@@ -589,47 +589,97 @@ def test_rerun_is_byte_identical(tmp_path):
     assert _tree_hashes(tmp_path) == first
 
 
+_PINNED_SOLVES = {
+    "2d-41": ["--eps", "0.2", "--n", "41"],
+    "1d-81": ["--eps", "0.1", "--lo=-1", "--hi=1", "--n", "81"],
+    # One level (its first coarse spacing is 1.4 of the bound), so each
+    # cycle is a bundle of over-relaxed sweeps.
+    "2d-41-single": ["--eps", "0.05", "--n", "41"],
+}
+
+
+def _check_solve_pin(path: Path, argv, csv_sha256, iterations, residual_hex, energy_hex):
+    assert main(["solve", *argv, "--out", str(path)]) == 0
+    digest = hashlib.sha256((path / "solution.csv").read_bytes()).hexdigest()
+    assert digest == csv_sha256
+    report = _read(path / "report.json")
+    assert report["iterations"] == iterations
+    assert float.hex(report["final_residual"]) == residual_hex
+    assert float.hex(report["energy"]) == energy_hex
+
+
 @pytest.mark.parametrize(
-    "argv, csv_sha256, iterations, residual_hex, energy_hex",
+    "name, csv_sha256, iterations, residual_hex, energy_hex",
     [
         (
-            ["--eps", "0.2", "--n", "41"],
+            "2d-41",
+            "479b9da474565adddec03ade19bb2d8e89869310c666753c0714d4c29e0e4d56",
+            6,
+            "0x1.46643ffffffffp-30",
+            "0x1.249a5ec9ffe76p+2",
+        ),
+        (
+            "1d-81",
+            "f2f36bbe7af764b46fc75fe725ea7a267b07de7ef8aa4c31d948e77ac835a51c",
+            26,
+            "0x1.ee55ffffffffep-28",
+            "0x1.124d2bef6754bp+1",
+        ),
+        (
+            "2d-41-single",
+            "2383e8c084b3334c40aa84a7a5299c3305af574828ac3e4048a55dc87d67f382",
+            16,
+            "0x1.07a26dfffffffp-27",
+            "0x1.0873fc12e0f18p+2",
+        ),
+    ],
+    ids=list(_PINNED_SOLVES),
+)
+def test_solve_output_bits_are_pinned(
+    tmp_path, name, csv_sha256, iterations, residual_hex, energy_hex
+):
+    # A rerun of one tree cannot notice a solver change that moves bits;
+    # these pins can.
+    argv = _PINNED_SOLVES[name]
+    _check_solve_pin(tmp_path, argv, csv_sha256, iterations, residual_hex, energy_hex)
+
+
+@pytest.mark.parametrize(
+    "name, csv_sha256, iterations, residual_hex, energy_hex",
+    [
+        (
+            "2d-41",
             "73b2a2b59cc98bb944b7129d04ed03d41ac7dd26cd7d1459249d9b88f4fedac0",
             10,
             "0x1.caf8dfffffffep-28",
             "0x1.249a5ec9ffe76p+2",
         ),
         (
-            ["--eps", "0.1", "--lo=-1", "--hi=1", "--n", "81"],
+            "1d-81",
             "0634a38cd80ae51dff7bcd853c8f37fda57d4133b94a86a9330fe3fa57965fc8",
             27,
             "0x1.634aaffffffffp-28",
             "0x1.124d2bef6754bp+1",
         ),
         (
-            # One level (its first coarse spacing is 1.4 of the bound), so
-            # each cycle is a bundle of over-relaxed sweeps.
-            ["--eps", "0.05", "--n", "41"],
+            "2d-41-single",
             "9cd3b889f17863c6ee4b98d59e935515f2a8dbe1b0f1d25478d0a80bbb32fa9d",
             16,
             "0x1.1ab88ffffffffp-27",
             "0x1.0873fc12e0f19p+2",
         ),
     ],
-    ids=["2d-41", "1d-81", "2d-41-single"],
+    ids=list(_PINNED_SOLVES),
 )
-def test_solve_output_bits_are_pinned(
-    tmp_path, argv, csv_sha256, iterations, residual_hex, energy_hex
+def test_plain_cycles_keep_the_old_pins(
+    tmp_path, monkeypatch, name, csv_sha256, iterations, residual_hex, energy_hex
 ):
-    # A rerun of one tree cannot notice a solver change that moves bits;
-    # these pins can.
-    assert main(["solve", *argv, "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "solution.csv").read_bytes()).hexdigest()
-    assert digest == csv_sha256
-    report = _read(tmp_path / "report.json")
-    assert report["iterations"] == iterations
-    assert float.hex(report["final_residual"]) == residual_hex
-    assert float.hex(report["energy"]) == energy_hex
+    # Without the Anderson step the solver is the one these pins were
+    # captured on, before its cycles and diagnostics ran on preallocated
+    # buffers: every bit of them survived that move.
+    monkeypatch.setattr(solver, "_ANDERSON_DEPTH", 0)
+    argv = _PINNED_SOLVES[name]
+    _check_solve_pin(tmp_path, argv, csv_sha256, iterations, residual_hex, energy_hex)
 
 
 # A 1D grid of 401 nodes on [-1, 1].

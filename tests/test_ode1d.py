@@ -244,3 +244,62 @@ def test_profile_csv_round_trip(tmp_path):
     assert (q.eps, q.kind, q.s, q.h, q.T) == (p.eps, p.kind, p.s, p.h, p.T)
     header = path.read_text().splitlines()[0]
     assert header == "t,V,Vp"
+
+
+def _plain_rk4(rhs, v0, w0, step, n_steps):
+    """The RK4 stepping loop of _rk4_scan, without its affine fill."""
+    V, W = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
+    V[0], W[0] = v0, w0
+    v, w = v0, w0
+    for k in range(n_steps):
+        k1v = w
+        k1w = rhs(v)
+        k2v = w + 0.5 * step * k1w
+        k2w = rhs(v + 0.5 * step * k1v)
+        k3v = w + 0.5 * step * k2w
+        k3w = rhs(v + 0.5 * step * k2v)
+        k4v = w + step * k3w
+        k4w = rhs(v + step * k3v)
+        v = v + step / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        w = w + step / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        if v < 1e-14:
+            break
+        V[k + 1], W[k + 1] = v, w
+    return V, W
+
+
+def _same_bits(a: tuple, b: tuple) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("T", [0.37, 1.0, 2.0, 100.0, 1e5])
+def test_monotone_affine_fill_is_the_stepping_loop(T):
+    # Above the band f is exactly 0, so from the first step on the forward
+    # monotone scan is one cumulative sum; the backward scan keeps stepping.
+    # A start above the band with a slope that is no round number must
+    # give the loop's bits too.
+    term = make_reference(T)
+    h = 1e-2 * T if T >= 100.0 else 1e-3
+    for start in ((term.T, 1.0, h), (term.T, 1.0, -h), (1.3 * T, 0.61, 1.3 * h)):
+        got = _rk4_scan(term.f, *start, 5000, 1e-5 * T, term.T)
+        assert _same_bits(got, _plain_rk4(term.f, *start, 5000))
+
+
+@pytest.mark.parametrize("T", [1.0, 2.0])
+@pytest.mark.parametrize("eps", [1.0, 0.1])
+@pytest.mark.parametrize("s2", [0.25, 0.3125])
+def test_wedge_affine_fill_is_the_stepping_loop(T, eps, s2):
+    # The wedge steps across the band, then v / eps >= T switches to the sum.
+    term = make_reference(T)
+
+    def rhs(v: float) -> float:
+        return term.f(v / eps) / eps
+
+    v0, h = eps * term.Finv(1.0 - s2), 1e-3 * eps
+    got = _rk4_scan(rhs, v0, 0.0, h, 10_000, 1e-9 * T * eps, term.T, eps)
+    want = _plain_rk4(rhs, v0, 0.0, h, 10_000)
+    assert _same_bits(got, want)
+    assert got[0][-1] > eps * T and got[1][-1] == pytest.approx(s2**0.5, rel=1e-6)
+    # The profile's right half; its Vp at t = 0 is the mirror's -0.0.
+    p = solve_wedge(term, eps, s2**0.5, t_max=10.0 * eps, h=h)
+    assert _same_bits((p.V[10_000:], p.Vp[10_001:]), (want[0], want[1][1:]))

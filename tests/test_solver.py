@@ -597,7 +597,7 @@ def test_refused_cycles_fall_back_to_one_bundle(monkeypatch, dim, n, eps):
     cfg = SolveConfig(eps=eps)
     assert len(_levels(grid, term, eps)) > 1
     prolong, levels = solver._prolong, solver._levels
-    monkeypatch.setattr(solver, "_prolong", lambda e: prolong(e) + 1.0)
+    monkeypatch.setattr(solver, "_prolong", lambda *args: prolong(*args) + 1.0)
     uphill, uphill_report = minimize(data, data, term, cfg)
     monkeypatch.setattr(solver, "_levels", lambda *args: levels(*args)[:1])
     single, single_report = minimize(data, data, term, cfg)
@@ -617,3 +617,72 @@ def test_report_states_why_the_solve_stopped():
     _, done = minimize(data, data, term, SolveConfig(eps=0.2))
     assert done.stop_reason == "tol" and done.converged
     assert to_json(done)["stop_reason"] == "tol"
+
+
+def _rises_at_most_16_ulps(trace) -> bool:
+    trace = np.asarray(trace)
+    return bool(np.all(np.diff(trace) <= 16.0 * np.spacing(trace[:-1])))
+
+
+@pytest.mark.parametrize("dim, n, eps", [(1, 257, 0.1), (2, 41, 0.2), (2, 41, 0.05)])
+def test_refused_candidates_leave_the_plain_cycles(monkeypatch, dim, n, eps):
+    # Every Anderson candidate pushed far uphill is refused, and a refusal
+    # restores the cycle's own result: the solve is the one with plain
+    # cycles, field and report.  (2, 41, 0.05) has one level.
+    term = _term()
+    grid = make_grid((-1.0,) * dim, (1.0,) * dim, n)
+    y = np.meshgrid(*grid.axes(), indexing="ij")[-1]
+    data = ScalarField(grid=grid, values=_profile_on_axis(term, eps, y))
+    cfg = SolveConfig(eps=eps)
+    extrapolate = solver._extrapolate
+
+    def uphill(u, *args):
+        moved = extrapolate(u, *args)
+        u += 100.0
+        return moved
+
+    monkeypatch.setattr(solver, "_extrapolate", uphill)
+    refused, refused_report = minimize(data, data, term, cfg)
+    monkeypatch.setattr(solver, "_ANDERSON_DEPTH", 0)
+    plain, plain_report = minimize(data, data, term, cfg)
+    assert refused_report.stop_reason == "tol"
+    assert refused_report.extrapolated == 0
+    assert refused_report == plain_report
+    assert np.array_equal(refused.values, plain.values)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_layer_between_nodes_converges_in_under_100_cycles(offset):
+    # The 101^2, eps = 0.05 grid has no admissible coarse level.  With the
+    # layer midway between nodes (offset 0.5) plain cycles took 192, held
+    # up by the layer bending between the x-walls; a node on the layer
+    # took 37.
+    term = _term()
+    eps, n = 0.05, 101
+    h = 2.0 / (n - 1)
+    grid = make_grid((-1.0, -1.0 + offset * h), (1.0, 1.0 + offset * h), n)
+    assert len(_levels(grid, term, eps)) == 1
+    y = np.meshgrid(*grid.axes(), indexing="ij")[1]
+    data = ScalarField(grid=grid, values=_profile_on_axis(term, eps, y))
+    _, report = minimize(data, data, term, SolveConfig(eps=eps))
+    assert report.stop_reason == "tol"
+    assert report.iterations < 100
+    assert 0 < report.extrapolated <= report.iterations
+    assert _rises_at_most_16_ulps(report.energy_trace)
+
+
+def test_curved_column_reaches_the_floor_in_few_cycles():
+    # The 24 coarsest sweeps leave the smooth error of a 1001-node column
+    # (coarsest 126 nodes): plain cycles contracted it by about 0.66 each
+    # and took 44-46 to the rounding floor from this start.
+    term = _term()
+    grid = make_grid(-1.0, 1.0, 1001)
+    x = grid.axes()[0]
+    data = ScalarField(grid=grid, values=1.2 + 0.5 * x)
+    start = ScalarField(grid=grid, values=data.values + 0.01 * (1.0 - x * x))
+    u, report = minimize(data, start, term, SolveConfig(eps=0.1, tol_residual=1e-12))
+    assert report.stop_reason == "floor"
+    assert report.iterations <= 20
+    assert 0 < report.extrapolated <= report.iterations
+    assert _rises_at_most_16_ulps(report.energy_trace)
+    assert np.max(np.abs(u.values - data.values)) < 1e-10
