@@ -71,8 +71,8 @@ def _rk4_scan(
     step: float,
     n_steps: int,
     neg_tol: float,
-    top: float = np.inf,
-    eps: float = 1.0,
+    top: float,
+    eps: float,
 ):
     """Integrate V'' = rhs(V) with RK4; stops once V underflows below 1e-14.
 
@@ -154,8 +154,8 @@ def solve_monotone(
     # below that scale are zero-filled; only larger ones signal a bad term.
     neg_tol = 1e-5 * term.T
 
-    V_fwd, W_fwd = _rk4_scan(term.f, term.T, 1.0, h, n_pos, neg_tol, term.T)
-    V_bwd, W_bwd = _rk4_scan(term.f, term.T, 1.0, -h, n_neg, neg_tol)
+    V_fwd, W_fwd = _rk4_scan(term.f, term.T, 1.0, h, n_pos, neg_tol, term.T, 1.0)
+    V_bwd, W_bwd = _rk4_scan(term.f, term.T, 1.0, -h, n_neg, neg_tol, term.T, 1.0)
 
     t = np.arange(-n_neg, n_pos + 1) * h
     V = np.concatenate([V_bwd[::-1], V_fwd[1:]])

@@ -50,9 +50,7 @@ and scatters the result back; it builds no slices and gathers into no
 buffer of its own.  Every node goes through the same floating-point
 operations in the same order whatever the layout, and nodes of one colour
 never neighbour each other, so neither the layout nor the block order
-changes a bit of the result.  The rest of a cycle and the diagnostics
-after it run on the levels' buffers (_Level) too, each value and each
-reduction as on fresh arrays, so no bit depends on the buffers.
+changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -174,9 +172,8 @@ def energy(u: ScalarField, term: ReactionTerm, eps: float) -> float:
 
     Squared forward differences over h^2, by the midpoint rule along each
     difference and the trapezoid rule across it, plus the trapezoid rule
-    of F_eps(u), evaluated on blocks of rows.  Its derivative in an
-    interior value is exactly -2 h^dim (Delta_h u - f_eps(u)): the sweeps
-    of minimize descend it.
+    of F_eps(u).  Its derivative in an interior value is exactly
+    -2 h^dim (Delta_h u - f_eps(u)): the sweeps of minimize descend it.
 
     Args:
         u: field on its grid.
@@ -186,12 +183,7 @@ def energy(u: ScalarField, term: ReactionTerm, eps: float) -> float:
     Returns:
         The energy over the whole grid domain.
     """
-    return _energy(u, term, eps, np.empty_like(u.values))
-
-
-def _energy(u: ScalarField, term: ReactionTerm, eps: float, Fv: np.ndarray) -> float:
-    """energy of u, its F_eps values taken in the buffer Fv."""
-    v, h = u.values, u.grid.h
+    v, h, Fv = u.values, u.grid.h, np.empty_like(u.values)
     for b in _blocks(v):
         Fv[b] = F_eps(term, eps, v[b])
     total = integrate(ScalarField(grid=u.grid, values=Fv))
@@ -219,33 +211,23 @@ def residual(u: ScalarField, term: ReactionTerm, eps: float) -> float:
     Raises:
         ValueError: if eps <= 0.
     """
-    v, h = u.values, u.grid.h
-    return float(np.max(np.abs(_defect(v, h, term, eps, _neighbour_sum(v)))))
+    return float(np.max(np.abs(_defect(u.values, u.grid.h, term, eps))))
 
 
-def _defect(
-    v: np.ndarray, h: float, term: ReactionTerm, eps: float, nsum: np.ndarray
-) -> np.ndarray:
-    """Turn nsum, the neighbour sums of the interior nodes of v, into
-    Delta_h v - f_eps(v) there, in place, one block of rows at a time."""
-    core = v[(slice(1, -1),) * v.ndim]
-    for b in _blocks(nsum):
-        d, c = nsum[b], core[b]
-        d -= 2.0 * v.ndim * c
-        d /= h * h
-        d -= f_eps(term, eps, c)
-    return nsum
+def _defect(v: np.ndarray, h: float, term: ReactionTerm, eps: float) -> np.ndarray:
+    """Delta_h v - f_eps(v) on the interior nodes of v, by blocks of rows."""
+    core, d = v[(slice(1, -1),) * v.ndim], _neighbour_sum(v)
+    for b in _blocks(d):
+        d[b] -= 2.0 * v.ndim * core[b]
+        d[b] /= h * h
+        d[b] -= f_eps(term, eps, core[b])
+    return d
 
 
 def _blocks(a: np.ndarray) -> list[slice]:
     """Blocks of rows of a, of about _BLOCK_NODES nodes each."""
     step = max(1, _BLOCK_NODES // max(1, a[0].size))
     return [slice(i, i + step) for i in range(0, len(a), step)]
-
-
-def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The head of the flat buffer buf as a C-ordered array of this shape."""
-    return buf[: math.prod(shape)].reshape(shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,19 +256,17 @@ class _Colour:
     m: np.ndarray
 
 
-def _plan(shape: tuple[int, ...], work: np.ndarray | None = None) -> tuple[_Colour, _Colour]:
+def _plan(shape: tuple[int, ...]) -> tuple[_Colour, _Colour]:
     """How a red-black sweep visits the interior nodes of a grid of this shape.
 
     Offset o in {0, 1}^dim selects the block slice(1 + o_k, n_k - 1, 2) on
     every axis; its nodes have interior index parity sum(o) mod 2, so each
     colour is the union of 2^(dim - 1) blocks.  Colour 0 holds the node
     next to the origin corner and is swept first.  The colours take turns
-    with one old buffer and one m buffer, sized for colour 0, the larger:
-    the head of the flat buffer work when given.
+    with one old buffer and one m buffer, sized for colour 0, the larger.
     """
     size = (math.prod(n - 2 for n in shape) + 1) // 2
-    work = np.empty(2 * size) if work is None else work
-    old, m = work[:size], work[size : 2 * size]
+    old, m = np.empty(size), np.empty(size)
     colours = []
     for parity in (0, 1):
         blocks, stop = [], 0
@@ -356,58 +336,38 @@ def _auto_omega(h: float, shape: tuple[int, ...]) -> float:
     return 2.0 / (1.0 + np.sin(np.pi * h / span))
 
 
-def _restrict(r: np.ndarray, out: np.ndarray | None = None, bufs: tuple = ()) -> np.ndarray:
+def _restrict(r: np.ndarray) -> np.ndarray:
     """Full weighting of a fine grid array that is 0 on its boundary.
 
     Along each axis a coarse node takes 1/4, 1/2, 1/4 of the fine nodes at
-    and beside it, as (2b + a + c)/4, which has the bits of a/4 + b/2 + c/4
-    (scaling by 2 and 4 is exact).  Only interiors are read and written:
-    out's boundary is kept, and a new out's is 0.  Pass k but the last
-    goes to the flat buffer bufs[k % 2] when bufs are given.
+    and beside it; the coarse boundary is 0.
     """
-    core = (slice(1, -1),) * r.ndim
-    out = np.zeros(tuple(n // 2 + 1 for n in r.shape)) if out is None else out
-    x = r[core]
     for ax in range(r.ndim):
-        x = np.moveaxis(x, ax, 0)
-        shape = ((x.shape[0] - 1) // 2,) + x.shape[1:]
-        c = _view(bufs[ax % 2], shape) if bufs else np.empty(shape)
-        c = np.moveaxis(out[core], ax, 0) if ax == r.ndim - 1 else c
-        np.multiply(x[1::2], 2.0, out=c)
-        c += x[:-2:2]
-        c += x[2::2]
-        c *= 0.25
-        x = np.moveaxis(c, 0, ax)
-    return out
+        x = np.moveaxis(r, ax, 0)
+        c = np.zeros((x.shape[0] // 2 + 1,) + x.shape[1:])
+        c[1:-1] = 0.25 * x[1:-2:2] + 0.5 * x[2:-1:2] + 0.25 * x[3::2]
+        r = np.moveaxis(c, 0, ax)
+    return r
 
 
-def _prolong(e: np.ndarray, bufs: tuple = ()) -> np.ndarray:
-    """Multilinear interpolation of a coarse grid array to the fine grid.
-
-    Given two flat buffers of the fine node count, the passes take turns
-    in them, the last in bufs[0].
-    """
+def _prolong(e: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of a coarse grid array to the fine grid."""
     for ax in range(e.ndim):
         x = np.moveaxis(e, ax, 0)
-        shape = (2 * x.shape[0] - 1,) + x.shape[1:]
-        f = _view(bufs[(e.ndim - 1 - ax) % 2], shape) if bufs else np.empty(shape)
+        f = np.empty((2 * x.shape[0] - 1,) + x.shape[1:])
         f[::2] = x
-        np.add(x[:-1], x[1:], out=f[1::2])
-        f[1::2] *= 0.5
+        f[1::2] = 0.5 * (x[:-1] + x[1:])
         e = np.moveaxis(f, 0, ax)
     return e
 
 
 @dataclasses.dataclass(frozen=True)
 class _Level:
-    """One grid of the hierarchy, how it is swept, and its buffers.
+    """One grid of the hierarchy and how it is swept.
 
     sweeps is the count it runs at its SOR factor omega when it is the
     coarsest level of a cycle: a bundle for the finest level alone,
-    _COARSEST_SWEEPS for a coarse level.  work (the level's node count)
-    holds the plan's sweep buffers at its head, so it is free between
-    sweeps; scratch (the finest node count) is shared by all levels.  A
-    coarse level holds its iterate u and right-hand side g.
+    _COARSEST_SWEEPS for a coarse level.
     """
 
     h: float
@@ -415,10 +375,6 @@ class _Level:
     root: Callable[[np.ndarray], np.ndarray]
     omega: float
     sweeps: int
-    work: np.ndarray
-    scratch: np.ndarray
-    u: np.ndarray | None = None
-    g: np.ndarray | None = None
 
 
 def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
@@ -439,14 +395,10 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
             f"grid spacing h = {grid.h:g} is at or above the bound of strictly"
             f" convex node energies{bound}: {exc}"
         ) from exc
-    h, shape, sweeps, own = grid.h, grid.shape, _SWEEPS_PER_ITERATION, ()
-    scratch, levels = np.empty(math.prod(shape)), []
-    while True:
-        work = np.empty(math.prod(shape))
-        plan, omega = _plan(shape, work), _auto_omega(h, shape)
-        levels.append(_Level(h, plan, root, omega, sweeps, work, scratch, *own))
-        if not (min(shape) >= 5 and all(n % 2 == 1 for n in shape)):
-            break
+    h, shape = grid.h, grid.shape
+    omega = _auto_omega(h, shape)
+    levels = [_Level(h, _plan(shape), root, omega, _SWEEPS_PER_ITERATION)]
+    while min(shape) >= 5 and all(n % 2 == 1 for n in shape):
         h, shape = 2.0 * h, tuple(n // 2 + 1 for n in shape)
         c = _COARSE_FRACTION * eps / h
         try:
@@ -456,7 +408,8 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
         except ValueError:
             break
         root = term.shifted_inverse(2.0 * dim * (eps * eps) / (h * h))
-        sweeps, own = _COARSEST_SWEEPS, (np.empty(shape), np.zeros(shape))
+        omega = _auto_omega(h, shape)
+        levels.append(_Level(h, _plan(shape), root, omega, _COARSEST_SWEEPS))
     return levels
 
 
@@ -468,8 +421,7 @@ def _cycle(
     The coarsest level runs its sweeps, over-relaxed.  Every finer level
     smooths with plain sweeps, hands its injected iterate and its restricted
     residual down, adds the interpolated correction, projects to u >= 0 and
-    smooths again.  The residual goes to the level's work, and the
-    transfers take turns in it and the scratch.
+    smooths again.
     """
     level = levels[0]
     if len(levels) == 1:
@@ -479,37 +431,35 @@ def _cycle(
     for _ in range(_SMOOTHING_SWEEPS):
         _sweep(u, level.h, eps, 1.0, level.plan, level.root, g)
     core = (slice(1, -1),) * u.ndim
-    r = _view(level.work, u.shape)
-    _defect(u, level.h, term, eps, _neighbour_sum(u, out=r[core]))
-    np.negative(r[core], out=r[core])
+    r = np.zeros_like(u)
+    r[core] = -_defect(u, level.h, term, eps)
     if g is not None:
-        r[core] += g[core]
-    coarse, injected = levels[1], u[(slice(None, None, 2),) * u.ndim]
-    _restrict(r, coarse.g, (level.scratch, level.work))
-    np.copyto(coarse.u, injected)
-    d = _neighbour_sum(coarse.u, out=_view(coarse.work, coarse.u[core].shape))
-    coarse.g[core] += _defect(coarse.u, coarse.h, term, eps, d)
-    _cycle(levels[1:], coarse.u, coarse.g, term, eps)
-    correction = np.subtract(coarse.u, injected, out=coarse.u)
-    u += _prolong(correction, (level.scratch, level.work))
+        r += g
+    coarse = u[(slice(None, None, 2),) * u.ndim].copy()
+    g_coarse = _restrict(r)
+    g_coarse[core] += _defect(coarse, levels[1].h, term, eps)
+    start = coarse.copy()
+    _cycle(levels[1:], coarse, g_coarse, term, eps)
+    coarse -= start
+    u += _prolong(coarse)
     np.maximum(u, 0.0, out=u)
     for _ in range(_SMOOTHING_SWEEPS):
         _sweep(u, level.h, eps, 1.0, level.plan, level.root, g)
 
 
 def _stop_reason(
-    res: float, iterations: int, stale: int, floor: float, cfg: SolveConfig
+    res: float, iterations: int, stale: int, v: np.ndarray, h: float, cfg: SolveConfig
 ) -> str | None:
     """Why a solve stops at this residual, cycle count and stale count, or None.
 
-    floor is the defect of _FLOOR_MULTIPLE roundings,
-    q = spacing(max |neighbour sum|) / h^2 each.
+    The floor is the defect of one rounding, q = spacing(max |neighbour
+    sum|) / h^2.
     """
     if res <= cfg.tol_residual:
         return "tol"
     if iterations >= cfg.max_iter:
         return "max_iter"
-    if res <= floor:
+    if res <= _FLOOR_MULTIPLE * float(np.spacing(np.max(np.abs(_neighbour_sum(v))))) / (h * h):
         return "floor"
     if stale >= _STALL_CYCLES:
         return "stalled"
@@ -577,37 +527,29 @@ def minimize(
     if np.max(np.abs(init.values[edge] - boundary.values[edge])) > 1e-12:
         raise ValueError("init does not match the boundary trace")
     levels = _levels(grid, term, cfg.eps)
-    h, eps, fine = grid.h, cfg.eps, levels[0]
 
     u = np.maximum(0.0, init.values.copy())
     u[edge] = data = boundary.values[edge]
     field = ScalarField(grid=grid, values=u)
-    d, Fv = _view(fine.work, tuple(n - 2 for n in u.shape)), _view(fine.scratch, u.shape)
-
-    def diagnose() -> tuple[float, float]:
-        """The residual of u and its floor; as u >= 0, max N = max |N|."""
-        top = float(np.max(_neighbour_sum(u, out=d)))
-        floor = _FLOOR_MULTIPLE * float(np.spacing(top)) / (h * h)
-        return float(np.max(np.abs(_defect(u, h, term, eps, d)))), floor
-
     # The Anderson history, newest last, and the latest f are single
     # precision: they only steer the candidate, which is formed in double
     # and tested.  g is the latest G and x the start of the running cycle.
     depth = _ANDERSON_DEPTH
     df, dg = ([np.empty(u.shape, np.float32) for _ in range(depth)] for _ in "fg")
     f, x, g = np.empty(u.shape, np.float32), np.empty_like(u), np.empty_like(u)
-    trace = [_energy(field, term, eps, Fv)]
-    (res, floor), iterations, stale, kept = diagnose(), 0, 0, 0
-    best = res
-    while (stop := _stop_reason(res, iterations, stale, floor, cfg)) is None:
+    scratch = np.empty_like(u)
+    trace = [energy(field, term, cfg.eps)]
+    res = best = residual(field, term, cfg.eps)
+    iterations = stale = kept = 0
+    while (stop := _stop_reason(res, iterations, stale, u, grid.h, cfg)) is None:
         x[...] = u
-        _cycle(levels, u, None, term, eps)
-        e = _energy(field, term, eps, Fv)
+        _cycle(levels, u, None, term, cfg.eps)
+        e = energy(field, term, cfg.eps)
         # A one-level cycle has no coarse correction to refuse.
         if len(levels) > 1 and e > trace[-1] + _DESCENT_ULPS * np.spacing(trace[-1]):
             u[...] = x
-            _cycle(levels[:1], u, None, term, eps)
-            e = _energy(field, term, eps, Fv)
+            _cycle(levels[:1], u, None, term, cfg.eps)
+            e = energy(field, term, cfg.eps)
         np.subtract(u, x, out=x)
         if depth and iterations:
             df.append(np.subtract(x, f, out=df.pop(0)))
@@ -615,17 +557,17 @@ def minimize(
         np.copyto(f, x, casting="same_kind")
         g[...] = u
         n = min(iterations, depth)
-        if n and _extrapolate(u, x, df[depth - n :], dg[depth - n :], Fv):
+        if n and _extrapolate(u, x, df[depth - n :], dg[depth - n :], scratch):
             np.maximum(u, 0.0, out=u)
             u[edge] = data
-            e_new = _energy(field, term, eps, Fv)
+            e_new = energy(field, term, cfg.eps)
             if e_new <= e:
                 e, kept = e_new, kept + 1
             else:
                 u[...] = g
         trace.append(e)
         iterations += 1
-        res, floor = diagnose()
+        res = residual(field, term, cfg.eps)
         if res < 0.98 * best:
             best = res
             stale = 0

@@ -157,7 +157,7 @@ def test_wedge_shooting_route_agrees():
     lo, hi = 0.0, term.T
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        _, W = _rk4_scan(term.f, mid, 0.0, h, n_pos, 1e-9 * term.T)
+        _, W = _rk4_scan(term.f, mid, 0.0, h, n_pos, 1e-9 * term.T, term.T, 1.0)
         if W[-1] > s:
             lo = mid
         else:
@@ -281,7 +281,7 @@ def test_monotone_affine_fill_is_the_stepping_loop(T):
     term = make_reference(T)
     h = 1e-2 * T if T >= 100.0 else 1e-3
     for start in ((term.T, 1.0, h), (term.T, 1.0, -h), (1.3 * T, 0.61, 1.3 * h)):
-        got = _rk4_scan(term.f, *start, 5000, 1e-5 * T, term.T)
+        got = _rk4_scan(term.f, *start, 5000, 1e-5 * T, term.T, 1.0)
         assert _same_bits(got, _plain_rk4(term.f, *start, 5000))
 
 

@@ -597,7 +597,7 @@ def test_refused_cycles_fall_back_to_one_bundle(monkeypatch, dim, n, eps):
     cfg = SolveConfig(eps=eps)
     assert len(_levels(grid, term, eps)) > 1
     prolong, levels = solver._prolong, solver._levels
-    monkeypatch.setattr(solver, "_prolong", lambda *args: prolong(*args) + 1.0)
+    monkeypatch.setattr(solver, "_prolong", lambda e: prolong(e) + 1.0)
     uphill, uphill_report = minimize(data, data, term, cfg)
     monkeypatch.setattr(solver, "_levels", lambda *args: levels(*args)[:1])
     single, single_report = minimize(data, data, term, cfg)
