@@ -7,7 +7,8 @@ config (flags win); outputs are CSV and JSON artifacts that reproduce
 byte-for-byte on reruns.  Every JSON embeds the tool version and a
 sha256 of the resolved option set.  `sweep` repeats a subcommand over
 an eps list, one run after another, into per-eps subdirectories and
-merges one summary.
+merges one summary.  The CLI starts OpenBLAS with one thread, as no
+subcommand calls BLAS or LAPACK; a user's OPENBLAS_NUM_THREADS is kept.
 
 Exit codes: 0 on success, 1 with an error JSON on stdout when an
 operation fails, 2 when the command line or config cannot be parsed.
@@ -19,9 +20,13 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
+# numpy loads OpenBLAS, whose worker threads spin on idle cores; no module calls
+# BLAS or LAPACK (test_no_module_calls_blas_or_lapack), so one thread is enough.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__

@@ -118,7 +118,7 @@ def _disc(r: float, h: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """
     m = int(r / h + 1e-9)
     di = np.arange(-m, m + 1) if dim > 1 else np.zeros(1, dtype=int)
-    return di, np.floor(np.sqrt(np.maximum(r**2 - (di * h) ** 2, 0.0)) / h + 1e-9).astype(int)
+    return di, np.floor(np.sqrt(np.maximum(r * r - (di * h) ** 2, 0.0)) / h + 1e-9).astype(int)
 
 
 def _ball_reduce(values: np.ndarray, r: float, h: float, op, fill) -> np.ndarray:
@@ -413,7 +413,7 @@ def poincare_ratio(g: ScalarField, zero_fraction: float = 0.0) -> float:
         )
     grad = gradient(g)
     gnorm = np.sqrt(np.sum(grad * grad, axis=0)).ravel()
-    cell = g.grid.h**g.grid.dim
+    cell = math.prod([g.grid.h] * g.grid.dim)
     num = float(np.sum(vals)) * cell
     den = float(np.sum(gnorm)) * cell
     span = np.subtract(g.grid.hi, g.grid.origin, dtype=float)

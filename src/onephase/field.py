@@ -223,7 +223,7 @@ def laplacian(u: ScalarField) -> ScalarField:
     v = u.values
     out = np.zeros_like(v)
     core = (slice(1, -1),) * u.grid.dim
-    out[core] = (_neighbour_sum(v) - 2.0 * u.grid.dim * v[core]) / u.grid.h**2
+    out[core] = (_neighbour_sum(v) - 2.0 * u.grid.dim * v[core]) / (u.grid.h * u.grid.h)
     return ScalarField(grid=u.grid, values=out)
 
 

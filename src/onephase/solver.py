@@ -466,21 +466,24 @@ def _stop_reason(
     return None
 
 
-def _extrapolate(u: np.ndarray, f: np.ndarray, df: list, dg: list, scratch: np.ndarray) -> bool:
+def _dot(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> float:
+    """Sum of the products a * b, formed in double in scratch: no BLAS kernel sets its bits."""
+    return float(np.sum(np.multiply(a, b, out=scratch, dtype=float)))
+
+
+def _extrapolate(
+    u: np.ndarray, f: np.ndarray, df: list, dg: list, gram: list, scratch: np.ndarray
+) -> bool:
     """Move u = G(x) to the Anderson candidate u - dG gamma, in place.
 
     gamma minimizes |f - dF gamma| over the columns df of dF, by the normal
-    equations with a ridge, solved in Python floats; their entries are sums
-    of products in scratch, so no BLAS kernel sets their bits.  Returns
-    False, leaving u, when every difference is 0.
+    equations with a ridge, solved in Python floats.  gram[i][j] holds
+    dF_i . dF_j, as _dot forms it; dF_i . f is formed here.  Returns False,
+    leaving u, when every difference is 0.
     """
-
-    def dot(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(np.multiply(a, b, out=scratch, dtype=float)))
-
     # Row i holds dF_i . dF_j for each j, then dF_i . f.  With the ridge the
     # system is positive definite: Gauss-Jordan elimination needs no pivots.
-    a = [[dot(p, q) for q in df] + [dot(p, f)] for p in df]
+    a = [row + [_dot(p, f, scratch)] for row, p in zip(gram, df)]
     ridge = _ANDERSON_RIDGE * max(row[i] for i, row in enumerate(a))
     if not ridge > 0.0:
         return False
@@ -534,8 +537,10 @@ def minimize(
     # The Anderson history, newest last, and the latest f are single
     # precision: they only steer the candidate, which is formed in double
     # and tested.  g is the latest G and x the start of the running cycle.
+    # gram[i][j] = dF_i . dF_j; rows and columns rotate with df.
     depth = _ANDERSON_DEPTH
     df, dg = ([np.empty(u.shape, np.float32) for _ in range(depth)] for _ in "fg")
+    gram = [[0.0] * depth for _ in range(depth)]
     f, x, g = np.empty(u.shape, np.float32), np.empty_like(u), np.empty_like(u)
     scratch = np.empty_like(u)
     trace = [energy(field, term, cfg.eps)]
@@ -551,13 +556,16 @@ def minimize(
             _cycle(levels[:1], u, None, term, cfg.eps)
             e = energy(field, term, cfg.eps)
         np.subtract(u, x, out=x)
-        if depth and iterations:
+        n = min(iterations, depth)
+        if n:
             df.append(np.subtract(x, f, out=df.pop(0)))
             dg.append(np.subtract(u, g, out=dg.pop(0)))
+            gram = [row[1:] + [0.0] for row in gram[1:]] + [[0.0] * depth]
+            for j in range(depth - n, depth):
+                gram[j][-1] = gram[-1][j] = _dot(df[j], df[-1], scratch)
         np.copyto(f, x, casting="same_kind")
         g[...] = u
-        n = min(iterations, depth)
-        if n and _extrapolate(u, x, df[depth - n :], dg[depth - n :], scratch):
+        if n and _extrapolate(u, x, df[-n:], dg[-n:], [r[-n:] for r in gram[-n:]], scratch):
             np.maximum(u, 0.0, out=u)
             u[edge] = data
             e_new = energy(field, term, cfg.eps)

@@ -16,6 +16,7 @@ a curvature-weighted integral along the extracted interface polyline.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -275,7 +276,7 @@ def _integral(dens: np.ndarray, grid: GridSpec, region) -> float:
         if edge:
             dens = dens.copy()
             dens[(slice(None),) * ax + (edge,)] *= 0.5
-    return grid.h**grid.dim * float(np.sum(dens))
+    return math.prod([grid.h] * grid.dim) * float(np.sum(dens))
 
 
 def lie_derivative(u: ScalarField, spec: VectorFieldSpec) -> ScalarField:
@@ -458,7 +459,7 @@ def inner_variation_fd(
     first = (vals[-2] - 8.0 * vals[-1] + 8.0 * vals[1] - vals[2]) / (12.0 * dt)
     second = (
         -vals[-2] + 16.0 * vals[-1] - 30.0 * vals[0] + 16.0 * vals[1] - vals[2]
-    ) / (12.0 * dt**2)
+    ) / (12.0 * (dt * dt))
     return first, second
 
 
@@ -500,7 +501,7 @@ def classical_second_variation(
     if np.any(phi.values[collar] != 0.0):
         raise ValueError("phi must vanish on the boundary collar")
     g = gradient(phi)
-    curv = term.fprime(u.values / eps) / eps**2
+    curv = term.fprime(u.values / eps) / (eps * eps)
     dens = np.sum(g * g, axis=0) + curv * phi.values**2
     return 2.0 * integrate(ScalarField(grid=u.grid, values=dens))
 
@@ -523,13 +524,32 @@ def _offset_probe(
     of interface-polluted stencils) and extrapolates back to p.  Probes
     that leave the grid are clamped and flagged.
     """
-    h = field.grid.h
-    near, fn = _clip_inside(field.grid, pts - _PROBE_NEAR * h * nu)
-    far, ff = _clip_inside(field.grid, pts - _PROBE_FAR * h * nu)
+    near, far, clipped = _probe_points(field.grid, pts, nu)
     ratio = _PROBE_NEAR / (_PROBE_FAR - _PROBE_NEAR)
     v_near = np.atleast_1d(np.asarray(sample(field, near)))
     v_far = np.atleast_1d(np.asarray(sample(field, far)))
-    return v_near + ratio * (v_near - v_far), fn | ff
+    return v_near + ratio * (v_near - v_far), clipped
+
+
+def _probe_points(grid, pts: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The probes p - 3h*nu and p - 5h*nu clamped into the grid, and the clamped flags."""
+    near, fn = _clip_inside(grid, pts - _PROBE_NEAR * grid.h * nu)
+    far, ff = _clip_inside(grid, pts - _PROBE_FAR * grid.h * nu)
+    return near, far, fn | ff
+
+
+def _probe_block(grid: GridSpec, curve: InterfaceCurve) -> tuple[slice, ...]:
+    """Per-axis slices holding every node that _offset_probe on curve samples.
+
+    sample reads nodes i and i + 1 around a probe on each axis, i the last
+    node at or below it; one more node per side absorbs the rounding of i.
+    """
+    near, far, _ = _probe_points(grid, curve.points, curve.normals)
+    cells = (np.concatenate([near, far]) - np.asarray(grid.origin)) / grid.h
+    lo, hi = np.floor(cells.min(axis=0)), np.floor(cells.max(axis=0))
+    return tuple(
+        slice(max(int(a) - 1, 0), min(int(b) + 3, n)) for a, b, n in zip(lo, hi, grid.shape)
+    )
 
 
 def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
@@ -696,21 +716,29 @@ def surface_second_variation(
     _require_interior_support(u, spec)
     grid = u.grid
     mask = u.values > 0.0
-    pg = _phase_gradient(u.values, grid.h, mask)
+    block = _support_block(grid, spec)
+    # The phase gradient of u is read on the block and where the trace probes sample.
+    boxes = [b for b in (block, _probe_block(grid, curve) if len(curve) else None) if b]
+    if not boxes:
+        return 0.0
+    cover = tuple(slice(min(s.start for s in ss), max(s.stop for s in ss)) for ss in zip(*boxes))
+    pg = _block_gradient(u, cover, phase=True)
     if len(curve):
-        gnorm = ScalarField(grid=grid, values=np.sqrt(np.sum(pg * pg, axis=0)))
-        trace, clipped = _offset_probe(gnorm, curve.points, curve.normals)
+        gnorm = np.zeros(grid.shape)
+        gnorm[cover] = np.sqrt(np.sum(pg * pg, axis=0))
+        trace, clipped = _offset_probe(
+            ScalarField(grid=grid, values=gnorm), curve.points, curve.normals
+        )
         ok = curve.singular | clipped
         worst = float(np.max(np.where(ok, 0.0, np.abs(trace - 1.0))))
         if worst > 5e-2:
             raise NotClassicalSolutionError(
                 f"|grad u| strays from 1 by {worst:.4f} on the interface"
             )
-    block = _support_block(grid, spec)
     if block is None:
         return 0.0
     lvals = np.zeros(grid.shape)
-    lvals[block] = _contract(pg[(slice(None),) + block], _block_tables(spec, grid, block, 0)[0])
+    lvals[block] = _contract(pg[_within(block, cover)], _block_tables(spec, grid, block, 0)[0])
     # grad L_X u reaches _REACH nodes past the block; its stencil reads as far again.
     region = _grow(block, _REACH, grid.shape)
     ext = _grow(region, _REACH, grid.shape)

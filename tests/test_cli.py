@@ -177,6 +177,7 @@ def test_no_module_calls_blas_or_lapack():
     # OpenBLAS picks its kernels by CPU, and they round differently, so a
     # BLAS or LAPACK call would make reported bits depend on the machine.
     # np.linalg.norm along an axis is sqrt(sum(x*x)) and calls neither.
+    # It is also why the CLI can start OpenBLAS with one thread at no cost.
     package = Path(onephase.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -191,6 +192,31 @@ def test_no_module_calls_blas_or_lapack():
             if name in ("dot", "matmul", "einsum") or (linalg and not (name == "norm" and axis)):
                 found.append((path.name, node.lineno, name))
     assert found == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_import_starts_one_blas_thread_unless_preset(preset):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it: in a
+    # fresh interpreter the CLI import leaves no worker thread, and a value
+    # the user set is kept.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(onephase.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import os, onephase.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    threads, value = proc.stdout.split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert threads == "1"
 
 
 def test_grid_below_three_nodes_fails_without_warnings(tmp_path, capsys):
