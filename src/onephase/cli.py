@@ -36,18 +36,21 @@ from .field import (
     ScalarField,
     VectorFieldSpec,
     evaluate,
+    halfplane,
     load_field,
     load_vector_spec,
     make_grid,
+    radial_cone,
     save_field,
 )
 from .ode1d import (
-    _profile_at,
     first_integral_residual,
+    profile_field,
     rescale,
     save_profile,
     solve_monotone,
     solve_wedge,
+    wedge_field,
 )
 from .potentials import make_reference, make_tabulated, term_to_json, validate
 from .records import read_json, to_json, write_json, write_table
@@ -81,7 +84,6 @@ _CHECKS = (
     "exit",
     "poincare",
 )
-_FIELD_SOURCES = ("profile", "halfplane", "wedge", "radial")
 
 
 def _floats(text: str) -> list[float]:
@@ -109,16 +111,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p = subs.add_parser(name, help=text)
         p.add_argument("--config", default=None, help="JSON file with option defaults")
         p.add_argument("--out", default=".", help="output directory")
+        if name != "sweep":
+            p.add_argument("--T", type=float, default=1.0)
         table[name] = p
         return p
 
     p = sub("potential", "validate a reaction term and optionally tabulate it")
-    p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--table", default=None, help="CSV of (s, f) rows for a tabulated term")
     p.add_argument("--tabulate", type=int, default=0, help="emit an (s, f, F) CSV with this many rows")
 
     p = sub("profile", "integrate a 1D profile and report its invariants")
-    p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--wedge", action="store_true")
     p.add_argument("--s", type=float, default=None, help="wedge slope")
@@ -127,7 +129,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--h", type=float, default=None)
 
     p = sub("solve", "minimize the energy over a grid with fixed boundary data")
-    p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--lo", default="-1,-1")
     p.add_argument("--hi", default="1,1")
@@ -137,7 +138,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--max-iter", type=int, default=20_000, help="cap on multigrid cycles")
 
     p = sub("vary", "inner variations of a stored field under a stored deformation")
-    p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--field", required=False, default=None, help="field CSV path")
     p.add_argument("--x", required=False, default=None, help="deformation spec JSON path")
@@ -147,7 +147,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub("check", "free-boundary scans and convergence measures")
     p.add_argument("--what", choices=_CHECKS, required=False, default=None)
-    p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--field", default="profile", help="field source or CSV path")
     p.add_argument("--limit", default="halfplane", help="limit field source or CSV path")
@@ -167,7 +166,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub("cone", "exact half-plane or radial fields with interface geometry")
     p.add_argument("--kind", choices=("halfplane", "radial"), default="halfplane")
-    p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--h", type=float, default=0.005)
     p.add_argument("--lo", default="-1,-1")
     p.add_argument("--hi", default="1,1")
@@ -206,17 +204,6 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-_PROFILE_CACHE: dict[float, object] = {}
-
-
-def _base_profile(term):
-    # The layer is T wide: span and step scale with T, the step count not.
-    T = term.T
-    if T not in _PROFILE_CACHE:
-        _PROFILE_CACHE[T] = solve_monotone(term, -30.0 * T, 30.0 * T, 1e-3 * T)
-    return _PROFILE_CACHE[T]
-
-
 def _grid_from_args(args) -> GridSpec:
     lo = _floats(args.lo)
     hi = _floats(args.hi)
@@ -229,28 +216,17 @@ def _grid_from_args(args) -> GridSpec:
 
 
 def _field_from_source(source: str, grid: GridSpec, eps: float, term, args) -> ScalarField:
-    if source not in _FIELD_SOURCES:
-        return load_field(source)
-    if source == "radial":
-        if grid.dim != 2:
-            raise ValueError("radial fields need a 2D grid")
-        xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
-        rr = np.sqrt(xm**2 + ym**2)
-        radius = getattr(args, "radius", 0.5)
-        vals = np.where(rr > radius, radius * np.log(np.maximum(rr, 1e-300) / radius), 0.0)
-        return ScalarField(grid=grid, values=vals)
-    # The other sources depend on the last coordinate alone.
-    y = grid.axes()[-1]
+    """The field source a --boundary, --field or --limit value names, else that CSV."""
     if source == "halfplane":
-        column = np.maximum(y, 0.0)
-    elif source == "profile":
-        column = eps * _profile_at(_base_profile(term), y / eps)[0]
-    else:
+        return halfplane(grid)
+    if source == "radial":
+        return radial_cone(grid, getattr(args, "radius", 0.5))
+    if source == "profile":
+        return profile_field(term, grid, eps)
+    if source == "wedge":
         s = args.s if getattr(args, "s", None) is not None else eps
-        span = float(np.max(np.abs([y.min(), y.max()])))
-        wedge = solve_wedge(term, eps, s, span + grid.h, min(1e-4, grid.h / 4.0))
-        column = np.interp(y, wedge.t, wedge.V)
-    return ScalarField(grid=grid, values=np.broadcast_to(column, grid.shape).copy())
+        return wedge_field(term, grid, eps, s)
+    return load_field(source)
 
 
 def _run_potential(args, out: Path) -> dict:
@@ -342,19 +318,7 @@ def _run_vary(args, out: Path) -> dict:
 def _run_check(args, out: Path) -> dict:
     if args.what is None:
         raise ConfigError("check needs --what")
-    from .fbcheck import (
-        _limit_boundary,
-        check_to_json,
-        density_scan,
-        exit_radius,
-        hausdorff_distance,
-        l1_gap,
-        level_region,
-        lipschitz_constant,
-        nondegeneracy_scan,
-        poincare_ratio,
-        zero_phase_density,
-    )
+    from . import fbcheck
 
     term = make_reference(args.T)
     tau = term.T / 2.0
@@ -363,55 +327,35 @@ def _run_check(args, out: Path) -> dict:
     eps = args.eps
     what = args.what
     if what == "poincare" and args.field == "bumps":
-        payload = {
-            "check": "poincare",
-            "value": _bump_suite_ratio(grid, args.bumps, args.seed, args.zero_fraction),
-            "suite": args.bumps,
-            "seed": args.seed,
-        }
-    else:
-        u = _field_from_source(args.field, grid, eps, term, args)
-        radii = _floats(args.radii)
-        if what == "nondeg":
-            payload = check_to_json(
-                nondegeneracy_scan(u, eps, theta, radii, args.threshold)
-            )
-        elif what == "density":
-            payload = check_to_json(
-                density_scan(u, eps, args.L, radii, args.threshold, term)
-            )
-        elif what == "zero-density":
-            payload = check_to_json(zero_phase_density(u, radii, args.threshold))
-        elif what == "lipschitz":
-            payload = {"check": "lipschitz", "value": lipschitz_constant(u)}
-        elif what == "l1":
-            limit = _field_from_source(args.limit, u.grid, eps, term, args)
-            payload = {"check": "l1", "eps": eps, "value": l1_gap(u, limit, term, eps)}
-        elif what == "hausdorff":
-            limit = _field_from_source(args.limit, u.grid, eps, term, args)
-            band = level_region(u, term, eps, "F", tau)
-            boundary = np.argwhere(_limit_boundary(limit.values))
-            payload = {
-                "check": "hausdorff",
-                "eps": eps,
-                "value": hausdorff_distance(band, boundary, u.grid.h),
-            }
-        elif what == "exit":
-            if args.point is None:
-                raise ConfigError("exit needs --point")
-            r = exit_radius(u, eps, theta, _floats(args.point), term)
-            payload = {
-                "check": "exit",
-                "eps": eps,
-                "reached": math.isfinite(r),
-                "value": r if math.isfinite(r) else None,
-            }
-        else:
-            payload = {
-                "check": "poincare",
-                "value": poincare_ratio(u, args.zero_fraction),
-            }
-    return payload
+        value = _bump_suite_ratio(grid, args.bumps, args.seed, args.zero_fraction)
+        return {"check": "poincare", "value": value, "suite": args.bumps, "seed": args.seed}
+    u = _field_from_source(args.field, grid, eps, term, args)
+    radii = _floats(args.radii)
+    if what == "nondeg":
+        scan = fbcheck.nondegeneracy_scan(u, eps, theta, radii, args.threshold)
+        return fbcheck.check_to_json(scan)
+    if what == "density":
+        scan = fbcheck.density_scan(u, eps, args.L, radii, args.threshold, term)
+        return fbcheck.check_to_json(scan)
+    if what == "zero-density":
+        return fbcheck.check_to_json(fbcheck.zero_phase_density(u, radii, args.threshold))
+    if what == "lipschitz":
+        return {"check": "lipschitz", "value": fbcheck.lipschitz_constant(u)}
+    if what == "poincare":
+        return {"check": "poincare", "value": fbcheck.poincare_ratio(u, args.zero_fraction)}
+    if what == "exit":
+        if args.point is None:
+            raise ConfigError("exit needs --point")
+        r = fbcheck.exit_radius(u, eps, theta, _floats(args.point), term)
+        reached = math.isfinite(r)
+        return {"check": "exit", "eps": eps, "reached": reached, "value": r if reached else None}
+    limit = _field_from_source(args.limit, u.grid, eps, term, args)
+    if what == "l1":
+        return {"check": "l1", "eps": eps, "value": fbcheck.l1_gap(u, limit, term, eps)}
+    band = fbcheck.level_region(u, term, eps, "F", tau)
+    boundary = np.argwhere(fbcheck._limit_boundary(limit.values))
+    value = fbcheck.hausdorff_distance(band, boundary, u.grid.h)
+    return {"check": "hausdorff", "eps": eps, "value": value}
 
 
 def _bump_suite_ratio(grid: GridSpec, count: int, seed: int, zero_fraction: float) -> float:
@@ -439,30 +383,21 @@ def _bump_suite_ratio(grid: GridSpec, count: int, seed: int, zero_fraction: floa
 
 
 def _run_cone(args, out: Path) -> dict:
-    from .variations import (
-        cjk_form,
-        extract_interface,
-        first_inner_variation,
-        lie_derivative,
-        save_curve,
-        second_inner_variation,
-        surface_second_variation,
-    )
+    from . import variations
 
     term = make_reference(args.T)
     lo = _floats(args.lo)
     hi = _floats(args.hi)
     n = tuple(int(round((b - a) / args.h)) + 1 for a, b in zip(lo, hi))
     grid = make_grid(tuple(lo), tuple(hi), n)
-    source = "halfplane" if args.kind == "halfplane" else "radial"
-    u = _field_from_source(source, grid, 1.0, term, args)
+    u = halfplane(grid) if args.kind == "halfplane" else radial_cone(grid, args.radius)
     save_field(u, out / "field.csv")
     payload: dict = {"kind": args.kind, "h": grid.h, "shape": list(grid.shape)}
     curve = None
     if args.emit_interface or args.x is not None:
         level = args.level if args.level is not None else 0.5 * grid.h
-        curve = extract_interface(u, level)
-        save_curve(curve, out / "interface.csv")
+        curve = variations.extract_interface(u, level)
+        variations.save_curve(curve, out / "interface.csv")
         expected = 0.0 if args.kind == "halfplane" else 1.0 / args.radius
         errors = np.abs(curve.curvature[~curve.singular] - expected)
         payload["interface"] = {
@@ -475,12 +410,11 @@ def _run_cone(args, out: Path) -> dict:
         }
     if args.x is not None:
         spec = load_vector_spec(args.x)
-        phi = lie_derivative(u, spec)
         payload["forms"] = {
-            "first_volume": first_inner_variation(u, spec, term, 0.0),
-            "second_volume": second_inner_variation(u, spec, term, 0.0),
-            "second_surface": surface_second_variation(u, spec, curve),
-            "cjk": cjk_form(u, phi, curve),
+            "first_volume": variations.first_inner_variation(u, spec, term, 0.0),
+            "second_volume": variations.second_inner_variation(u, spec, term, 0.0),
+            "second_surface": variations.surface_second_variation(u, spec, curve),
+            "cjk": variations.cjk_form(u, variations.lie_derivative(u, spec), curve),
         }
     return payload
 
@@ -508,8 +442,8 @@ def _run_sweep(args, out: Path) -> dict:
         base += ["--config", args.sub_config]
     if command == "check" and args.check_what is not None:
         base += ["--what", args.check_what]
-    # One run at a time: the work holds the GIL, and only runs that do not
-    # overlap share the in-process profile cache.
+    # One run at a time: the work holds the GIL, and the runs share the
+    # process's profile cache in ode1d.
     codes = [
         main(base + ["--eps", repr(eps), "--out", str(out / name)])
         for eps, name in zip(eps_list, names)
@@ -585,3 +519,7 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> None:
     """Console-script wrapper around main."""
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -7,7 +7,8 @@ polynomial of total degree at most 3 in local coordinates, multiplied by
 the compactly supported bump psi(y) = (1 - y^2)^4 per coordinate.  Their
 first and second partials are evaluated analytically, never by grid
 differencing, so flow-based finite differences can be compared against
-exact inner-variation integrands without stencil noise.
+exact inner-variation integrands without stencil noise.  `halfplane` and
+`radial_cone` are the exact one-phase solutions the checks compare with.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
     "DomainError",
     "GridSpec",
     "ScalarField",
+    "halfplane",
+    "radial_cone",
     "PolyBump",
     "VectorFieldSpec",
     "make_grid",
@@ -154,6 +157,26 @@ class ScalarField:
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
+
+
+def _column_field(grid: GridSpec, column: np.ndarray) -> ScalarField:
+    """The field on grid that is column along its last axis, tiled across the rest."""
+    return ScalarField(grid=grid, values=np.broadcast_to(column, grid.shape).copy())
+
+
+def halfplane(grid: GridSpec) -> ScalarField:
+    """The half-plane solution max(y, 0) on grid, y its last coordinate."""
+    return _column_field(grid, np.maximum(grid.axes()[-1], 0.0))
+
+
+def radial_cone(grid: GridSpec, radius: float) -> ScalarField:
+    """R log(r/R) outside r = R = radius, 0 inside; ValueError unless grid is 2D."""
+    if grid.dim != 2:
+        raise ValueError("radial fields need a 2D grid")
+    xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
+    rr = np.sqrt(xm**2 + ym**2)
+    vals = np.where(rr > radius, radius * np.log(np.maximum(rr, 1e-300) / radius), 0.0)
+    return ScalarField(grid=grid, values=vals)
 
 
 def gradient(u: ScalarField) -> np.ndarray:

@@ -8,7 +8,8 @@ eps * Finv(1 - s^2) fixed by the first integral
     (V')^2 = F(V/eps) - F(V(0)/eps)
 
 and approaches the asymptotic slopes +-s.  The first integral doubles as an
-a-posteriori oracle for the fixed-step integrator.
+a-posteriori oracle for the fixed-step integrator.  `profile_field` and
+`wedge_field` lay the profiles along the last coordinate of a grid.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .field import GridSpec, ScalarField, _column_field
 from .potentials import ReactionTerm
 from .records import from_json, read_table, write_table
 
@@ -28,6 +30,8 @@ __all__ = [
     "solve_wedge",
     "first_integral_residual",
     "rescale",
+    "profile_field",
+    "wedge_field",
     "save_profile",
     "load_profile",
 ]
@@ -261,6 +265,32 @@ def rescale(p: Profile1D, eps_new: float) -> Profile1D:
         h=p.h,
         T=p.T,
     )
+
+
+# One monotone profile per term value: make_reference builds new closures on
+# every call, so a term object would miss the cache on each run of `sweep`.
+_MONOTONE: dict[tuple, Profile1D] = {}
+
+
+def profile_field(term: ReactionTerm, grid: GridSpec, eps: float) -> ScalarField:
+    """eps * V(y / eps) on grid, y its last coordinate, V the monotone profile.
+
+    V spans [-30T, 30T] at step 1e-3 * T, is built once per (family, T,
+    samples) of the term, and continues past its span as _profile_at does.
+    """
+    key = (term.family, term.T, term.samples)
+    if key not in _MONOTONE:
+        _MONOTONE[key] = solve_monotone(term, -30.0 * term.T, 30.0 * term.T, 1e-3 * term.T)
+    return _column_field(grid, eps * _profile_at(_MONOTONE[key], grid.axes()[-1] / eps)[0])
+
+
+def wedge_field(term: ReactionTerm, grid: GridSpec, eps: float, s: float) -> ScalarField:
+    """V_eps^s(y) on grid, y its last coordinate, linear between the samples
+    of a profile one spacing past the grid at step min(1e-4, h / 4)."""
+    y = grid.axes()[-1]
+    span = float(np.max(np.abs([y.min(), y.max()])))
+    p = solve_wedge(term, eps, s, span + grid.h, min(1e-4, grid.h / 4.0))
+    return _column_field(grid, np.interp(y, p.t, p.V))
 
 
 def save_profile(p: Profile1D, path: str | Path) -> None:

@@ -49,7 +49,8 @@ def from_json(cls, payload: dict):
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path):

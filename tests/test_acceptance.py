@@ -28,12 +28,20 @@ from onephase.field import (
     VectorFieldSpec,
     evaluate,
     gradient,
+    halfplane,
     jacobian,
     make_grid,
+    radial_cone,
     sample,
     support_box,
 )
-from onephase.ode1d import first_integral_residual, solve_monotone, solve_wedge
+from onephase.ode1d import (
+    first_integral_residual,
+    profile_field,
+    solve_monotone,
+    solve_wedge,
+    wedge_field,
+)
 from onephase.potentials import make_reference, validate
 from onephase.solver import SolveConfig, minimize
 from onephase.variations import (
@@ -52,22 +60,6 @@ def _term():
     return make_reference(1.0)
 
 
-@functools.cache
-def _base():
-    # continuum monotone profile at eps = 1, wide enough for every eps used here
-    return solve_monotone(_term(), -30.0, 30.0, 1e-3)
-
-
-def _profile_field(grid, eps):
-    """eps * V(y/eps) sampled on the grid's last axis, tiled across the rest."""
-    base = _base()
-    ys = grid.axes()[-1]
-    col = eps * np.interp(ys / eps, base.t, base.V)
-    if grid.dim == 1:
-        return ScalarField(grid=grid, values=col)
-    return ScalarField(grid=grid, values=np.tile(col, (grid.shape[0], 1)))
-
-
 def _certified(u0, eps, tol=1e-8, max_iter=5_000):
     u, rep = minimize(u0, u0, _term(), SolveConfig(eps=eps, tol_residual=tol, max_iter=max_iter))
     assert rep.converged
@@ -77,7 +69,7 @@ def _certified(u0, eps, tol=1e-8, max_iter=5_000):
 @functools.cache
 def _column(eps, lo, hi, n):
     line = make_grid(lo, hi, n)
-    bc = _profile_field(line, eps)
+    bc = profile_field(_term(), line, eps)
     col, rep = minimize(
         bc, bc, _term(), SolveConfig(eps=eps, tol_residual=1e-10, max_iter=60_000)
     )
@@ -134,18 +126,8 @@ def _c1_norm(spec):
     return float(np.abs(evaluate(spec, pts)).max() + np.abs(jacobian(spec, pts)).max())
 
 
-def _halfplane(n):
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), n)
-    ym = np.meshgrid(*grid.axes(), indexing="ij")[1]
-    return ScalarField(grid=grid, values=np.maximum(ym, 0.0))
-
-
-def _radial(n, radius):
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), n)
-    xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
-    r = np.sqrt(xm**2 + ym**2)
-    vals = np.where(r > radius, radius * np.log(np.maximum(r, 1e-12) / radius), 0.0)
-    return ScalarField(grid=grid, values=vals)
+def _square(n):
+    return make_grid((-1.0, -1.0), (1.0, 1.0), n)
 
 
 def _bump2(cx, cy, wx, wy, coef):
@@ -153,12 +135,6 @@ def _bump2(cx, cy, wx, wy, coef):
     for (a, b), val in coef.items():
         c[a, b] = val
     return PolyBump(coeffs=c, center=(cx, cy), halfwidths=(wx, wy))
-
-
-def _wedge_field(grid, eps, s, t_max):
-    p = solve_wedge(_term(), eps, s, t_max, 1e-4)
-    col = np.interp(grid.axes()[-1], p.t, p.V)
-    return ScalarField(grid=grid, values=np.tile(col, (grid.shape[0], 1)))
 
 
 # --- reaction term structure ---
@@ -177,7 +153,8 @@ def test_reference_term_passes_structural_validation():
 
 
 def test_monotone_profile_conserves_first_integral():
-    assert first_integral_residual(_base(), _term()) < 1e-8
+    base = solve_monotone(_term(), -30.0, 30.0, 1e-3)
+    assert first_integral_residual(base, _term()) < 1e-8
 
 
 def test_wedge_profile_hits_prescribed_slopes():
@@ -200,7 +177,7 @@ def test_strip_solution_reproduces_profile_columns():
     eps = 0.1
     col = _column(eps, -1.0, 1.0, 401)  # h = 5e-3
     grid2 = make_grid((-0.05, -1.0), (0.05, 1.0), (21, 401))
-    u0 = _profile_field(grid2, eps)
+    u0 = profile_field(_term(), grid2, eps)
     u, rep = _certified(u0, eps)
     assert rep.final_residual <= 1e-8
     trace = np.asarray(rep.energy_trace)
@@ -288,22 +265,22 @@ def test_volume_and_surface_forms_agree_on_exact_solutions():
             _bump2(0.0, 0.0, 0.85, 0.85, {(0, 1): 1.0}),
         ),
     )
-    halfplane = _halfplane(401)  # h = 5e-3
-    radial = _radial(401, 0.5)
-    for u, spec in ((halfplane, generic_x), (radial, radial_x)):
+    plane = halfplane(_square(401))  # h = 5e-3
+    radial = radial_cone(_square(401), 0.5)
+    for u, spec in ((plane, generic_x), (radial, radial_x)):
         volume = second_inner_variation(u, spec, term, 0.0)
         curve = extract_interface(u, 0.5 * u.grid.h)
         surface = surface_second_variation(u, spec, curve)
         assert abs(volume - surface) <= 5e-2 * max(abs(volume), abs(surface))
 
-    flat = extract_interface(halfplane, 0.5 * halfplane.grid.h)
+    flat = extract_interface(plane, 0.5 * plane.grid.h)
     assert np.abs(flat.curvature[~flat.singular]).max() <= 1e-6
     circle = extract_interface(radial, 0.5 * radial.grid.h)
     assert np.abs(circle.curvature[~circle.singular] - 2.0).max() <= 2e-2
 
 
 def test_gradient_trace_is_unit_on_extracted_interfaces():
-    for u in (_halfplane(401), _radial(401, 0.5)):
+    for u in (halfplane(_square(401)), radial_cone(_square(401), 0.5)):
         h = u.grid.h
         curve = extract_interface(u, 0.5 * h)
         keep = ~curve.singular
@@ -332,7 +309,7 @@ def test_growth_scan_separates_profile_from_wedge():
         worst[eps] = rep.worst
         assert rep.worst >= 0.5
     grid = make_grid((-2.0, -2.0), (2.0, 2.0), (401, 401))
-    wedge = _wedge_field(grid, 0.05, 0.05, 2.2)
+    wedge = wedge_field(term, grid, 0.05, 0.05)
     rep_w = nondegeneracy_scan(wedge, 0.05, theta, [1.0])
     assert rep_w.worst <= 2.0 * 0.05
     assert worst[0.05] / rep_w.worst >= 5.0
@@ -345,7 +322,7 @@ def test_density_scan_separates_profile_from_wedge():
         assert rep.passed
         assert rep.worst >= 0.4
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), (401, 401))
-    wedge = _wedge_field(grid, 0.05, 0.05, 1.2)
+    wedge = wedge_field(_term(), grid, 0.05, 0.05)
     rep_w = density_scan(wedge, 0.05, 4.0, [0.5])
     assert rep_w.worst < 0.1
 
@@ -358,8 +335,7 @@ def test_reaction_band_shrinks_linearly_and_tracks_limit_boundary():
     gaps = []
     for eps in (0.2, 0.1, 0.05):
         u, _ = _tiled(eps, -1.0, 1.0, 401)
-        ym = np.meshgrid(*u.grid.axes(), indexing="ij")[1]
-        limit = ScalarField(grid=u.grid, values=np.maximum(ym, 0.0))
+        limit = halfplane(u.grid)
         gaps.append(l1_gap(u, limit, term, eps))
         band = level_region(u, term, eps, "F", term.tau)
         boundary = np.argwhere(_limit_boundary(limit.values))

@@ -91,6 +91,14 @@ def _layer_file(path: Path) -> Path:
     return target
 
 
+def _child_env(**extra: str) -> dict[str, str]:
+    """os.environ with extra set and this package's source root first on PYTHONPATH."""
+    src = str(Path(onephase.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out or True
@@ -144,12 +152,9 @@ def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
         ["check", "--what", "poincare"],
     ]
     assert {c[2] for c in commands if c[0] == "check"} == set(cli._CHECKS)
-    src = str(Path(onephase.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, check=True,
     )
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == {"lazy": [], **{" ".join(c): 0 for c in commands}, "scipy": []}
@@ -200,11 +205,10 @@ def test_cli_import_starts_one_blas_thread_unless_preset(preset):
     # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it: in a
     # fresh interpreter the CLI import leaves no worker thread, and a value
     # the user set is kept.
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    src = str(Path(onephase.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import os, onephase.cli; "
         "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
@@ -229,6 +233,23 @@ def test_grid_below_three_nodes_fails_without_warnings(tmp_path, capsys):
     error = json.loads(captured.out)["error"]
     assert error["type"] == "ValueError"
     assert "need at least 3 nodes" in error["message"]
+
+
+def test_python_dash_m_runs_a_subcommand(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "onephase.cli", "potential", "--out", "d"],
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "d" / "report.json").exists()
+
+
+def test_non_finite_report_exits_one_and_writes_no_report(tmp_path, capsys):
+    # a = 6 / T**4 overflows at T = 1e-78, so validate reads an integral of inf,
+    # which is not JSON: the run fails before report.json exists.
+    assert main(["potential", "--T", "1e-78", "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_unknown_choice_exits_two(capsys):
@@ -358,16 +379,6 @@ def test_solve_profile_boundary_scales_with_T(tmp_path):
     want = scale * np.interp(y / scale, base.t, base.V)
     edge = ~interior_mask(u.grid)
     assert np.max(np.abs(u.values[edge] - want[edge])) < 1e-9
-
-
-def test_solve_profile_boundary_continues_past_the_profile_span(tmp_path):
-    # y / eps = 50 lies past the cached profile's end at 30 T.  f vanishes
-    # above T, so V(t) = T + t there: the top boundary is eps * (1 + 50).
-    argv = ["solve", "--lo=-1", "--hi", "1", "--n", "201", "--eps", "0.02"]
-    assert main([*argv, "--out", str(tmp_path)]) == 0
-    u = load_field(tmp_path / "solution.csv")
-    assert u.values[0] == 0.0
-    assert u.values[-1] == pytest.approx(1.02, abs=1e-9)
 
 
 def test_solve_rejects_grid_coarser_than_layer(tmp_path, capsys):
@@ -845,13 +856,10 @@ def test_variation_pins_hold_on_other_blas_kernels(tmp_path, kernels):
     # sets them.
     argv = _pinned_vary_argv(tmp_path)
     cone = _elliptic_cone(tmp_path / "cone.npy")
-    src = str(Path(onephase.__file__).resolve().parents[1])
-    env = dict(os.environ, **kernels)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _KERNEL_PROBE, str(Path(__file__).parent), str(cone), *argv,
          "--out", "v"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        cwd=tmp_path, env=_child_env(**kernels), capture_output=True, text=True, check=True,
     )
     assert _pinned_hex(_read(tmp_path / "v" / "report.json")) == _VARY_PINS
     assert proc.stdout.splitlines()[0] == _elliptic_cone_quadrature(cone)

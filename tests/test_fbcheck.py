@@ -12,7 +12,9 @@ from onephase.field import (
     ScalarField,
     VectorFieldSpec,
     evaluate,
+    halfplane,
     make_grid,
+    radial_cone,
 )
 from onephase.fbcheck import (
     CheckReport,
@@ -29,7 +31,7 @@ from onephase.fbcheck import (
     poincare_ratio,
     zero_phase_density,
 )
-from onephase.ode1d import solve_monotone, solve_wedge
+from onephase.ode1d import profile_field, wedge_field
 from onephase.potentials import make_reference
 from onephase.solver import SolveConfig, minimize
 
@@ -37,29 +39,17 @@ TERM = make_reference(1.0)
 TAU = 0.5
 
 
-@functools.cache
-def _base_profile():
-    return solve_monotone(TERM, -30.0, 30.0, 1e-3)
-
-
 def _profile_field(eps, lo, hi, n):
-    grid = make_grid((lo, lo), (hi, hi), n)
-    ym = np.meshgrid(*grid.axes(), indexing="ij")[1]
-    base = _base_profile()
-    return ScalarField(grid=grid, values=eps * np.interp(ym / eps, base.t, base.V))
+    return profile_field(TERM, make_grid((lo, lo), (hi, hi), n), eps)
 
 
 def _halfplane(n):
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), n)
-    ym = np.meshgrid(*grid.axes(), indexing="ij")[1]
-    return ScalarField(grid=grid, values=np.maximum(ym, 0.0))
+    return halfplane(make_grid((-1.0, -1.0), (1.0, 1.0), n))
 
 
 @functools.cache
 def _wedge_field(eps):
-    wedge = solve_wedge(TERM, eps, eps, 40.0 * eps, 1e-4)
-    grid = make_grid(-1.0, 1.0, 2001)
-    return ScalarField(grid=grid, values=np.interp(grid.axes()[0], wedge.t, wedge.V))
+    return wedge_field(TERM, make_grid(-1.0, 1.0, 2001), eps, eps)
 
 
 def test_level_region_of_zero_field():
@@ -231,11 +221,7 @@ def test_zero_phase_density_halfplane():
 
 
 def test_zero_phase_density_radial():
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 1001)
-    xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
-    rr = np.sqrt(xm**2 + ym**2)
-    vals = np.where(rr > 0.5, 0.5 * np.log(np.maximum(rr, 1e-12) / 0.5), 0.0)
-    u = ScalarField(grid=grid, values=vals)
+    u = radial_cone(make_grid((-1.0, -1.0), (1.0, 1.0), 1001), 0.5)
     report = zero_phase_density(u, [0.1])
     assert 0.45 <= report.worst <= 0.5
 
@@ -258,11 +244,8 @@ def test_lipschitz_examples():
 
 def test_lipschitz_uniform_over_solved_family():
     line = make_grid(-1.0, 1.0, 201)
-    base = _base_profile()
     for eps in (0.2, 0.1, 0.05):
-        bc = ScalarField(
-            grid=line, values=eps * np.interp(line.axes()[0] / eps, base.t, base.V)
-        )
+        bc = profile_field(TERM, line, eps)
         col, report = minimize(
             bc, bc, TERM, SolveConfig(eps=eps, tol_residual=1e-8, max_iter=40_000)
         )
@@ -275,10 +258,7 @@ def test_lipschitz_uniform_over_solved_family():
 def test_exit_radius_zero_when_already_above():
     eps = 0.1
     grid = make_grid(-1.0, 1.0, 2001)
-    base = _base_profile()
-    u = ScalarField(
-        grid=grid, values=eps * np.interp(grid.axes()[0] / eps, base.t, base.V)
-    )
+    u = profile_field(TERM, grid, eps)
     k = int(np.argmax(u.values >= TAU * eps))
     assert exit_radius(u, eps, TAU / 4, [grid.axes()[0][k]]) == 0.0
 
@@ -286,10 +266,7 @@ def test_exit_radius_zero_when_already_above():
 def test_exit_radius_profile_log_growth():
     eps = 0.1
     grid = make_grid(-1.0, 1.0, 2001)
-    base = _base_profile()
-    u = ScalarField(
-        grid=grid, values=eps * np.interp(grid.axes()[0] / eps, base.t, base.V)
-    )
+    u = profile_field(TERM, grid, eps)
     expected = {TAU / 2: 0.37, TAU / 4: 0.69, TAU / 8: 0.99}
     rates = []
     for theta, want in expected.items():
@@ -324,9 +301,7 @@ def test_poincare_zero_field():
 
 def test_poincare_clamp_field():
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 401)
-    xm = np.meshgrid(*grid.axes(), indexing="ij")[0]
-    g = ScalarField(grid=grid, values=np.maximum(xm, 0.0))
-    ratio = poincare_ratio(g, 0.3)
+    ratio = poincare_ratio(halfplane(grid), 0.3)
     assert ratio <= 1.0
     assert ratio == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=0.01)
 
@@ -496,11 +471,9 @@ def test_blowdown_identity_and_linearity():
 
 
 def test_blowdown_profile_converges_to_ramp():
-    grid = make_grid(-50.0, 50.0, 10001)
-    base = _base_profile()
-    u = ScalarField(grid=grid, values=np.interp(grid.axes()[0], base.t, base.V))
+    u = profile_field(TERM, make_grid(-50.0, 50.0, 10001), 1.0)
     target = make_grid(-1.0, 1.0, 201)
-    ramp = np.maximum(target.axes()[0], 0.0)
+    ramp = halfplane(target).values
     errs = {}
     for eps in (0.1, 0.05):
         out = blowdown(u, eps, target)

@@ -26,6 +26,7 @@ from onephase.field import (
     load_vector_spec,
     make_grid,
     max_norm,
+    radial_cone,
     sample,
     save_field,
     save_vector_spec,
@@ -69,6 +70,11 @@ def test_grid_validation():
     g = make_grid((0.0, 0.0), (1.0, 2.0), (11, 21))
     assert g.h == pytest.approx(0.1)
     assert g.hi == pytest.approx((1.0, 2.0))
+
+
+def test_radial_cone_needs_a_2d_grid():
+    with pytest.raises(ValueError, match="2D grid"):
+        radial_cone(make_grid(-1.0, 1.0, 21), 0.5)
 
 
 def test_gradient_exact_on_linear():

@@ -5,11 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from onephase import ode1d
+from onephase.field import make_grid
 from onephase.ode1d import (
     IntegrationFailure,
     _rk4_scan,
     first_integral_residual,
     load_profile,
+    profile_field,
     rescale,
     save_profile,
     solve_monotone,
@@ -215,6 +218,38 @@ def test_rescaled_monotone_converges_to_positive_part():
         assert err <= 1.05 * eps * term.T
         assert err < prev
         prev = err
+
+
+def test_profile_field_builds_one_profile_per_term_value(monkeypatch):
+    # Each reference term has its own closures, as sweep's runs make them;
+    # equal terms share one build, and a tabulated term of the same T does not.
+    built = []
+
+    def counted(term, *span):
+        built.append(term.family)
+        return solve_monotone(term, *span)
+
+    monkeypatch.setattr(ode1d, "_MONOTONE", {})
+    monkeypatch.setattr(ode1d, "solve_monotone", counted)
+    grid = make_grid(-1.0, 1.0, 41)
+    one, other = make_reference(1.0), make_reference(1.0)
+    first = profile_field(one, grid, 0.1)
+    profile_field(other, grid, 0.2)
+    assert built == ["reference"]
+    s = np.linspace(0.0, 1.0, 41)
+    table = make_tabulated(np.column_stack([s, 6.0 * s * (1.0 - s) ** 2]))
+    assert table.T == 1.0
+    tabulated = profile_field(table, grid, 0.1)
+    assert built == ["reference", "tabulated"]
+    assert not np.array_equal(tabulated.values, first.values)
+
+
+def test_profile_field_continues_past_the_cached_span():
+    # y / eps = 50 lies past the cached profile's end at 30 T.  f vanishes
+    # above T, so V(t) = T + t there: the top node is eps * (1 + 50).
+    u = profile_field(_term(), make_grid(-1.0, 1.0, 201), 0.02)
+    assert u.values[0] == 0.0
+    assert u.values[-1] == pytest.approx(0.02 * 51.0, abs=1e-12)
 
 
 def test_residual_detects_perturbed_profile():

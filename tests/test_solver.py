@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from onephase import solver
-from onephase.field import GridSpec, ScalarField, interior_mask, laplacian, make_grid
-from onephase.ode1d import solve_monotone
+from onephase.field import GridSpec, ScalarField, halfplane, interior_mask, laplacian, make_grid
+from onephase.ode1d import profile_field, solve_monotone
 from onephase.potentials import f_eps, make_reference, make_tabulated
 from onephase.records import from_json, to_json
 from onephase.solver import (
@@ -26,19 +26,10 @@ def _term():
     return make_reference(1.0)
 
 
-def _profile_on_axis(term, eps: float, x: np.ndarray) -> np.ndarray:
-    """eps * V(x / eps) for the monotone profile, aligned to the grid."""
-    span = float(np.max(np.abs(x))) / eps + 1.0
-    base = solve_monotone(term, t_min=-span, t_max=span, h=1e-3)
-    return eps * np.interp(x / eps, base.t, base.V)
-
-
 def test_energy_of_halfplane_limit_competitor():
     term = _term()
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 201)
-    y = np.meshgrid(*grid.axes(), indexing="ij")[1]
-    u = ScalarField(grid=grid, values=np.maximum(y, 0.0))
-    val = energy(u, term, 0.0)
+    val = energy(halfplane(grid), term, 0.0)
     # Discrete value: the 1/h forward differences above the kink row each
     # carry (h/h)^2 * h, which sums to 1 per column and to 2 across the
     # x trapezoid; the indicator is 0 on the kink row, so its y trapezoid
@@ -58,10 +49,7 @@ def test_energy_of_zero_field():
 def test_energy_of_profile_matches_one_dimensional_reduction():
     term = _term()
     eps = 0.1
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 201)
-    y = grid.axes()[1]
-    col = _profile_on_axis(term, eps, y)
-    u = ScalarField(grid=grid, values=np.tile(col, (grid.shape[0], 1)))
+    u = profile_field(term, make_grid((-1.0, -1.0), (1.0, 1.0), 201), eps)
     base = solve_monotone(term, t_min=-12.0, t_max=12.0, h=1e-3)
     t = base.t
     window = np.abs(t) <= 1.0 / eps
@@ -98,11 +86,9 @@ def test_energy_trace_records_every_bundle_of_a_descent():
     term = _term()
     eps = 0.2
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 41)
-    y = np.meshgrid(*grid.axes(), indexing="ij")[1]
-    exact = _profile_on_axis(term, eps, y[0])
-    boundary = ScalarField(grid=grid, values=np.tile(exact, (grid.shape[0], 1)))
+    boundary = profile_field(term, grid, eps)
     edge = ~interior_mask(grid)
-    start = np.maximum(y, 0.0)
+    start = halfplane(grid).values
     start[edge] = boundary.values[edge]
     u, report = minimize(boundary, ScalarField(grid=grid, values=start), term, SolveConfig(eps=eps))
     assert report.converged
@@ -124,7 +110,7 @@ def test_tabulated_solve_trace_does_not_rise():
     term = _cubic_table()
     eps = 0.1
     grid = make_grid(-0.6, 0.6, 41)  # h = 0.3 * T * eps
-    data = ScalarField(grid=grid, values=np.maximum(grid.axes()[0], 0.0) + 0.02)
+    data = ScalarField(grid=grid, values=halfplane(grid).values + 0.02)
     _, report = minimize(data, data, term, SolveConfig(eps=eps))
     assert report.converged
     trace = np.asarray(report.energy_trace)
@@ -137,12 +123,11 @@ def test_solve_near_the_grid_bound_does_not_rise():
     eps = 0.1
     # h = 0.95 * sqrt(dim) * T * eps, just inside the bound the CLI enforces.
     grid = make_grid(-1.9, 1.9, 41)
-    x = grid.axes()[0]
-    exact = _profile_on_axis(term, eps, x)
-    start = np.maximum(x, 0.0)
-    start[0], start[-1] = exact[0], exact[-1]
+    exact = profile_field(term, grid, eps)
+    start = halfplane(grid).values
+    start[0], start[-1] = exact.values[0], exact.values[-1]
     u, report = minimize(
-        ScalarField(grid=grid, values=exact),
+        exact,
         ScalarField(grid=grid, values=start),
         term,
         SolveConfig(eps=eps, max_iter=200),
@@ -162,8 +147,7 @@ def test_halfplane_solve_near_the_grid_bound_converges_downhill(fraction):
     # unconverged at residual 26 and 20 after 121 and 140 bundles.
     term = _term()
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 41)
-    y = np.meshgrid(*grid.axes(), indexing="ij")[1]
-    data = ScalarField(grid=grid, values=np.maximum(y, 0.0))
+    data = halfplane(grid)
     eps = grid.h / (fraction * np.sqrt(2.0))
     _, report = minimize(data, data, term, SolveConfig(eps=eps))
     assert report.converged
@@ -177,9 +161,7 @@ def test_residual_zero_field_and_stencil_order():
     res = {}
     for h in (2e-3, 1e-3):
         grid = make_grid(-1.0, 1.0, int(round(2.0 / h)) + 1)
-        x = grid.axes()[0]
-        u = ScalarField(grid=grid, values=_profile_on_axis(term, eps, x))
-        res[h] = residual(u, term, eps)
+        res[h] = residual(profile_field(term, grid, eps), term, eps)
         zero = ScalarField(grid=grid, values=np.zeros(grid.shape))
         assert residual(zero, term, eps) == 0.0
     assert res[1e-3] < 0.01
@@ -203,19 +185,16 @@ def test_residual_is_the_interior_laplacian_defect_bit_for_bit(dim, n):
 def test_residual_reports_kink_of_nonsmooth_input():
     term = _term()
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 201)
-    y = np.meshgrid(*grid.axes(), indexing="ij")[1]
-    u = ScalarField(grid=grid, values=np.maximum(y, 0.0))
-    assert residual(u, term, 0.05) > 10.0
+    assert residual(halfplane(grid), term, 0.05) > 10.0
 
 
 def test_minimize_matches_one_dimensional_profile():
     term = _term()
     eps = 0.1
     grid = make_grid(-1.0, 1.0, 2001)
-    x = grid.axes()[0]
-    exact = _profile_on_axis(term, eps, x)
-    boundary = ScalarField(grid=grid, values=exact)
-    init_vals = np.maximum(x, 0.0)
+    boundary = profile_field(term, grid, eps)
+    exact = boundary.values
+    init_vals = halfplane(grid).values
     init_vals[0], init_vals[-1] = exact[0], exact[-1]
     init = ScalarField(grid=grid, values=init_vals)
     cfg = SolveConfig(eps=eps, tol_residual=1e-8, max_iter=20_000)
@@ -246,7 +225,7 @@ def test_minimize_2d_keeps_one_dimensional_symmetry():
     # minimizer is exactly x-independent, so any x-spread in the result is
     # pure solver error.
     line = make_grid(-1.0, 1.0, 201)
-    col_bc = ScalarField(grid=line, values=_profile_on_axis(term, eps, line.axes()[0]))
+    col_bc = profile_field(term, line, eps)
     col_cfg = SolveConfig(eps=eps, tol_residual=1e-10, max_iter=20_000)
     col, col_report = minimize(col_bc, col_bc, term, col_cfg)
     assert col_report.converged
@@ -280,10 +259,7 @@ def test_minimize_energy_refines_at_second_order():
     eps = 0.2
     energies = []
     for h in (0.02, 0.01, 0.005):
-        grid = make_grid(-1.0, 1.0, int(round(2.0 / h)) + 1)
-        x = grid.axes()[0]
-        exact = _profile_on_axis(term, eps, x)
-        boundary = ScalarField(grid=grid, values=exact)
+        boundary = profile_field(term, make_grid(-1.0, 1.0, int(round(2.0 / h)) + 1), eps)
         cfg = SolveConfig(eps=eps, tol_residual=1e-10, max_iter=50_000)
         u, report = minimize(boundary, boundary, term, cfg)
         assert report.converged
@@ -540,8 +516,7 @@ def test_cycle_count_is_flat_over_one_dimensional_grids():
     eps = 0.1
     counts = []
     for n in (257, 513, 1025):
-        grid = make_grid(-1.0, 1.0, n)
-        data = ScalarField(grid=grid, values=_profile_on_axis(term, eps, grid.axes()[0]))
+        data = profile_field(term, make_grid(-1.0, 1.0, n), eps)
         _, report = minimize(data, data, term, SolveConfig(eps=eps))
         assert report.stop_reason == "tol"
         trace = np.asarray(report.energy_trace)
@@ -592,8 +567,7 @@ def test_refused_cycles_fall_back_to_one_bundle(monkeypatch, dim, n, eps):
     # single-level solve, bit for bit.
     term = _term()
     grid = make_grid((-1.0,) * dim, (1.0,) * dim, n)
-    y = np.meshgrid(*grid.axes(), indexing="ij")[-1]
-    data = ScalarField(grid=grid, values=_profile_on_axis(term, eps, y))
+    data = profile_field(term, grid, eps)
     cfg = SolveConfig(eps=eps)
     assert len(_levels(grid, term, eps)) > 1
     prolong, levels = solver._prolong, solver._levels
@@ -608,9 +582,7 @@ def test_refused_cycles_fall_back_to_one_bundle(monkeypatch, dim, n, eps):
 
 def test_report_states_why_the_solve_stopped():
     term = _term()
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 41)
-    y = np.meshgrid(*grid.axes(), indexing="ij")[1]
-    data = ScalarField(grid=grid, values=np.maximum(y, 0.0))
+    data = halfplane(make_grid((-1.0, -1.0), (1.0, 1.0), 41))
     _, capped = minimize(data, data, term, SolveConfig(eps=0.2, max_iter=2))
     assert (capped.stop_reason, capped.iterations, capped.converged) == ("max_iter", 2, False)
     assert len(capped.energy_trace) == 3
@@ -631,8 +603,7 @@ def test_refused_candidates_leave_the_plain_cycles(monkeypatch, dim, n, eps):
     # cycles, field and report.  (2, 41, 0.05) has one level.
     term = _term()
     grid = make_grid((-1.0,) * dim, (1.0,) * dim, n)
-    y = np.meshgrid(*grid.axes(), indexing="ij")[-1]
-    data = ScalarField(grid=grid, values=_profile_on_axis(term, eps, y))
+    data = profile_field(term, grid, eps)
     cfg = SolveConfig(eps=eps)
     extrapolate = solver._extrapolate
 
@@ -662,8 +633,7 @@ def test_layer_between_nodes_converges_in_under_100_cycles(offset):
     h = 2.0 / (n - 1)
     grid = make_grid((-1.0, -1.0 + offset * h), (1.0, 1.0 + offset * h), n)
     assert len(_levels(grid, term, eps)) == 1
-    y = np.meshgrid(*grid.axes(), indexing="ij")[1]
-    data = ScalarField(grid=grid, values=_profile_on_axis(term, eps, y))
+    data = profile_field(term, grid, eps)
     _, report = minimize(data, data, term, SolveConfig(eps=eps))
     assert report.stop_reason == "tol"
     assert report.iterations < 100

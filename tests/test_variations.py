@@ -14,13 +14,15 @@ from onephase.field import (
     VectorFieldSpec,
     evaluate,
     gradient,
+    halfplane,
     integrate,
     make_grid,
     max_norm,
+    radial_cone,
     support_box,
     tables,
 )
-from onephase.ode1d import solve_monotone
+from onephase.ode1d import profile_field
 from onephase.potentials import F_eps, f_eps, make_reference
 from onephase.records import from_json, to_json
 from onephase.solver import SolveConfig, minimize
@@ -84,17 +86,12 @@ def _smooth_u(grid):
 
 
 def _halfplane(n, slope=1.0):
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), n)
-    ym = np.meshgrid(*grid.axes(), indexing="ij")[1]
-    return ScalarField(grid=grid, values=slope * np.maximum(ym, 0.0))
+    u = halfplane(make_grid((-1.0, -1.0), (1.0, 1.0), n))
+    return ScalarField(grid=u.grid, values=slope * u.values)
 
 
 def _radial(n=401, radius=0.5):
-    grid = make_grid((-1.0, -1.0), (1.0, 1.0), n)
-    xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
-    r = np.sqrt(xm**2 + ym**2)
-    vals = np.where(r > radius, radius * np.log(np.maximum(r, 1e-12) / radius), 0.0)
-    return ScalarField(grid=grid, values=vals)
+    return radial_cone(make_grid((-1.0, -1.0), (1.0, 1.0), n), radius)
 
 
 @functools.cache
@@ -107,11 +104,7 @@ def _solved_profile():
     """
     term = _term()
     eps = 0.3
-    line = make_grid(-1.0, 1.0, 401)
-    base = solve_monotone(term, t_min=-(1.0 / eps + 1.0), t_max=1.0 / eps + 1.0, h=1e-3)
-    col_bc = ScalarField(
-        grid=line, values=eps * np.interp(line.axes()[0] / eps, base.t, base.V)
-    )
+    col_bc = profile_field(term, make_grid(-1.0, 1.0, 401), eps)
     col, col_report = minimize(
         col_bc, col_bc, term, SolveConfig(eps=eps, tol_residual=1e-10, max_iter=40_000)
     )
