@@ -5,16 +5,17 @@ axes; discrete calculus (gradient, laplacian, trapezoid quadrature) is
 second order.  Vector fields for domain deformations are closed-form: a
 polynomial of total degree at most 3 in local coordinates, multiplied by
 the compactly supported bump psi(y) = (1 - y^2)^4 per coordinate.  Their
-first and second partials are evaluated analytically, never by grid
-differencing, so flow-based finite differences can be compared against
-exact inner-variation integrands without stencil noise.  `halfplane` and
-`radial_cone` are the exact one-phase solutions the checks compare with.
+first and second partials are exact, never grid differences: Leibniz's
+rule combines Horner sums of the polynomial's partials with products of
+psi, psi' and psi'', in + - * / alone.  So flow-based finite differences
+can be compared against exact inner-variation integrands without stencil
+noise.  `halfplane` and `radial_cone` are the exact one-phase solutions.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -373,6 +374,26 @@ class PolyBump:
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
         object.__setattr__(self, "halfwidths", tuple(float(v) for v in self.halfwidths))
 
+    @functools.cached_property
+    def _partials(self) -> dict[tuple[int, ...], list]:
+        """The nonzero D^beta P in x, |beta| <= 2, as _horner's nested lists."""
+        out = {}
+        for beta in filter(lambda b: sum(b) <= 2, np.ndindex(*(3,) * len(self.center))):
+            c = self.coeffs
+            for ax, (d, w) in enumerate(zip(beta, self.halfwidths)):
+                for _ in range(d):
+                    c = np.moveaxis(c, ax, -1)[..., 1:] * (np.arange(1.0, c.shape[ax]) / w)
+                    c = np.moveaxis(c, -1, ax)
+            if c.any():
+                out[beta] = _nested(c)
+        return out
+
+
+def _nested(c: np.ndarray) -> list:
+    """c as nested lists of floats, trailing zeros dropped on every axis."""
+    n = 1 + max(np.flatnonzero(c if c.ndim == 1 else c.any(axis=1)), default=0)
+    return c[:n].tolist() if c.ndim == 1 else [_nested(row) for row in c[:n]]
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class VectorFieldSpec:
@@ -393,69 +414,43 @@ class VectorFieldSpec:
 
 
 def _contract(c, g) -> np.ndarray:
-    """sum_a c[a] * g[a], accumulated from a = 0 in plain products.
-
-    It stands in for a matrix product, whose last bits depend on the BLAS
-    kernel the CPU selects.
-    """
+    """sum_a c[a] * g[a], accumulated from a = 0 in plain products: a matrix
+    product's last bits would depend on the BLAS kernel the CPU selects."""
     acc = c[0] * g[0]
     for a in range(1, len(g)):
         acc = acc + c[a] * g[a]
     return acc
 
 
-def _sparse_contract(c: np.ndarray, g) -> np.ndarray:
-    """_contract over the a with c[a] != 0; a zero term adds a signed zero at most."""
-    terms = np.flatnonzero(c)
-    return _contract(c[terms], [g[a] for a in terms])
-
-
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks of dim x dim matrices, in plain products (see _contract)."""
-    dim = a.shape[-1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    for i in range(dim):
-        for j in range(dim):
-            row = [a[..., i, k] for k in range(dim)]
-            out[..., i, j] = _contract(row, [b[..., k, j] for k in range(dim)])
-    return out
+    """a @ b for matrices of arrays, matrix axes first, in plain products (see _contract)."""
+    return np.array([[_contract(row, b[:, j]) for j in range(len(b))] for row in a])
 
 
-def _axis_factors(y: np.ndarray, order: int) -> list[np.ndarray]:
-    """Tables g[m][a] = d^m/dy^m [y^a psi(y)] for m <= order, shape (4, n).
-
-    Every derivative of psi = q^4, q = 1 - y^2, carries a factor q, so
-    setting q = 0 for |y| >= 1 zeroes all rows outside the bump.
-    """
-    q = np.where(np.abs(y) < 1.0, 1.0 - y * y, 0.0)
-    q2 = q * q
-    psi = [q2 * q2]
-    if order >= 1:
-        psi.append(-8.0 * y * q2 * q)
-    if order >= 2:
-        psi.append(8.0 * q2 * (7.0 * y * y - 1.0))
-    # dpw[r, a] = d^r/dy^r y^a = a! / (a - r)! * y^(a - r)
-    dpw = np.zeros((order + 1, 4) + y.shape)
-    dpw[0, 0], dpw[0, 1], dpw[0, 2], dpw[0, 3] = 1.0, y, y * y, y * y * y
-    for r in range(1, order + 1):
-        for a in range(r, 4):
-            dpw[r, a] = math.perm(a, r) * dpw[0, a - r]
-    g = [dpw[0] * psi[0]]
-    for m in range(1, order + 1):
-        # Leibniz rule for the m-th derivative of the product y^a * psi.
-        g.append(sum(math.comb(m, r) * dpw[r] * psi[m - r] for r in range(m + 1)))
-    return g
+def _horner(c: list | float, ys, out: np.ndarray | None = None) -> np.ndarray | float:
+    """sum_ab c[a][b] ys[0]^a ys[1]^b (c[a] ys[0]^a in 1D) by Horner's rule: each
+    row c[a] is on the last axis alone (axis work on an open mesh), then the
+    sum over a is taken in place in out."""
+    if not isinstance(c, list):
+        return c
+    rows = [_horner(row, ys[1:]) if isinstance(row, list) else row for row in c]
+    acc = rows.pop()
+    for row in reversed(rows):
+        acc = np.multiply(acc, ys[0], out=out)
+        acc += row
+    return acc
 
 
 def tables(spec: VectorFieldSpec, p, order: int) -> list[np.ndarray]:
     """X and its exact partials up to the given order, in one pass.
 
-    Component i is P_i(y) * prod_k psi(y_k) with y = (x - center) / w, so
-    D^alpha X^i = sum_ab c_ab g_a^(alpha_1)(y_1) g_b^(alpha_2)(y_2) / w^alpha
-    with the per-axis tables g of _axis_factors, built on one coordinate
-    array per axis: a batch's columns, or a grid's open mesh (np.ix_) so
-    that each axis node is tabled once and the axes combine by
-    broadcasting.  Points not strictly inside support_box(spec) get +0.0.
+    Component i is P(y) B(y), B = prod_k psi(y_k), y = (x - center) / w, and
+    D^alpha X^i = sum_beta binom(alpha, beta) D^beta P D^(alpha - beta) B:
+    psi, psi' and psi'' per axis from q = 1 - y^2 by products, D^beta P by
+    Horner's rule on PolyBump._partials, in + - * / alone (no BLAS kernel or
+    CPU dispatch sets the bits).  A batch's columns or a grid's open mesh
+    (np.ix_) broadcast with the same operations per point, so a grid tables
+    each axis node once.  Points not strictly inside support_box get +0.0.
 
     Args:
         spec: deformation field.
@@ -467,53 +462,58 @@ def tables(spec: VectorFieldSpec, p, order: int) -> list[np.ndarray]:
         D2X[i, j, k] = d^2 X^i / dx_j dx_k, each behind the leading axes
         lead: () for a point, (...) for a batch, grid.shape for a grid.
     """
-    if isinstance(p, GridSpec):
-        coords = np.ix_(*p.axes())
-    else:
-        coords = tuple(np.moveaxis(np.asarray(p, dtype=float), -1, 0))
+    on_grid = isinstance(p, GridSpec)
+    coords = np.ix_(*p.axes()) if on_grid else tuple(np.moveaxis(np.asarray(p, dtype=float), -1, 0))
     out = _tables(spec, coords, order)
     return [np.moveaxis(t, range(k + 1), range(-k - 1, 0)) for k, t in enumerate(out)]
 
 
 def _tables(spec: VectorFieldSpec, coords, order: int) -> list[np.ndarray]:
-    """tables on one coordinate array per axis, arrays that broadcast together.
-
-    The component axes lead: X[i], DX[i, j] and D2X[i, j, k] are each one
-    contiguous array over the points.
-    """
+    """tables on one coordinate array per axis, arrays that broadcast together;
+    the component axes lead, so X[i], DX[i, j] and D2X[i, j, k] are arrays."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     dim = spec.dim
     if len(coords) != dim:
         raise ValueError(f"points must have {dim} coordinates, got {len(coords)}")
-    # Box-edge nodes can round to |y| < 1, where psi is ~1e-63, not 0: mask them.
+    # A coordinate not strictly inside the box moves to a - (b - a), where each
+    # |y| > 1 and psi = 0: box-edge nodes would round to psi ~ 1e-63, not 0.
     lo, hi = support_box(spec)
-    inside = True
-    for x, a, b in zip(coords, lo, hi):
-        inside = inside & (x > a) & (x < b)
-    out = [np.empty((dim,) * (k + 1) + inside.shape) for k in range(order + 1)]
+    coords = [np.where((x > a) & (x < b), x, a - (b - a)) for x, a, b in zip(coords, lo, hi)]
+    shape = np.broadcast_shapes(*(x.shape for x in coords))
+    out = [np.empty((dim,) * (k + 1) + shape) for k in range(order + 1)]
+    # Partials in an order that puts each after those below it; shared scratch.
+    ders = [a for a in np.ndindex(*(order + 1,) * dim) if sum(a) <= order]
+    term, work = np.empty(shape), np.empty((len(ders),) + shape)
     for i, comp in enumerate(spec.components):
-        w = np.asarray(comp.halfwidths)
-        g = []
-        for x, c, wk in zip(coords, comp.center, w):
-            flat = _axis_factors(((x - c) / wk).ravel(), order)
-            g.append([t.reshape((4,) + x.shape) for t in flat])
-        parts: dict[tuple[int, ...], np.ndarray] = {}
-        for k in range(order + 1):
-            for idx in np.ndindex(*(dim,) * k):
-                der = tuple(idx.count(ax) for ax in range(dim))
-                if der not in parts:
-                    g0 = g[0][der[0]]
-                    if not comp.coeffs.any():
-                        val = np.zeros(inside.shape)
-                    elif dim == 1:
-                        val = _sparse_contract(comp.coeffs, g0)
-                    else:
-                        cols = [b for b in range(4) if comp.coeffs[:, b].any()]
-                        rows = [_sparse_contract(comp.coeffs[:, b], g0) for b in cols]
-                        val = _contract(rows, [g[1][der[1]][b] for b in cols])
-                    parts[der] = np.where(inside, val / np.prod(w**der), 0.0)
-                out[k][(i,) + idx] = parts[der]
+        ys = [(x - c) / w for x, c, w in zip(coords, comp.center, comp.halfwidths)]
+        # psi[k][m] = d^m/dx_k^m psi(y_k): psi = q^4, q = 1 - y^2 clipped at 0,
+        # so each carries a factor q; 1/w^m is folded into the constants.
+        psi = []
+        for y, w in zip(ys, comp.halfwidths):
+            yy = y * y
+            q = np.maximum(1.0 - yy, 0.0)
+            q2 = q * q
+            rows = (lambda: q2 * q2, lambda: (-8.0 / w) * y * q2 * q,
+                    lambda: (8.0 / (w * w)) * q2 * (7.0 * yy - 1.0))
+            psi.append([row() for row in rows[: order + 1]])
+        polys = {}  # a zero partial has no entry and adds no term
+        for j, der in enumerate(ders):
+            if der in comp._partials:
+                polys[der] = _horner(comp._partials[der], ys, work[j, ...])
+            slot = out[sum(der)][(i, *(ax for ax, d in enumerate(der) for _ in range(d)), ...)]
+            slot[...] = 0.0  # summed from +0.0, so an entry that is +-0 is +0.0
+            for beta in (b for b in polys if all(x <= y for x, y in zip(b, der))):
+                p, f = polys[beta], psi[0][der[0] - beta[0]]
+                # A constant times an axis factor stays an axis array on a grid.
+                acc = p * f if isinstance(p, float) else np.multiply(p, f, out=term)
+                for ax in range(1, dim):
+                    acc = np.multiply(acc, psi[ax][der[ax] - beta[ax]], out=term)
+                if (2, 1) in zip(der, beta):  # the binomial coefficient 2
+                    acc *= 2.0
+                slot += acc
+    if order == 2 and dim == 2:
+        out[2][:, 1, 0] = out[2][:, 0, 1]
     return out
 
 
@@ -574,19 +574,18 @@ def flow(
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     pts = np.asarray(p, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    q = pts.copy()
-    jac = np.broadcast_to(np.eye(pts.shape[-1]), pts.shape + pts.shape[-1:]).copy()
+    # The RK4 stages run component-major, as _tables does: q[i], J[i, j].
+    q = np.atleast_2d(pts).T.copy()
+    jac = np.eye(len(q))[:, :, np.newaxis].repeat(q.shape[1], axis=2)
     # Points outside the support box are fixed points of the flow and of
     # every RK4 stage (X = 0 and DX = 0 there), so they keep q = p and J = I
     # and only the inside batch is advanced.
-    lo, hi = support_box(spec)
-    moving = np.all((pts > np.asarray(lo)) & (pts < np.asarray(hi)), axis=-1)
-    qm, jm = q[moving], jac[moving]
+    lo, hi = (np.asarray(b)[:, np.newaxis] for b in support_box(spec))
+    moving = np.all((q > lo) & (q < hi), axis=0)
+    qm, jm = q[:, moving], jac[:, :, moving]
 
     def rates(qs, js):
-        x, dx = tables(spec, qs, 1)
+        x, dx = _tables(spec, tuple(qs), 1)
         return x, _matmul(dx, js)
 
     dt = t / n_steps
@@ -597,8 +596,9 @@ def flow(
         k4, l4 = rates(qm + dt * k3, jm + dt * l3)
         qm = qm + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         jm = jm + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-    q[moving], jac[moving] = qm, jm
-    return (q[0], jac[0]) if single else (q, jac)
+    q[:, moving], jac[:, :, moving] = qm, jm
+    q, jac = q.T, np.moveaxis(jac, -1, 0)
+    return (q[0], jac[0]) if pts.ndim == 1 else (q, jac)
 
 
 def save_field(u: ScalarField, path: str | Path) -> None:

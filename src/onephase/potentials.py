@@ -28,6 +28,10 @@ __all__ = [
 
 _BISECT_TOL = 1e-12
 
+# The T that make_reference takes: a round range inside the one where T^4
+# and a = 6/T^4 are finite positive floats (about 1.4e-77 to 1.2e77).
+_T_RANGE = (1e-76, 1e76)
+
 
 @dataclass(frozen=True)
 class ReactionTerm:
@@ -120,10 +124,14 @@ def make_reference(T: float) -> ReactionTerm:
         The assembled ReactionTerm.
 
     Raises:
-        ValueError: if T <= 0.
+        ValueError: if T is not in [1e-76, 1e76], so that 6/T^4 would not
+            be a finite positive float (or not a number at all).
     """
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
+    lo, hi = _T_RANGE
+    if not lo <= T <= hi:
+        raise ValueError(
+            f"T must lie in [{lo:g}, {hi:g}], where 6/T^4 is finite and positive; got {T}"
+        )
     T = float(T)
     a = 6.0 / T**4
 

@@ -37,7 +37,7 @@ from .field import (
     sample,
     support_box,
 )
-from .potentials import F_eps, ReactionTerm, f_eps
+from .potentials import F_eps, ReactionTerm
 from .records import read_table, write_table
 
 __all__ = [
@@ -427,13 +427,13 @@ def inner_variation_fd(
     nodes = _nodes(ax[s] for ax, s in zip(grid.axes(), block))
 
     def change(jac: np.ndarray) -> float:
-        """g(t) - g(0) for the Jacobians J_t of the block nodes.
+        """g(t) - g(0) for the Jacobians J_t[i, j] of the block nodes.
 
         det J_t is the closed form and J_t^{-T} grad u comes from Cramer's
         rule, in plain products: no LAPACK kernel chosen by the CPU sets
         their bits.
         """
-        jac = np.moveaxis(jac.reshape(e0.shape + jac.shape[-2:]), (-2, -1), (0, 1))
+        jac = jac.reshape(jac.shape[:2] + e0.shape)
         if grid.dim == 1:
             det = jac[0, 0]
         else:
@@ -452,9 +452,12 @@ def inner_variation_fd(
 
     vals = {0: 0.0}
     for sign in (-1, 1):
+        # flow returns views of component-major arrays; moving the node
+        # axis back last restores them without a copy.
         q, jac = flow(spec, sign * dt, nodes, _FD_STEPS)
+        jac = np.moveaxis(jac, 0, -1)
         vals[sign] = change(jac)
-        _, step = flow(spec, sign * dt, q, _FD_STEPS)
+        step = np.moveaxis(flow(spec, sign * dt, q, _FD_STEPS)[1], 0, -1)
         vals[2 * sign] = change(_matmul(step, jac))
     first = (vals[-2] - 8.0 * vals[-1] + 8.0 * vals[1] - vals[2]) / (12.0 * dt)
     second = (

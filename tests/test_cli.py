@@ -245,8 +245,8 @@ def test_python_dash_m_runs_a_subcommand(tmp_path):
 
 
 def test_non_finite_report_exits_one_and_writes_no_report(tmp_path, capsys):
-    # a = 6 / T**4 overflows at T = 1e-78, so validate reads an integral of inf,
-    # which is not JSON: the run fails before report.json exists.
+    # a = 6 / T**4 would overflow at T = 1e-78, so make_reference rejects
+    # that T with a ValueError: the run fails before report.json exists.
     assert main(["potential", "--T", "1e-78", "--out", str(tmp_path)]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
     assert not (tmp_path / "report.json").exists()
@@ -766,10 +766,10 @@ def test_check_scan_bits_are_pinned(tmp_path, argv, values_hex):
 # call, and its reaction kernels use + - * / alone, so they hold whichever
 # OpenBLAS kernels and numpy SIMD kernels the CPU selects.
 _VARY_PINS = {
-    "first_analytic": "-0x1.ce4d4f7bc60bap-7",
-    "second_analytic": "0x1.91cba032ac532p-3",
-    "first_fd": "-0x1.ce4d4d5cc8a48p-7",
-    "second_fd": "0x1.91cb9c9b7c36ap-3",
+    "first_analytic": "-0x1.ce4d4f7bc60cep-7",
+    "second_analytic": "0x1.91cba032ac537p-3",
+    "first_fd": "-0x1.ce4d4d5cc8a43p-7",
+    "second_fd": "0x1.91cb9c9b7c58cp-3",
     "classical_second": "0x1.bd0723241b635p-5",
 }
 
@@ -795,7 +795,7 @@ def test_variation_report_bits_are_pinned(tmp_path):
     forms = _read(tmp_path / "c" / "report.json")["forms"]
     assert {k: float.hex(v) for k, v in forms.items()} == {
         "cjk": "0x1.1f2cf10d65de2p-3",
-        "first_volume": "0x1.12a11a045315cp-15",
+        "first_volume": "0x1.12a11a0453262p-15",
         "second_surface": "0x1.2822e5fc8ae78p-3",
         "second_volume": "0x1.1068a2577556cp-3",
     }

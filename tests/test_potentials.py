@@ -54,6 +54,17 @@ def test_make_reference_rejects_nonpositive_support():
         make_reference(-1.0)
 
 
+def test_make_reference_rejects_t_where_6_over_t4_is_not_finite():
+    # 1e-300**4 underflows to 0, so 6/T**4 would divide by zero; at 1e-78
+    # it is inf, and 1e78**4 overflows.  The error names the range of T.
+    for T in (1e-300, 1e-78, 1e78, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"\[1e-76, 1e\+76\]"):
+            make_reference(T)
+    for T in (1e-76, 1e76):
+        term = make_reference(T)
+        assert 0.0 < term.f(0.5 * T) < np.inf and term.F(0.5 * T) == pytest.approx(0.6875)
+
+
 def test_f_eps_values_and_support():
     term = make_reference(1.0)
     assert f_eps(term, 0.1, 0.05) == pytest.approx(7.5, abs=1e-12)

@@ -27,7 +27,6 @@ from onephase.potentials import F_eps, f_eps, make_reference
 from onephase.records import from_json, to_json
 from onephase.solver import SolveConfig, minimize
 from onephase.variations import (
-    InterfaceCurve,
     NotClassicalSolutionError,
     VariationReport,
     _curve_quadrature,
