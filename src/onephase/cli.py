@@ -11,7 +11,8 @@ merges one summary.  The CLI starts OpenBLAS with one thread, as no
 subcommand calls BLAS or LAPACK; a user's OPENBLAS_NUM_THREADS is kept.
 
 Exit codes: 0 on success, 1 with an error JSON on stdout when an
-operation fails, 2 when the command line or config cannot be parsed.
+operation fails, 2 when the command line or config cannot be parsed or
+`solve` rejects its grid, tolerance, cycle cap or eps.
 """
 
 from __future__ import annotations
@@ -277,19 +278,19 @@ def _run_profile(args, out: Path) -> dict:
 
 
 def _run_solve(args, out: Path) -> dict:
-    from .solver import SolveConfig, minimize
+    from .solver import GridBoundError, SolveConfig, minimize
 
+    try:  # the solver checks the settings and the grid bound: usage errors
+        cfg = SolveConfig(eps=args.eps, tol_residual=args.tol, max_iter=args.max_iter)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     term = make_reference(args.T)
     grid = _grid_from_args(args)
     boundary = _field_from_source(args.boundary, grid, args.eps, term, args)
-    # From this spacing on the node energies are not strictly convex
-    # (min f' = -2/T^2) and minimize raises; name it as a usage error.
-    h, dim = boundary.grid.h, boundary.grid.dim
-    bound = math.sqrt(dim) * term.T * args.eps
-    if not h < bound:
-        raise ConfigError(f"grid spacing h = {h:g} must be below sqrt(d)*T*eps = {bound:g}")
-    cfg = SolveConfig(eps=args.eps, tol_residual=args.tol, max_iter=args.max_iter)
-    u, report = minimize(boundary, boundary, term, cfg)
+    try:
+        u, report = minimize(boundary, boundary, term, cfg)
+    except GridBoundError as exc:
+        raise ConfigError(str(exc)) from exc
     save_field(u, out / "solution.csv")
     payload = to_json(report)
     payload["energy"] = report.energy_trace[-1]  # the energy of u
@@ -390,7 +391,7 @@ def _run_cone(args, out: Path) -> dict:
     hi = _floats(args.hi)
     n = tuple(int(round((b - a) / args.h)) + 1 for a, b in zip(lo, hi))
     grid = make_grid(tuple(lo), tuple(hi), n)
-    u = halfplane(grid) if args.kind == "halfplane" else radial_cone(grid, args.radius)
+    u = _field_from_source(args.kind, grid, 0.0, term, args)
     save_field(u, out / "field.csv")
     payload: dict = {"kind": args.kind, "h": grid.h, "shape": list(grid.shape)}
     curve = None
@@ -478,7 +479,8 @@ def main(argv: list[str] | None = None) -> int:
 
     Returns:
         0 on success, 1 after an operation error (error JSON on stdout),
-        2 when the command line or config file cannot be parsed.
+        2 when the command line or config file cannot be parsed or
+        `solve` rejects its grid, tolerance, cycle cap or eps.
     """
     parser, table = _build_parser()
     try:

@@ -46,8 +46,6 @@ __all__ = [
     "sample",
     "tables",
     "evaluate",
-    "jacobian",
-    "hessian",
     "support_box",
     "max_norm",
     "flow",
@@ -427,12 +425,10 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([[_contract(row, b[:, j]) for j in range(len(b))] for row in a])
 
 
-def _horner(c: list | float, ys, out: np.ndarray | None = None) -> np.ndarray | float:
+def _horner(c: list, ys, out: np.ndarray | None = None) -> np.ndarray | float:
     """sum_ab c[a][b] ys[0]^a ys[1]^b (c[a] ys[0]^a in 1D) by Horner's rule: each
     row c[a] is on the last axis alone (axis work on an open mesh), then the
     sum over a is taken in place in out."""
-    if not isinstance(c, list):
-        return c
     rows = [_horner(row, ys[1:]) if isinstance(row, list) else row for row in c]
     acc = rows.pop()
     for row in reversed(rows):
@@ -522,16 +518,6 @@ def evaluate(spec: VectorFieldSpec, p) -> np.ndarray:
     return tables(spec, p, 0)[0]
 
 
-def jacobian(spec: VectorFieldSpec, p) -> np.ndarray:
-    """Exact J[i, j] = dX^i/dx_j at p, of shape lead + (dim, dim); see tables."""
-    return tables(spec, p, 1)[1]
-
-
-def hessian(spec: VectorFieldSpec, p) -> np.ndarray:
-    """Exact d^2 X^i / dx_j dx_k at p, of shape lead + (dim,) * 3; see tables."""
-    return tables(spec, p, 2)[2]
-
-
 def support_box(spec: VectorFieldSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Smallest box outside which X and all its partials vanish."""
     lo = [
@@ -545,10 +531,10 @@ def support_box(spec: VectorFieldSpec) -> tuple[tuple[float, ...], tuple[float, 
     return tuple(lo), tuple(hi)
 
 
-def max_norm(spec: VectorFieldSpec, n: int = 65) -> float:
-    """Sampled estimate of sup |X| (componentwise max over a support lattice)."""
+def max_norm(spec: VectorFieldSpec) -> float:
+    """Sampled sup |X|: the componentwise max over 65 nodes per axis of support_box."""
     lo, hi = support_box(spec)
-    pts = _nodes(np.linspace(a, b, n) for a, b in zip(lo, hi))
+    pts = _nodes(np.linspace(a, b, 65) for a, b in zip(lo, hi))
     return float(np.max(np.abs(evaluate(spec, pts))))
 
 
@@ -559,7 +545,9 @@ def flow(
 
     q integrates dq/dt = X(q) and J the variational equation
     dJ/dt = DX(q) J, J(0) = I, on the same RK4 stages, so J is the exact
-    derivative of the discrete map p -> q.
+    derivative of the discrete map p -> q.  Every point is advanced: X and
+    DX are exact zeros at a point not strictly inside support_box (see
+    tables), so such a point keeps q = p and J = I through every stage.
 
     Args:
         spec: deformation field.
@@ -575,14 +563,8 @@ def flow(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     pts = np.asarray(p, dtype=float)
     # The RK4 stages run component-major, as _tables does: q[i], J[i, j].
-    q = np.atleast_2d(pts).T.copy()
+    q = np.atleast_2d(pts).T
     jac = np.eye(len(q))[:, :, np.newaxis].repeat(q.shape[1], axis=2)
-    # Points outside the support box are fixed points of the flow and of
-    # every RK4 stage (X = 0 and DX = 0 there), so they keep q = p and J = I
-    # and only the inside batch is advanced.
-    lo, hi = (np.asarray(b)[:, np.newaxis] for b in support_box(spec))
-    moving = np.all((q > lo) & (q < hi), axis=0)
-    qm, jm = q[:, moving], jac[:, :, moving]
 
     def rates(qs, js):
         x, dx = _tables(spec, tuple(qs), 1)
@@ -590,13 +572,12 @@ def flow(
 
     dt = t / n_steps
     for _ in range(n_steps):
-        k1, l1 = rates(qm, jm)
-        k2, l2 = rates(qm + 0.5 * dt * k1, jm + 0.5 * dt * l1)
-        k3, l3 = rates(qm + 0.5 * dt * k2, jm + 0.5 * dt * l2)
-        k4, l4 = rates(qm + dt * k3, jm + dt * l3)
-        qm = qm + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        jm = jm + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-    q[:, moving], jac[:, :, moving] = qm, jm
+        k1, l1 = rates(q, jac)
+        k2, l2 = rates(q + 0.5 * dt * k1, jac + 0.5 * dt * l1)
+        k3, l3 = rates(q + 0.5 * dt * k2, jac + 0.5 * dt * l2)
+        k4, l4 = rates(q + dt * k3, jac + dt * l3)
+        q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        jac = jac + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
     q, jac = q.T, np.moveaxis(jac, -1, 0)
     return (q[0], jac[0]) if pts.ndim == 1 else (q, jac)
 

@@ -8,11 +8,12 @@ Solution of Nonlinear Equations in Several Variables, 1970): each node
 moves to the exact minimizer of the energy with its neighbours frozen,
 over-relaxed by a factor chosen from the grid and projected to u >= 0.
 The node energies are strictly convex exactly below a grid bound,
-h < sqrt(dim)*T*eps for the reference family; minimize raises ValueError
-at or above it.  The 5-point equations are the gradient of the discrete
-energy that `energy` measures and the trace records.  Convergence is
-declared on the PDE residual, not the energy decrement, because
-downstream variation tests need genuinely small residuals.
+h < sqrt(dim)*T*eps for the reference family; minimize raises
+GridBoundError, a ValueError, at or above it.  The 5-point equations are
+the gradient of the discrete energy that `energy` measures and the trace
+records.  Convergence is declared on the PDE residual, not the energy
+decrement, because downstream variation tests need genuinely small
+residuals.
 
 Around the smoother runs a nonlinear full-approximation-scheme (FAS)
 V-cycle (Brandt, Math. Comp. 31, 1977) over a hierarchy of levels built
@@ -66,6 +67,7 @@ from .field import ScalarField, _neighbour_sum, _neighbours, integrate, interior
 from .potentials import F_eps, ReactionTerm, f_eps
 
 __all__ = [
+    "GridBoundError",
     "SolveConfig",
     "SolveReport",
     "energy",
@@ -118,6 +120,10 @@ _ANDERSON_RIDGE = 1e-12
 # Rows of about this many nodes per call of a reaction kernel: whole-grid
 # calls on the band of a 201^2 solve took more than three grid arrays.
 _BLOCK_NODES = 8192
+
+
+class GridBoundError(ValueError):
+    """The grid spacing is at or above the bound of strictly convex node energies."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -381,8 +387,8 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
     """The levels of a grid, finest first; see the module docstring.
 
     Raises:
-        ValueError: the node energies of the grid itself are not strictly
-            convex.
+        GridBoundError: the node energies of the grid itself are not
+            strictly convex.
     """
     dim = grid.dim
     try:
@@ -391,7 +397,7 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
         bound = ""
         if term.family == "reference":
             bound = f", sqrt(d)*T*eps = {np.sqrt(dim) * term.T * eps:g}"
-        raise ValueError(
+        raise GridBoundError(
             f"grid spacing h = {grid.h:g} is at or above the bound of strictly"
             f" convex node energies{bound}: {exc}"
         ) from exc
@@ -517,9 +523,9 @@ def minimize(
 
     Raises:
         ValueError: mismatched grids, negative boundary data, an init that
-            disagrees with the boundary trace, or a grid spacing at or
-            above the bound below which every node energy is strictly
-            convex (h < sqrt(dim)*T*eps for the reference family).
+            disagrees with the boundary trace, or (GridBoundError) a grid
+            spacing at or above the bound below which every node energy is
+            strictly convex (h < sqrt(dim)*T*eps for the reference family).
     """
     if boundary.grid != init.grid:
         raise ValueError("boundary and init live on different grids")

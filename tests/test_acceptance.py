@@ -29,11 +29,11 @@ from onephase.field import (
     evaluate,
     gradient,
     halfplane,
-    jacobian,
     make_grid,
     radial_cone,
     sample,
     support_box,
+    tables,
 )
 from onephase.ode1d import (
     first_integral_residual,
@@ -123,7 +123,7 @@ def _c1_norm(spec):
     lo, hi = support_box(spec)
     axes = [np.linspace(a, b, 65) for a, b in zip(lo, hi)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
-    return float(np.abs(evaluate(spec, pts)).max() + np.abs(jacobian(spec, pts)).max())
+    return float(np.abs(evaluate(spec, pts)).max() + np.abs(tables(spec, pts, 1)[1]).max())
 
 
 def _square(n):

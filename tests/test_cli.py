@@ -138,6 +138,7 @@ def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
         ["potential", "--table", str(table)],
         ["profile"],
         ["solve", "--n", "21"],
+        ["solve", "--n", "21", "--boundary", "radial"],
         ["vary", "--eps", "0.1", "--field", str(field), "--x", str(spec)],
         ["cone", "--kind", "radial", "--emit-interface"],
         ["cone", "--kind", "radial", "--h", "0.02", "--x", str(spec)],
@@ -146,8 +147,10 @@ def test_cli_import_and_scipy_free_ops_load_no_scipy(tmp_path):
         ["check", "--what", "density"],
         ["check", "--what", "zero-density", "--field", "halfplane"],
         ["check", "--what", "lipschitz"],
+        ["check", "--what", "lipschitz", "--field", "wedge"],
         ["check", "--what", "l1"],
         ["check", "--what", "hausdorff"],
+        ["check", "--what", "hausdorff", "--limit", "radial"],
         ["check", "--what", "exit", "--point=0.1,-0.08"],
         ["check", "--what", "poincare"],
     ]
@@ -387,6 +390,33 @@ def test_solve_rejects_grid_coarser_than_layer(tmp_path, capsys):
     assert rc == 2
     assert "sqrt(d)*T*eps" in capsys.readouterr().err
     assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "0", "tol_residual must be positive"),
+        ("--max-iter", "0", "max_iter must be at least 1"),
+        ("--eps", "0", "eps must be positive"),
+        ("--eps", "nan", "eps must be positive"),
+    ],
+)
+def test_solve_rejects_settings_as_usage_errors(tmp_path, capsys, flag, value, message):
+    # SolveConfig checks these before any field is built; the CLI maps its
+    # ValueError to exit 2, like a value the parser rejects.
+    rc = main(["solve", "--n", "21", flag, value, "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "solution.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_check_lipschitz_of_wedge_field_is_its_slope(tmp_path):
+    # The wedge source at the default --s has slope s = eps far from its layer.
+    argv = ["check", "--what", "lipschitz", "--field", "wedge", "--eps", "0.1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert abs(_read(tmp_path / "report.json")["value"] - 0.1) < 1e-9
 
 
 def test_cone_halfplane_interface_is_flat(tmp_path):

@@ -21,10 +21,8 @@ from onephase.field import (
     evaluate,
     flow,
     gradient,
-    hessian,
     integrate,
     interior_mask,
-    jacobian,
     laplacian,
     load_field,
     load_vector_spec,
@@ -226,8 +224,8 @@ def test_vector_field_vanishes_outside_support_box():
     assert hi == pytest.approx((0.65, 0.5))
     pts = np.array([[0.66, 0.0], [-0.46, 0.0], [0.0, 0.51], [0.0, -0.71], [0.9, 0.9]])
     assert np.all(evaluate(spec, pts) == 0.0)
-    assert np.all(jacobian(spec, pts) == 0.0)
-    assert np.all(hessian(spec, pts) == 0.0)
+    assert np.all(tables(spec, pts, 1)[1] == 0.0)
+    assert np.all(tables(spec, pts, 2)[2] == 0.0)
     assert all(np.all(t == 0.0) for t in tables(spec, pts, 2))
     # Inside the union box but outside the box of one component: that
     # component and its partials vanish exactly, the other one does not.
@@ -290,8 +288,6 @@ def _assert_tables_match_views(spec, pts, grid):
     for p in (pts, pts[0], pts[len(pts) // 2], grid):
         x, dx, ddx = tables(spec, p, 2)
         assert np.array_equal(x, evaluate(spec, p))
-        assert np.array_equal(dx, jacobian(spec, p))
-        assert np.array_equal(ddx, hessian(spec, p))
         assert np.array_equal(tables(spec, p, 1)[1], dx)
     # A grid gives the tables of its node list in grid.shape, bit for bit:
     # the open mesh runs the same operations per point as the batch.
@@ -305,8 +301,8 @@ def test_analytic_derivatives_match_finite_differences():
     spec = _bump_spec()
     rng = np.random.default_rng(11)
     pts = rng.uniform((-0.8, -0.9), (0.9, 0.7), size=(40, 2))
-    assert np.max(np.abs(jacobian(spec, pts) - _fd_jacobian(spec, pts, 1e-5))) < 1e-8
-    assert np.max(np.abs(hessian(spec, pts) - _fd_hessian(spec, pts, 1e-5))) < 1e-5
+    assert np.max(np.abs(tables(spec, pts, 1)[1] - _fd_jacobian(spec, pts, 1e-5))) < 1e-8
+    assert np.max(np.abs(tables(spec, pts, 2)[2] - _fd_hessian(spec, pts, 1e-5))) < 1e-5
     _assert_tables_match_views(spec, pts, make_grid((-0.8, -0.9), (0.9, 0.7), (18, 17)))
     with pytest.raises(ValueError):
         tables(spec, pts, 3)
@@ -326,8 +322,8 @@ def test_analytic_derivatives_one_dimensional():
         ),
     )
     pts = np.linspace(-0.4, 0.8, 25)[:, np.newaxis]
-    assert np.max(np.abs(jacobian(spec, pts) - _fd_jacobian(spec, pts, 1e-5))) < 1e-8
-    assert np.max(np.abs(hessian(spec, pts) - _fd_hessian(spec, pts, 1e-5))) < 1e-5
+    assert np.max(np.abs(tables(spec, pts, 1)[1] - _fd_jacobian(spec, pts, 1e-5))) < 1e-8
+    assert np.max(np.abs(tables(spec, pts, 2)[2] - _fd_hessian(spec, pts, 1e-5))) < 1e-5
     assert max_norm(spec) == pytest.approx(0.8, rel=0.1)
     _assert_tables_match_views(spec, pts, make_grid(-0.4, 0.8, 25))
 

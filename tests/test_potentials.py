@@ -371,6 +371,18 @@ def test_tabulated_tracks_reference_family():
     assert report["conditions"]["support"]["passed"]
 
 
+def test_tabulated_fprime_is_the_slope_of_the_knot_interval():
+    tab = make_tabulated([[0.0, 0.0], [0.2, 0.6], [0.5, 0.9], [0.8, 0.3], [1.0, 0.0]])
+    slopes = [3.0, 1.0, -2.0, -1.5]
+    s = np.array([0.05, 0.2, 0.3, 0.49, 0.5, 0.7, 0.8, 0.95])
+    want = [slopes[k] for k in (0, 1, 1, 1, 2, 2, 3, 3)]
+    assert np.asarray(tab.fprime(s)) == pytest.approx(want, rel=1e-12)
+    # Elsewhere, the ends of (0, T) included, f is 0 and so is its slope.
+    outside = np.array([-1.0, -1e-12, 0.0, 1.0, 1.0 + 1e-12, 3.0])
+    assert np.all(np.asarray(tab.fprime(outside)) == 0.0)
+    assert tab.fprime(0.3) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_tabulated_F_is_the_exact_antiderivative_of_its_f():
     tab = make_tabulated([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
     # f(s) = s, so F(v) = v^2 between the samples, not the chord of it.

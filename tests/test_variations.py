@@ -23,7 +23,7 @@ from onephase.field import (
     tables,
 )
 from onephase.ode1d import profile_field
-from onephase.potentials import F_eps, f_eps, make_reference
+from onephase.potentials import F_eps, f_eps, make_reference, make_tabulated
 from onephase.records import from_json, to_json
 from onephase.solver import SolveConfig, minimize
 from onephase.variations import (
@@ -471,6 +471,17 @@ def test_variation_report_roundtrip():
     assert again == report
 
 
+def test_variation_report_with_a_tabulated_term_fills_classical_second():
+    ref = _term()
+    s = np.linspace(0.0, 1.0, 401)
+    tab = make_tabulated(np.column_stack([s, np.asarray(ref.f(s))]))
+    u = _smooth_u(make_grid((-1.0, -1.0), (1.0, 1.0), 101))
+    spec = _generic_x()
+    report = variation_report(u, spec, tab, 0.5, dt=0.1)
+    want = classical_second_variation(u, lie_derivative(u, spec), tab, 0.5)
+    assert report.classical_second == want and math.isfinite(want)
+
+
 def test_variation_report_rejects_non_finite():
     with pytest.raises(ValueError):
         VariationReport(
@@ -508,6 +519,42 @@ def test_interior_support_is_required():
     )
     with pytest.raises(ValueError):
         first_inner_variation(u, spec, _term(), 0.5)
+
+
+def test_deformation_between_nodes_has_zero_variations():
+    # On the h = 0.04 grid the support box (0.005, 0.035)^2 lies strictly
+    # inside the domain and holds no node, so every form is an empty sum.
+    spec = VectorFieldSpec(
+        dim=2,
+        components=(
+            _bump(0.02, 0.02, 0.015, 0.015, {(0, 0): 0.7, (1, 0): 0.2}),
+            _bump(0.02, 0.02, 0.015, 0.015, {(0, 0): -0.4}),
+        ),
+    )
+    term = _term()
+    u = _halfplane(51)
+    smooth = _smooth_u(u.grid)
+    for field, eps in ((u, 0.0), (smooth, 0.1)):
+        assert first_inner_variation(field, spec, term, eps) == 0.0
+        assert second_inner_variation(field, spec, term, eps) == 0.0
+        assert inner_variation_fd(field, spec, term, eps) == (0.0, 0.0)
+    lie = lie_derivative(smooth, spec).values
+    assert np.all(lie == 0.0) and not np.any(np.signbit(lie))
+    empty = extract_interface(smooth, 0.0)
+    assert len(empty) == 0
+    assert surface_second_variation(u, spec, empty) == 0.0
+    assert surface_second_variation(u, spec, extract_interface(u, 0.5 * u.grid.h)) == 0.0
+
+
+def test_cjk_form_with_empty_curve_is_its_bulk_term():
+    u = _halfplane(51)
+    xm, ym = np.meshgrid(*u.grid.axes(), indexing="ij")
+    phi = ScalarField(grid=u.grid, values=np.exp(-4.0 * (xm**2 + (ym - 0.3) ** 2)))
+    g = gradient(phi)
+    dens = np.where(u.values > 0.0, np.sum(g * g, axis=0), 0.0)
+    bulk = integrate(ScalarField(grid=u.grid, values=dens))
+    empty = extract_interface(_smooth_u(u.grid), 0.0)
+    assert bulk > 0.0 and cjk_form(u, phi, empty) == bulk
 
 
 # The support boxes below have dyadic edges, so on the h = 1/16 grid some
