@@ -502,20 +502,24 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     stamp = {"version": __version__, "config_sha256": _config_hash(args)}
+    out = Path(args.out)
+    made = not out.exists()
+    code = 0
     try:
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         payload = _RUNNERS[args.command](args, out)
         name = "summary.json" if args.command == "sweep" else "report.json"
         write_json(out / name, {**payload, **stamp})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr, flush=True)
-        return 2
+        code = 2
     except Exception as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         print(json.dumps({"error": error, **stamp}, sort_keys=True), flush=True)
-        return 1
-    return 0
+        code = 1
+    if code and made and out.is_dir() and not any(out.iterdir()):
+        out.rmdir()
+    return code
 
 
 def entry() -> None:

@@ -24,9 +24,9 @@ injected fine iterate; its right-hand side g of Delta u - f_eps(u) = g is
 its own defect there plus the full weighting of the fine residual.  Its
 correction returns by multilinear interpolation, projected to u >= 0.  As
 in Kornhuber's monotone multigrid (Numer. Math. 69, 1994), a cycle counts
-only if the energy does not rise; otherwise the finest level runs one
-bundle of SOR sweeps in its place.  A grid with no admissible coarse
-level runs the same cycle on one level, which is exactly that bundle.
+only if the energy does not rise; otherwise the cycle reruns on the
+finest level alone, as its own coarsest level, which is how every cycle
+of a grid with no admissible coarse level runs.
 
 After each cycle G, the fallback included, minimize takes a type-II
 Anderson step (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; Washio &
@@ -75,9 +75,6 @@ __all__ = [
     "minimize",
 ]
 
-# One cycle of a single-level solve, and the fallback of a refused
-# multilevel cycle, is a bundle of this many red-black sweeps.
-_SWEEPS_PER_ITERATION = 8
 # Cycles without a 2% residual improvement before a solve stops as
 # stalled: the guard against a solve that neither converges nor reaches
 # the floor grinding on to the cycle cap.
@@ -87,20 +84,21 @@ _STALL_CYCLES = 60
 # lose their convexity margin, and the coarse problem pins the layer to
 # its own nodes far more strongly than the fine one does, so its
 # correction moves the layer where the fine grid does not want it.  With
-# a coarsest level at 0.44 and 0.47 of the bound, the refused corrections
-# sent eps = 0.1 halfplane solves on 257^2 and 241^2 to 146 and 250
-# cycles; at 0.4 of it they take 11 and 16, and the eps = 0.1 solves from
-# 201^2 to 401^2, whose coarsest levels lie at 0.22-0.39, take 8-24.
+# a coarsest level at 0.44 and 0.47 of the bound, eps = 0.1 halfplane
+# solves on 257^2 and 241^2 take 33 and 81 cycles, 25 and 65 of them
+# refused; at 0.4 of it they take 8, and the eps = 0.1 solves from 201^2
+# to 401^2, whose coarsest levels lie at 0.22-0.35, take 7-9.
 _COARSE_FRACTION = 0.4
 # Plain (omega = 1) sweeps before and after each coarse correction.
 _SMOOTHING_SWEEPS = 2
-# Over-relaxed sweeps that stand in for a solve on the coarsest of several
-# levels.  Not an exact solve: the layer's translation is a soft mode whose
-# coarse stiffness is far from its fine one, and the more of it a coarse
-# solve carries over, the more cycles are refused.  On the 201^2 eps = 0.1
-# halfplane solve, 24 sweeps take 18 cycles, 48 take 186 and a converged
-# coarse solve 219.  Fewer sweeps leave the smooth error: 16 sweeps take
-# the 1001-node eps = 0.1 column from 15 cycles to 27 and 8 take it to 84.
+# Over-relaxed sweeps on the coarsest level of a cycle, the only level of
+# a grid with no coarse one.  Below finer levels they are not an exact
+# solve: the layer's translation is a soft mode whose coarse stiffness is
+# far from its fine one, so the more of it they carry over, the more
+# cycles are refused.  The 401^2, eps = 0.05 halfplane solve takes 13
+# cycles at 24, 17 at 48 (6 refused) and 25 at 8.  On one level, 24 take
+# the 101^2, eps = 0.05 solves and the 201^2, eps = 0.03 one (layer
+# midway) to 13-18 and 32 cycles, where 8 take 37-60 and 123.
 _COARSEST_SWEEPS = 24
 # A residual within this multiple of the rounding quantum
 # q = spacing(max |neighbour sum|) / h^2 is rounding alone: each stored
@@ -113,7 +111,8 @@ _FLOOR_MULTIPLE = 4.0
 # comparison refused good cycles at random (20 of 31 on a 513-node column).
 _DESCENT_ULPS = 16
 # Cycles an Anderson step fits (0: plain cycles).  The one-level 101^2,
-# eps = 0.05 solve, layer midway, takes 55-60 cycles at 3, 66-73 at 2.
+# eps = 0.05 solve, layer midway, takes 17 cycles at 3, 18 at 2 and 64
+# plain; the 201^2, eps = 0.03 one takes 32 at 3, 38 at 2 and 35 at 4.
 _ANDERSON_DEPTH = 3
 # Ridge of the Anderson normal equations, relative to their diagonal.
 _ANDERSON_RIDGE = 1e-12
@@ -369,18 +368,12 @@ def _prolong(e: np.ndarray) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class _Level:
-    """One grid of the hierarchy and how it is swept.
-
-    sweeps is the count it runs at its SOR factor omega when it is the
-    coarsest level of a cycle: a bundle for the finest level alone,
-    _COARSEST_SWEEPS for a coarse level.
-    """
+    """One grid of the hierarchy and how it is swept; omega is its SOR factor."""
 
     h: float
     plan: tuple[_Colour, _Colour]
     root: Callable[[np.ndarray], np.ndarray]
     omega: float
-    sweeps: int
 
 
 def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
@@ -403,7 +396,7 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
         ) from exc
     h, shape = grid.h, grid.shape
     omega = _auto_omega(h, shape)
-    levels = [_Level(h, _plan(shape), root, omega, _SWEEPS_PER_ITERATION)]
+    levels = [_Level(h, _plan(shape), root, omega)]
     while min(shape) >= 5 and all(n % 2 == 1 for n in shape):
         h, shape = 2.0 * h, tuple(n // 2 + 1 for n in shape)
         c = _COARSE_FRACTION * eps / h
@@ -415,7 +408,7 @@ def _levels(grid, term: ReactionTerm, eps: float) -> list[_Level]:
             break
         root = term.shifted_inverse(2.0 * dim * (eps * eps) / (h * h))
         omega = _auto_omega(h, shape)
-        levels.append(_Level(h, _plan(shape), root, omega, _COARSEST_SWEEPS))
+        levels.append(_Level(h, _plan(shape), root, omega))
     return levels
 
 
@@ -424,14 +417,14 @@ def _cycle(
 ) -> None:
     """One FAS V-cycle for Delta u - f_eps(u) = g on levels[0], in place.
 
-    The coarsest level runs its sweeps, over-relaxed.  Every finer level
-    smooths with plain sweeps, hands its injected iterate and its restricted
-    residual down, adds the interpolated correction, projects to u >= 0 and
-    smooths again.
+    The coarsest level, levels[0] when it is alone, runs _COARSEST_SWEEPS
+    over-relaxed sweeps.  Every finer level smooths with plain sweeps, hands
+    its injected iterate and its restricted residual down, adds the
+    interpolated correction, projects to u >= 0 and smooths again.
     """
     level = levels[0]
     if len(levels) == 1:
-        for _ in range(level.sweeps):
+        for _ in range(_COARSEST_SWEEPS):
             _sweep(u, level.h, eps, level.omega, level.plan, level.root, g)
         return
     for _ in range(_SMOOTHING_SWEEPS):

@@ -604,6 +604,21 @@ def test_check_poincare_bump_suite(tmp_path):
     assert report["seed"] == 7
 
 
+def test_check_poincare_of_the_profile_field(tmp_path):
+    # u = eps V(y/eps) with V(t) = 1 + t for t >= 0 and V' = sqrt(F(V)) below:
+    # over [-1, 1]^2, |u|_L1 = 2 (1/2 + eps + c eps^2) with
+    # c = int_0^1 dV / sqrt(3 V^2 - 8 V + 6), |grad u|_L1 = 2 (1 + eps), and
+    # R = sqrt(2).  The node sums are first order in h: 0.3916 at h = 0.01
+    # and 0.3907 at h = 0.005, against 0.3898.
+    eps = 0.1
+    argv = ["check", "--what", "poincare", "--field", "profile", "--eps", repr(eps)]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    r3 = np.sqrt(3.0)
+    c = np.log((2.0 * r3 - 2.0) / (6.0 * np.sqrt(2.0) - 8.0)) / r3
+    want = (0.5 + eps + c * eps * eps) / (np.sqrt(2.0) * (1.0 + eps))
+    assert abs(_read(tmp_path / "report.json")["value"] - want) < 0.0025
+
+
 def test_sweep_l1_gaps_shrink(tmp_path):
     rc = main(
         [
@@ -621,6 +636,22 @@ def test_sweep_l1_gaps_shrink(tmp_path):
     assert [e["eps"] for e in summary["entries"]] == [0.2, 0.1, 0.05]
     gaps = [e["report"]["value"] for e in summary["entries"]]
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_sweep_forwards_its_sub_config_to_every_entry(tmp_path):
+    cfg = tmp_path / "sub.json"
+    cfg.write_text(json.dumps({"n": "41"}))
+    argv = ["sweep", "--check", "l1", "--eps", "0.2,0.1", "--sub-config", str(cfg)]
+    assert main([*argv, "--out", str(tmp_path / "sweep")]) == 0
+    entries = _read(tmp_path / "sweep" / "summary.json")["entries"]
+    for entry in entries:
+        eps = repr(entry["eps"])
+        value = {}
+        for n in ("41", "201"):
+            out = tmp_path / f"{n}-{eps}"
+            assert main(["check", "--what", "l1", "--eps", eps, "--n", n, "--out", str(out)]) == 0
+            value[n] = _read(out / "report.json")["value"]
+        assert entry["report"]["value"] == value["41"] != value["201"]
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
@@ -659,8 +690,8 @@ def test_rerun_is_byte_identical(tmp_path):
 _PINNED_SOLVES = {
     "2d-41": ["--eps", "0.2", "--n", "41"],
     "1d-81": ["--eps", "0.1", "--lo=-1", "--hi=1", "--n", "81"],
-    # One level (its first coarse spacing is 1.4 of the bound), so each
-    # cycle is a bundle of over-relaxed sweeps.
+    # One level: its first coarse spacing is 1.4 of the bound (1d-81's is
+    # 0.5), so each cycle is the 24 over-relaxed sweeps of a coarsest level.
     "2d-41-single": ["--eps", "0.05", "--n", "41"],
 }
 
@@ -687,17 +718,17 @@ def _check_solve_pin(path: Path, argv, csv_sha256, iterations, residual_hex, ene
         ),
         (
             "1d-81",
-            "f2f36bbe7af764b46fc75fe725ea7a267b07de7ef8aa4c31d948e77ac835a51c",
-            26,
-            "0x1.ee55ffffffffep-28",
-            "0x1.124d2bef6754bp+1",
+            "51ea41d35417fed2922f2223c210060857b66e011647f5c8f0ae8ed8d1cd56c7",
+            9,
+            "0x1.08af5ffffffffp-27",
+            "0x1.124d2bef6754ap+1",
         ),
         (
             "2d-41-single",
-            "2383e8c084b3334c40aa84a7a5299c3305af574828ac3e4048a55dc87d67f382",
-            16,
-            "0x1.07a26dfffffffp-27",
-            "0x1.0873fc12e0f18p+2",
+            "7bee12e71f653c33b100eb88b92b09829908c33443d0735255307d7cef16cfc7",
+            6,
+            "0x1.0f8a4bf6b3c00p-30",
+            "0x1.0873fc12e0f19p+2",
         ),
     ],
     ids=list(_PINNED_SOLVES),
@@ -724,15 +755,15 @@ def test_solve_output_bits_are_pinned(
         (
             "1d-81",
             "0634a38cd80ae51dff7bcd853c8f37fda57d4133b94a86a9330fe3fa57965fc8",
-            27,
+            9,
             "0x1.634aaffffffffp-28",
             "0x1.124d2bef6754bp+1",
         ),
         (
             "2d-41-single",
-            "9cd3b889f17863c6ee4b98d59e935515f2a8dbe1b0f1d25478d0a80bbb32fa9d",
-            16,
-            "0x1.1ab88ffffffffp-27",
+            "4a2ee86cc52824a09b9ba76acd9d25bfecabfb9ddcc6a2c70b484628f700f1ad",
+            6,
+            "0x1.8974fffffffffp-31",
             "0x1.0873fc12e0f19p+2",
         ),
     ],
@@ -743,7 +774,9 @@ def test_plain_cycles_keep_the_old_pins(
 ):
     # Without the Anderson step the solver is the one these pins were
     # captured on, before its cycles and diagnostics ran on preallocated
-    # buffers: every bit of them survived that move.
+    # buffers: every bit of them survived that move.  The one-level cases
+    # were re-captured when their cycle became a coarsest level's 24 sweeps:
+    # 1d-81 reaches the same bits in 9 such cycles as in 27 of 8 sweeps.
     monkeypatch.setattr(solver, "_ANDERSON_DEPTH", 0)
     argv = _PINNED_SOLVES[name]
     _check_solve_pin(tmp_path, argv, csv_sha256, iterations, residual_hex, energy_hex)
@@ -980,6 +1013,20 @@ def test_vary_rejects_a_dt_that_folds_the_flow(tmp_path, capsys, dt):
     assert payload["error"]["type"] == "ValueError"
     assert f"dt = {float(dt)}" in payload["error"]["message"]
     assert not (tmp_path / "v" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["solve", "--n", "21", "--tol", "0"], 2), (["profile", "--eps", "0"], 1)]
+)
+def test_failed_run_removes_only_the_empty_out_it_made(tmp_path, capsys, argv, code):
+    made = tmp_path / "o"
+    assert main([*argv, "--out", str(made)]) == code
+    assert not made.exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main([*argv, "--out", str(kept)]) == code
+    assert kept.is_dir()
+    capsys.readouterr()
 
 
 def test_sweep_without_command_exits_two(capsys):
