@@ -11,8 +11,8 @@ merges one summary.  The CLI starts OpenBLAS with one thread, as no
 subcommand calls BLAS or LAPACK; a user's OPENBLAS_NUM_THREADS is kept.
 
 Exit codes: 0 on success, 1 with an error JSON on stdout when an
-operation fails, 2 when the command line or config cannot be parsed or
-`solve` rejects its grid, tolerance, cycle cap or eps.
+operation fails, 2 when the command line or config cannot be parsed,
+`solve` rejects its grid, tolerance, cycle cap or eps, or `cone` its --h.
 """
 
 from __future__ import annotations
@@ -322,8 +322,7 @@ def _run_check(args, out: Path) -> dict:
     from . import fbcheck
 
     term = make_reference(args.T)
-    tau = term.T / 2.0
-    theta = args.theta if args.theta is not None else tau / 4.0
+    theta = args.theta if args.theta is not None else term.tau / 4.0
     grid = _grid_from_args(args)
     eps = args.eps
     what = args.what
@@ -353,7 +352,7 @@ def _run_check(args, out: Path) -> dict:
     limit = _field_from_source(args.limit, u.grid, eps, term, args)
     if what == "l1":
         return {"check": "l1", "eps": eps, "value": fbcheck.l1_gap(u, limit, term, eps)}
-    band = fbcheck.level_region(u, term, eps, "F", tau)
+    band = fbcheck.level_region(u, term, eps, "F", term.tau)
     boundary = np.argwhere(fbcheck._limit_boundary(limit.values))
     value = fbcheck.hausdorff_distance(band, boundary, u.grid.h)
     return {"check": "hausdorff", "eps": eps, "value": value}
@@ -386,6 +385,8 @@ def _bump_suite_ratio(grid: GridSpec, count: int, seed: int, zero_fraction: floa
 def _run_cone(args, out: Path) -> dict:
     from . import variations
 
+    if not 0.0 < args.h < math.inf:
+        raise ConfigError(f"--h must be finite and positive, got {args.h}")
     term = make_reference(args.T)
     lo = _floats(args.lo)
     hi = _floats(args.hi)
@@ -415,7 +416,6 @@ def _run_cone(args, out: Path) -> dict:
             "first_volume": variations.first_inner_variation(u, spec, term, 0.0),
             "second_volume": variations.second_inner_variation(u, spec, term, 0.0),
             "second_surface": variations.surface_second_variation(u, spec, curve),
-            "cjk": variations.cjk_form(u, variations.lie_derivative(u, spec), curve),
         }
     return payload
 
@@ -479,8 +479,8 @@ def main(argv: list[str] | None = None) -> int:
 
     Returns:
         0 on success, 1 after an operation error (error JSON on stdout),
-        2 when the command line or config file cannot be parsed or
-        `solve` rejects its grid, tolerance, cycle cap or eps.
+        2 when the command line or config file cannot be parsed, `solve`
+        rejects its grid, tolerance, cycle cap or eps, or `cone` its --h.
     """
     parser, table = _build_parser()
     try:
@@ -503,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
 
     stamp = {"version": __version__, "config_sha256": _config_hash(args)}
     out = Path(args.out)
-    made = not out.exists()
+    new_dirs = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     code = 0
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -517,8 +517,8 @@ def main(argv: list[str] | None = None) -> int:
         error = {"type": type(exc).__name__, "message": str(exc)}
         print(json.dumps({"error": error, **stamp}, sort_keys=True), flush=True)
         code = 1
-    if code and made and out.is_dir() and not any(out.iterdir()):
-        out.rmdir()
+    while code and new_dirs and new_dirs[0].is_dir() and not any(new_dirs[0].iterdir()):
+        new_dirs.pop(0).rmdir()
     return code
 
 

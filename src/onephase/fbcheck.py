@@ -254,7 +254,7 @@ def density_scan(
 
     For each radius r the scan minimizes
     |{u <= (tau/4) eps} ∩ B_{r/2}(x)| / |B_{r/2}| over centers x in the
-    band {tau eps <= u <= T eps}, with tau = T / 2.
+    band {tau eps <= u <= T eps}, tau the term's linearity window end.
 
     Args:
         u: sampled field.
@@ -262,7 +262,7 @@ def density_scan(
         L: lower bound enforced on r / eps.
         radii: ball diameters to scan; each must be >= L * eps.
         threshold: pass bar on the minimum fraction.
-        term: reaction term fixing T; the reference family by default.
+        term: reaction term fixing T and tau; the reference family by default.
 
     Returns:
         CheckReport with one fraction per radius; empty when the band
@@ -281,7 +281,7 @@ def density_scan(
     radii = [float(r) for r in radii]
     if not radii or any(r < L * eps - 1e-12 for r in radii):
         raise ValueError("every radius must be at least L * eps")
-    tau = term.T / 2.0
+    tau = term.tau
     band = (u.values >= tau * eps) & (u.values <= term.T * eps)
     low = u.values <= (tau / 4.0) * eps
     return _scan(
@@ -347,11 +347,11 @@ def exit_radius(
     p,
     term: ReactionTerm | None = None,
 ) -> float:
-    """Distance from p to the half-height set {u >= tau * eps}.
+    """Distance from p to the set {u >= tau * eps}, tau the term's window end.
 
-    This is the smallest r with sup over B_r(p) of u at least tau * eps,
-    tau = T / 2.  Balls are only scanned while they fit inside the
-    domain; if the set is not reached by then the result is inf.
+    This is the smallest r with sup over B_r(p) of u at least tau * eps.
+    Balls are only scanned while they fit inside the domain; if the set is
+    not reached by then the result is inf.
 
     Args:
         u: sampled field.
@@ -359,7 +359,7 @@ def exit_radius(
         theta: height of p in profile units; needs 0 < theta < tau and
             u(p) >= theta * eps.
         p: scan center.
-        term: reaction term fixing T; the reference family by default.
+        term: reaction term fixing T and tau; the reference family by default.
 
     Returns:
         Exit radius in physical units, or inf when not reached.
@@ -371,7 +371,7 @@ def exit_radius(
         term = make_reference(1.0)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    tau = term.T / 2.0
+    tau = term.tau
     if not 0.0 < theta < tau:
         raise ValueError(f"theta must lie in (0, {tau}), got {theta}")
     pt = np.atleast_1d(np.asarray(p, dtype=float))

@@ -693,6 +693,25 @@ def _curve_quadrature(curve: InterfaceCurve, vertex_vals: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate([[0.0], 0.5 * (vals[:-1] + vals[1:]) * ds]))[-1])
 
 
+def _cjk(u: ScalarField, phi: np.ndarray, box, curve: InterfaceCurve) -> float:
+    """int_{u>0} |grad phi|^2 dx - int_curve H phi^2 ds, phi node values zero off box.
+
+    Reads phi on {u > 0} only: by the phase gradient, and by curve probes
+    inside the phase extrapolated to the interface, clipped probes giving 0.
+    """
+    grid = u.grid
+    mask = u.values > 0.0
+    # grad phi reaches _REACH nodes past box; its stencil reads as far again.
+    region = _grow(box, _REACH, grid.shape)
+    ext = _grow(region, _REACH, grid.shape)
+    g = _phase_gradient(phi[ext], grid.h, mask[ext])[_within(region, ext)]
+    bulk = _integral(np.where(mask[region], _contract(g, g), 0.0), grid, region)
+    if not len(curve):
+        return bulk
+    v, clipped = _offset_probe(ScalarField(grid=grid, values=phi), curve.points, curve.normals)
+    return bulk - _curve_quadrature(curve, curve.curvature * np.where(clipped, 0.0, v) ** 2)
+
+
 def surface_second_variation(
     u: ScalarField, spec: VectorFieldSpec, curve: InterfaceCurve
 ) -> float:
@@ -718,7 +737,6 @@ def surface_second_variation(
     """
     _require_interior_support(u, spec)
     grid = u.grid
-    mask = u.values > 0.0
     block = _support_block(grid, spec)
     # The phase gradient of u is read on the block and where the trace probes sample.
     boxes = [b for b in (block, _probe_block(grid, curve) if len(curve) else None) if b]
@@ -742,19 +760,7 @@ def surface_second_variation(
         return 0.0
     lvals = np.zeros(grid.shape)
     lvals[block] = _contract(pg[_within(block, cover)], _block_tables(spec, grid, block, 0)[0])
-    # grad L_X u reaches _REACH nodes past the block; its stencil reads as far again.
-    region = _grow(block, _REACH, grid.shape)
-    ext = _grow(region, _REACH, grid.shape)
-    lg = _phase_gradient(lvals[ext], grid.h, mask[ext])[_within(region, ext)]
-    dens = np.where(mask[region], _contract(lg, lg), 0.0)
-    bulk = _integral(dens, grid, region)
-    curve_term = 0.0
-    if len(curve):
-        lfield = ScalarField(grid=grid, values=lvals)
-        vertex_l, clipped = _offset_probe(lfield, curve.points, curve.normals)
-        vertex_l = np.where(clipped, 0.0, vertex_l)
-        curve_term = _curve_quadrature(curve, curve.curvature * vertex_l**2)
-    return 2.0 * (bulk - curve_term)
+    return 2.0 * _cjk(u, lvals, block, curve)
 
 
 def cjk_form(u: ScalarField, phi: ScalarField, curve: InterfaceCurve) -> float:
@@ -762,7 +768,7 @@ def cjk_form(u: ScalarField, phi: ScalarField, curve: InterfaceCurve) -> float:
 
     Args:
         u: solution field defining the positive phase.
-        phi: smooth test function on the grid of u.
+        phi: test function on the grid of u, read on {u > 0} only.
         curve: interface polyline extracted from u.
 
     Returns:
@@ -770,13 +776,7 @@ def cjk_form(u: ScalarField, phi: ScalarField, curve: InterfaceCurve) -> float:
     """
     if phi.grid != u.grid:
         raise ValueError("phi must live on the grid of u")
-    mask = u.values > 0.0
-    g = gradient(phi)
-    dens = np.where(mask, np.sum(g * g, axis=0), 0.0)
-    bulk = integrate(ScalarField(grid=u.grid, values=dens))
-    vals = np.asarray(sample(phi, curve.points)) if len(curve) else np.empty(0)
-    curve_term = _curve_quadrature(curve, curve.curvature * vals**2)
-    return bulk - curve_term
+    return _cjk(u, phi.values, tuple(slice(0, n) for n in u.grid.shape), curve)
 
 
 def variation_report(

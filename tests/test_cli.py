@@ -857,7 +857,6 @@ def test_variation_report_bits_are_pinned(tmp_path):
     assert main([*argv, "--out", str(tmp_path / "c")]) == 0
     forms = _read(tmp_path / "c" / "report.json")["forms"]
     assert {k: float.hex(v) for k, v in forms.items()} == {
-        "cjk": "0x1.1f2cf10d65de2p-3",
         "first_volume": "0x1.12a11a0453262p-15",
         "second_surface": "0x1.2822e5fc8ae78p-3",
         "second_volume": "0x1.1068a2577556cp-3",
@@ -1026,7 +1025,22 @@ def test_failed_run_removes_only_the_empty_out_it_made(tmp_path, capsys, argv, c
     kept.mkdir()
     assert main([*argv, "--out", str(kept)]) == code
     assert kept.is_dir()
+    # mkdir makes the parents too; each goes, down to the one that was there.
+    assert main([*argv, "--out", str(tmp_path / "a" / "b")]) == code
+    assert not (tmp_path / "a").exists()
+    assert main([*argv, "--out", str(kept / "c" / "d")]) == code
+    assert kept.is_dir() and not any(kept.iterdir())
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("h", ["0", "nan"])
+def test_cone_rejects_a_spacing_that_is_not_finite_and_positive(tmp_path, capsys, h):
+    # Unchecked, --h 0 divided by zero and --h nan failed to round to a node
+    # count, both as operation errors (exit 1).
+    assert main(["cone", "--h", h, "--out", str(tmp_path / "c")]) == 2
+    captured = capsys.readouterr()
+    assert "--h must be finite and positive" in captured.err and captured.out == ""
+    assert not (tmp_path / "c").exists()
 
 
 def test_sweep_without_command_exits_two(capsys):

@@ -32,7 +32,7 @@ from onephase.fbcheck import (
     zero_phase_density,
 )
 from onephase.ode1d import profile_field, wedge_field
-from onephase.potentials import make_reference
+from onephase.potentials import make_reference, make_tabulated
 from onephase.solver import SolveConfig, minimize
 
 TERM = make_reference(1.0)
@@ -291,6 +291,27 @@ def test_exit_radius_validation():
         exit_radius(u, 0.1, TAU / 4, [0.0, -0.5])
     with pytest.raises(ValueError):
         exit_radius(u, 0.0, TAU / 4, [0.0, 0.5])
+
+
+def test_scans_read_the_window_from_the_term():
+    # A tabulated term with T = 1 and tau = 0.3 scans like make_reference(0.6),
+    # whose window is 0.3 too, on fields below 0.6 eps.  A window of T / 2
+    # takes other bands, low sets and exit sets.
+    s = np.linspace(0.0, 1.0, 201)
+    tab = make_tabulated(np.stack([s, TERM.f(s)], axis=1), tau=0.3)
+    ref = make_reference(0.6)
+    assert tab.tau == ref.tau == 0.3
+    eps = 0.1
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 101)
+    y = np.meshgrid(*grid.axes(), indexing="ij")[1]
+    tent = ScalarField(grid=grid, values=np.maximum(0.05 - np.abs(y), 0.0))
+    scans = [density_scan(tent, eps, 1.0, [0.5, 0.8], term=t).values for t in (tab, ref)]
+    assert scans[0] == scans[1] and min(scans[0]) > 0.0
+    u = _halfplane(201)
+    radii = [exit_radius(u, eps, 0.05, [0.0, 0.01], term=t) for t in (tab, ref)]
+    assert radii[0] == radii[1] == pytest.approx(0.02, abs=1e-12)
+    with pytest.raises(ValueError, match="theta must lie in"):
+        exit_radius(u, eps, 0.3, [0.0, 0.5], term=tab)
 
 
 def test_poincare_zero_field():
