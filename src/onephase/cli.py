@@ -391,7 +391,10 @@ def _run_cone(args, out: Path) -> dict:
     lo = _floats(args.lo)
     hi = _floats(args.hi)
     n = tuple(int(round((b - a) / args.h)) + 1 for a, b in zip(lo, hi))
-    grid = make_grid(tuple(lo), tuple(hi), n)
+    try:  # a --h too coarse for the box is a usage error
+        grid = make_grid(tuple(lo), tuple(hi), n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     u = _field_from_source(args.kind, grid, 0.0, term, args)
     save_field(u, out / "field.csv")
     payload: dict = {"kind": args.kind, "h": grid.h, "shape": list(grid.shape)}

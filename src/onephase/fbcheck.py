@@ -4,8 +4,8 @@ The checks quantify, on sampled fields, the structural properties that
 distinguish genuine one-phase transitions from degenerate ones: linear
 growth away from the low set (nondegeneracy), volume fraction of the low
 set near the transition band (density), gradient bounds, decay of the
-reaction energy toward an indicator, set convergence in Hausdorff
-distance, and the rescaling u -> eps * u(x / eps) used to compare scales.
+reaction energy toward an indicator, and set convergence in Hausdorff
+distance.
 
 Scans discretize balls as node sets {q : |q - p| <= r} and report areas
 as node counts times h^d.  Centers are restricted so every scanned ball
@@ -35,7 +35,6 @@ __all__ = [
     "poincare_ratio",
     "l1_gap",
     "hausdorff_distance",
-    "blowdown",
     "check_to_json",
     "check_from_json",
 ]
@@ -497,30 +496,6 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray, h: float) -> float:
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"node sets differ in dimension: {pa.shape[1]} and {pb.shape[1]}")
     return h * math.sqrt(max(_farthest_nearest(pa, pb), _farthest_nearest(pb, pa)))
-
-
-def blowdown(u: ScalarField, eps: float, target_grid: GridSpec) -> ScalarField:
-    """Rescale to eps * u(x / eps) sampled on the target grid.
-
-    Args:
-        u: source field.
-        eps: positive scale; target nodes divided by eps must stay
-            inside the source domain.
-        target_grid: grid of the rescaled field.
-
-    Returns:
-        ScalarField on target_grid.
-
-    Raises:
-        ValueError: on nonpositive eps or dimension mismatch.
-        DomainError: when a rescaled node leaves the source domain.
-    """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if target_grid.dim != u.grid.dim:
-        raise ValueError("target grid dimension must match the source")
-    vals = eps * sample(u, target_grid.nodes() / eps)
-    return ScalarField(grid=target_grid, values=vals.reshape(target_grid.shape))
 
 
 def check_to_json(report: CheckReport) -> dict:

@@ -16,7 +16,6 @@ a curvature-weighted integral along the extracted interface polyline.
 from __future__ import annotations
 
 import dataclasses
-import math
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +25,13 @@ from .field import (
     ScalarField,
     VectorFieldSpec,
     _contract,
+    _integral,
     _matmul,
     _nodes,
     _shift,
     _tables,
     flow,
     gradient,
-    integrate,
     max_norm,
     sample,
     support_box,
@@ -266,25 +265,16 @@ def _block_gradient(u: ScalarField, block, phase: bool) -> np.ndarray:
     return g[_within(block, ext)]
 
 
-def _integral(dens: np.ndarray, grid: GridSpec, region) -> float:
-    """integrate() of the grid field that is dens on region and zero off it.
-
-    A node weighs h per axis, h / 2 on the grid edge, as in the trapezoid rule.
-    """
-    for ax, (s, n) in enumerate(zip(region, grid.shape)):
-        edge = [k - s.start for k in sorted({0, n - 1}) if s.start <= k < s.stop]
-        if edge:
-            dens = dens.copy()
-            dens[(slice(None),) * ax + (edge,)] *= 0.5
-    return math.prod([grid.h] * grid.dim) * float(np.sum(dens))
-
-
-def lie_derivative(u: ScalarField, spec: VectorFieldSpec) -> ScalarField:
+def lie_derivative(u: ScalarField, spec: VectorFieldSpec, eps: float) -> ScalarField:
     """Derivative of u along X: node-wise <grad u, X>.
+
+    grad u is the gradient the inner variations read: the phase gradient
+    on {u > 0} at eps = 0, so no stencil crosses the free boundary.
 
     Args:
         u: field to differentiate.
         spec: deformation field on the same dimension.
+        eps: nonnegative scale; 0 selects the phase gradient.
 
     Returns:
         ScalarField on the grid of u, +0.0 off the support block of X.
@@ -295,7 +285,7 @@ def lie_derivative(u: ScalarField, spec: VectorFieldSpec) -> ScalarField:
     block = _support_block(u.grid, spec)
     if block is not None:
         xv = _block_tables(spec, u.grid, block, 0)[0]
-        g = _block_gradient(u, block, phase=False)
+        g = _block_gradient(u, block, phase=eps == 0.0)
         vals[block] = _contract(g, xv)
     return ScalarField(grid=u.grid, values=vals)
 
@@ -481,7 +471,9 @@ def classical_second_variation(
 
     Computes 2 * integral of |grad phi|^2 + f_eps'(u) phi^2 where
     f_eps'(t) = f'(t/eps)/eps^2.  At a critical point this equals the
-    second inner variation along any X with phi = L_X u.
+    second inner variation along any X with phi = L_X u.  The density is
+    formed, with the gradient and quadrature of the inner variations, on
+    the box of phi's nonzero nodes grown by _REACH, off which it vanishes.
 
     Args:
         u: background field.
@@ -503,10 +495,15 @@ def classical_second_variation(
     collar[(slice(2, -2),) * u.grid.dim] = False
     if np.any(phi.values[collar] != 0.0):
         raise ValueError("phi must vanish on the boundary collar")
-    g = gradient(phi)
-    curv = term.fprime(u.values / eps) / (eps * eps)
-    dens = np.sum(g * g, axis=0) + curv * phi.values**2
-    return 2.0 * integrate(ScalarField(grid=u.grid, values=dens))
+    nodes = np.nonzero(phi.values)
+    if not len(nodes[0]):
+        return 0.0
+    box = tuple(slice(int(k.min()), int(k.max()) + 1) for k in nodes)
+    region = _grow(box, _REACH, u.grid.shape)
+    g = _block_gradient(phi, region, phase=False)
+    curv = term.fprime(u.values[region] / eps) / (eps * eps)
+    dens = _contract(g, g) + curv * phi.values[region] ** 2
+    return 2.0 * _integral(dens, u.grid, region)
 
 
 def _clip_inside(grid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -541,17 +538,16 @@ def _probe_points(grid, pts: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, ..
     return near, far, fn | ff
 
 
-def _probe_block(grid: GridSpec, curve: InterfaceCurve) -> tuple[slice, ...]:
-    """Per-axis slices holding every node that _offset_probe on curve samples.
+def _sample_block(grid: GridSpec, pts: np.ndarray, pad: int) -> tuple[slice, ...]:
+    """Per-axis slices holding every node that sample at pts reads, and pad - 1 more.
 
-    sample reads nodes i and i + 1 around a probe on each axis, i the last
-    node at or below it; one more node per side absorbs the rounding of i.
+    sample reads nodes i and i + 1 around a point on each axis, i the last
+    node at or below it; pad >= 1 absorbs the rounding of i.
     """
-    near, far, _ = _probe_points(grid, curve.points, curve.normals)
-    cells = (np.concatenate([near, far]) - np.asarray(grid.origin)) / grid.h
+    cells = (pts - np.asarray(grid.origin)) / grid.h
     lo, hi = np.floor(cells.min(axis=0)), np.floor(cells.max(axis=0))
     return tuple(
-        slice(max(int(a) - 1, 0), min(int(b) + 3, n)) for a, b, n in zip(lo, hi, grid.shape)
+        slice(max(int(a) - pad, 0), min(int(b) + 2 + pad, n)) for a, b, n in zip(lo, hi, grid.shape)
     )
 
 
@@ -644,12 +640,19 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
     g = gradient(u)
     norm = np.sqrt(np.sum(g * g, axis=0))
     floor = 1e-14 * (float(np.max(norm)) + 1e-300)
-    nhat = np.where(norm > floor, g / np.maximum(norm, floor), 0.0)
     gx = ScalarField(grid=grid, values=g[0])
     gy = ScalarField(grid=grid, values=g[1])
+    # The floor scales with |grad u| on the whole grid.  Every probe lies
+    # within _PROBE_FAR h of a vertex, so the curvature is needed on this
+    # block only; its stencil reads nhat _REACH nodes past it.
+    block = _sample_block(grid, points, int(_PROBE_FAR) + 1)
+    ext = _grow(block, _REACH, grid.shape)
+    nhat = np.where(norm[ext] > floor, g[(slice(None), *ext)] / np.maximum(norm[ext], floor), 0.0)
     kx = np.gradient(nhat[0], grid.h, axis=0, edge_order=2)
     ky = np.gradient(nhat[1], grid.h, axis=1, edge_order=2)
-    kappa = ScalarField(grid=grid, values=kx + ky)
+    curvature = np.zeros(grid.shape)
+    curvature[block] = (kx + ky)[_within(block, ext)[1:]]
+    kappa = ScalarField(grid=grid, values=curvature)
 
     raw = np.stack([sample(gx, points), sample(gy, points)], axis=1)
     seed = -raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), floor)
@@ -739,7 +742,8 @@ def surface_second_variation(
     grid = u.grid
     block = _support_block(grid, spec)
     # The phase gradient of u is read on the block and where the trace probes sample.
-    boxes = [b for b in (block, _probe_block(grid, curve) if len(curve) else None) if b]
+    probes = np.concatenate(_probe_points(grid, curve.points, curve.normals)[:2])
+    boxes = [b for b in (block, _sample_block(grid, probes, 1) if len(curve) else None) if b]
     if not boxes:
         return 0.0
     cover = tuple(slice(min(s.start for s in ss), max(s.stop for s in ss)) for ss in zip(*boxes))
@@ -809,7 +813,7 @@ def variation_report(
     first_fd, second_fd = inner_variation_fd(u, spec, term, eps, dt)
     classical = None
     if eps > 0.0:
-        classical = classical_second_variation(u, lie_derivative(u, spec), term, eps)
+        classical = classical_second_variation(u, lie_derivative(u, spec, eps), term, eps)
     surface = None
     if curve is not None:
         surface = surface_second_variation(u, spec, curve)

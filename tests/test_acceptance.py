@@ -242,7 +242,7 @@ def test_second_inner_variation_matches_quadratic_form_at_solutions():
         u = _thin(eps)
         for spec in _thin_specs(20, 10):
             inner = second_inner_variation(u, spec, term, eps)
-            outer = classical_second_variation(u, lie_derivative(u, spec), term, eps)
+            outer = classical_second_variation(u, lie_derivative(u, spec, eps), term, eps)
             assert abs(inner - outer) <= 1e-3 * max(abs(inner), abs(outer))
 
 

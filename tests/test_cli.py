@@ -833,7 +833,7 @@ _VARY_PINS = {
     "second_analytic": "0x1.91cba032ac537p-3",
     "first_fd": "-0x1.ce4d4d5cc8a43p-7",
     "second_fd": "0x1.91cb9c9b7c58cp-3",
-    "classical_second": "0x1.bd0723241b635p-5",
+    "classical_second": "0x1.bd0723241b636p-5",
 }
 
 
@@ -1040,6 +1040,15 @@ def test_cone_rejects_a_spacing_that_is_not_finite_and_positive(tmp_path, capsys
     assert main(["cone", "--h", h, "--out", str(tmp_path / "c")]) == 2
     captured = capsys.readouterr()
     assert "--h must be finite and positive" in captured.err and captured.out == ""
+    assert not (tmp_path / "c").exists()
+
+
+def test_cone_rejects_a_spacing_too_coarse_for_three_nodes(tmp_path, capsys):
+    # --h 1.5 on [-1, 1]^2 gives 2 nodes per axis; make_grid's ValueError
+    # used to surface as an operation error (exit 1).
+    assert main(["cone", "--h", "1.5", "--out", str(tmp_path / "c")]) == 2
+    captured = capsys.readouterr()
+    assert "need at least 3 nodes per axis" in captured.err and captured.out == ""
     assert not (tmp_path / "c").exists()
 
 

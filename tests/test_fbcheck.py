@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from onephase.field import (
-    DomainError,
     PolyBump,
     ScalarField,
     VectorFieldSpec,
@@ -18,7 +17,6 @@ from onephase.field import (
 )
 from onephase.fbcheck import (
     CheckReport,
-    blowdown,
     check_from_json,
     check_to_json,
     density_scan,
@@ -478,38 +476,6 @@ def test_hausdorff_band_tracks_limit_boundary():
         band = level_region(u, TERM, eps, "F", TAU)
         d = hausdorff_distance(band, f0, u.grid.h)
         assert d <= TERM.T * eps + u.grid.h + 1e-12
-
-
-def test_blowdown_identity_and_linearity():
-    grid = make_grid(-1.0, 1.0, 101)
-    u = ScalarField(grid=grid, values=np.sin(grid.axes()[0]))
-    same = blowdown(u, 1.0, grid)
-    assert np.allclose(same.values, u.values, atol=1e-12)
-    lin = ScalarField(grid=grid, values=0.7 * grid.axes()[0])
-    target = make_grid(-0.25, 0.25, 51)
-    out = blowdown(lin, 0.25, target)
-    assert np.allclose(out.values, 0.7 * target.axes()[0], atol=1e-12)
-
-
-def test_blowdown_profile_converges_to_ramp():
-    u = profile_field(TERM, make_grid(-50.0, 50.0, 10001), 1.0)
-    target = make_grid(-1.0, 1.0, 201)
-    ramp = halfplane(target).values
-    errs = {}
-    for eps in (0.1, 0.05):
-        out = blowdown(u, eps, target)
-        errs[eps] = float(np.max(np.abs(out.values - ramp)))
-        assert errs[eps] <= 1.01 * eps
-    assert errs[0.05] / errs[0.1] == pytest.approx(0.5, abs=0.05)
-
-
-def test_blowdown_validation():
-    grid = make_grid(-1.0, 1.0, 101)
-    u = ScalarField(grid=grid, values=np.zeros(101))
-    with pytest.raises(ValueError):
-        blowdown(u, 0.0, grid)
-    with pytest.raises(DomainError):
-        blowdown(u, 1e-3, grid)
 
 
 def test_check_report_invariants_enforced():

@@ -32,7 +32,6 @@ from onephase.variations import (
     NotClassicalSolutionError,
     VariationReport,
     _curve_quadrature,
-    _integral,
     _phase_gradient,
     cjk_form,
     classical_second_variation,
@@ -122,7 +121,7 @@ def _solved_profile():
 
 def test_lie_derivative_of_zero_field_vanishes():
     u = _smooth_u(make_grid((-1.0, -1.0), (1.0, 1.0), 51))
-    out = lie_derivative(u, _zero_x())
+    out = lie_derivative(u, _zero_x(), 0.5)
     assert np.all(out.values == 0.0)
 
 
@@ -131,7 +130,7 @@ def test_lie_derivative_linear_field_is_exact():
     xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
     u = ScalarField(grid=grid, values=0.7 * xm - 0.3 * ym)
     spec = _generic_x()
-    out = lie_derivative(u, spec)
+    out = lie_derivative(u, spec, 0.5)
     from onephase.field import evaluate
 
     xv = evaluate(spec, grid.nodes()).reshape(grid.shape + (2,))
@@ -148,7 +147,7 @@ def test_lie_derivative_halfplane_equals_normal_component():
             _bump(0.0, 0.5, 0.5, 0.35, {(0, 0): 0.9, (1, 0): -0.2}),
         ),
     )
-    out = lie_derivative(u, spec)
+    out = lie_derivative(u, spec, 0.0)
     from onephase.field import evaluate
 
     xv = evaluate(spec, u.grid.nodes()).reshape(u.grid.shape + (2,))
@@ -185,7 +184,7 @@ def test_first_variation_chain_rule_identity():
     spec = _generic_x()
     eps = 0.5
     first = first_inner_variation(u, spec, term, eps)
-    lx = lie_derivative(u, spec)
+    lx = lie_derivative(u, spec, eps)
     gu, gl = gradient(u), gradient(lx)
     dens = 2.0 * np.sum(gu * gl, axis=0) + 2.0 * f_eps(term, eps, u.values) * lx.values
     iprime = integrate(ScalarField(grid=grid, values=dens))
@@ -203,7 +202,7 @@ def test_second_variation_matches_classical_form_at_solution():
     u, term, eps = _solved_profile()
     spec = _generic_x()
     inner = second_inner_variation(u, spec, term, eps)
-    classical = classical_second_variation(u, lie_derivative(u, spec), term, eps)
+    classical = classical_second_variation(u, lie_derivative(u, spec, eps), term, eps)
     assert abs(inner - classical) <= 1e-3 * max(abs(inner), abs(classical))
 
 
@@ -425,16 +424,37 @@ def test_classical_second_variation_flat_reaction_region():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def _phase_bulk(u, phi):
-    """int_{u>0} |grad phi|^2 by the trapezoid rule, grad phi the phase gradient.
+def _whole_grid_classical(u, phi, term, eps):
+    """2 int |grad phi|^2 + f_eps'(u) phi^2 by np.gradient and np.trapezoid on every node."""
+    h = u.grid.h
+    g = np.gradient(phi, h, edge_order=2)
+    dens = g[0] ** 2 + g[1] ** 2 + term.fprime(u.values / eps) / eps**2 * phi**2
+    return 2.0 * float(np.trapezoid(np.trapezoid(dens, dx=h, axis=-1), dx=h))
 
-    Summed as the variations integrals sum (np.sum): np.trapezoid's sum of
-    the same nodes rounds differently on numpy's AVX2 kernels.
-    """
+
+@pytest.mark.parametrize("support", ["lie", "collar"])
+def test_classical_second_variation_matches_a_whole_grid_reference(support):
+    # The form runs on the box of phi's nonzero nodes grown by the stencil
+    # reach.  "collar" makes that box the grid minus the collar, so the
+    # one-sided stencils of the boundary nodes read phi.
+    term, eps = _term(), 0.5
+    u = _smooth_u(make_grid((-1.0, -1.0), (1.0, 1.0), 201))
+    if support == "lie":
+        phi = lie_derivative(u, _generic_x(), eps).values
+    else:
+        phi = np.zeros(u.grid.shape)
+        phi[2:-2, 2:-2] = _gauss(u.grid)[2:-2, 2:-2]
+    got = classical_second_variation(u, ScalarField(grid=u.grid, values=phi), term, eps)
+    want = _whole_grid_classical(u, phi, term, eps)
+    assert got > 0.0
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _phase_bulk(u, phi):
+    """int_{u>0} |grad phi|^2 by the trapezoid rule, grad phi the phase gradient."""
     mask = u.values > 0.0
     g = _phase_gradient(phi, u.grid.h, mask)
-    full = tuple(slice(0, n) for n in u.grid.shape)
-    return _integral(np.where(mask, np.sum(g * g, axis=0), 0.0), u.grid, full)
+    return integrate(ScalarField(grid=u.grid, values=np.where(mask, np.sum(g * g, axis=0), 0.0)))
 
 
 @functools.cache
@@ -475,14 +495,15 @@ def test_cjk_form_of_a_phase_restricted_phi_converges(kind):
     assert abs(vals[1] - vals[0]) < 0.1 * abs(vals[0])
 
 
+@pytest.mark.parametrize("n", [201, 401])
 @pytest.mark.parametrize("kind", ["halfplane", "radial"])
-def test_surface_second_variation_is_twice_the_cjk_form_at_the_lie_derivative(kind):
-    # phi is L_X u by the phase gradient on the whole grid, zero where X is.
-    u, curve = _cone_and_curve(kind, 201)
+def test_surface_second_variation_is_twice_the_cjk_form_at_the_lie_derivative(kind, n):
+    # At eps = 0 lie_derivative reads u by the phase gradient.  With the
+    # plain gradient across the kink the cone's form read 0.141 on 201^2
+    # and 0.309 on 401^2, against 0.0723 and 0.0685 from the surface form.
+    u, curve = _cone_and_curve(kind, n)
     spec = _generic_x()
-    g = _phase_gradient(u.values, u.grid.h, u.values > 0.0)
-    phi = np.sum(g * np.moveaxis(evaluate(spec, u.grid), -1, 0), axis=0)
-    form = 2.0 * cjk_form(u, ScalarField(grid=u.grid, values=phi), curve)
+    form = 2.0 * cjk_form(u, lie_derivative(u, spec, 0.0), curve)
     assert surface_second_variation(u, spec, curve) == pytest.approx(form, rel=1e-13, abs=0.0)
 
 
@@ -582,7 +603,7 @@ def test_variation_report_with_a_tabulated_term_fills_classical_second():
     u = _smooth_u(make_grid((-1.0, -1.0), (1.0, 1.0), 101))
     spec = _generic_x()
     report = variation_report(u, spec, tab, 0.5, dt=0.1)
-    want = classical_second_variation(u, lie_derivative(u, spec), tab, 0.5)
+    want = classical_second_variation(u, lie_derivative(u, spec, 0.5), tab, 0.5)
     assert report.classical_second == want and math.isfinite(want)
 
 
@@ -642,7 +663,7 @@ def test_deformation_between_nodes_has_zero_variations():
         assert first_inner_variation(field, spec, term, eps) == 0.0
         assert second_inner_variation(field, spec, term, eps) == 0.0
         assert inner_variation_fd(field, spec, term, eps) == (0.0, 0.0)
-    lie = lie_derivative(smooth, spec).values
+    lie = lie_derivative(smooth, spec, 0.1).values
     assert np.all(lie == 0.0) and not np.any(np.signbit(lie))
     empty = extract_interface(smooth, 0.0)
     assert len(empty) == 0
@@ -729,8 +750,9 @@ def test_support_block_crop_matches_the_full_grid(spec, eps):
     assert first_inner_variation(u, spec, term, eps) == pytest.approx(first, rel=1e-13, abs=0.0)
     assert second_inner_variation(u, spec, term, eps) == pytest.approx(second, rel=1e-13, abs=0.0)
 
-    lie = lie_derivative(u, spec).values
-    full = np.sum(gradient(u) * np.moveaxis(evaluate(spec, grid), -1, 0), axis=0)
+    lie = lie_derivative(u, spec, eps).values
+    g = _phase_gradient(u.values, grid.h, u.values > 0.0) if eps == 0.0 else gradient(u)
+    full = np.sum(g * np.moveaxis(evaluate(spec, grid), -1, 0), axis=0)
     assert np.max(np.abs(lie - full)) <= 1e-13 * np.max(np.abs(full))
     off = lie[~inside]
     assert np.all(off == 0.0) and not np.any(np.signbit(off))
@@ -752,7 +774,7 @@ def test_support_block_crop_matches_the_full_grid_1d():
     first, second = _full_grid_variations(u, spec, term, 0.1)
     assert first_inner_variation(u, spec, term, 0.1) == pytest.approx(first, rel=1e-13, abs=0.0)
     assert second_inner_variation(u, spec, term, 0.1) == pytest.approx(second, rel=1e-13, abs=0.0)
-    lie = lie_derivative(u, spec).values
+    lie = lie_derivative(u, spec, 0.1).values
     full = gradient(u)[0] * evaluate(spec, grid)[:, 0]
     assert np.max(np.abs(lie - full)) <= 1e-13 * np.max(np.abs(full))
     off = lie[~_inside_box(grid, spec)]
