@@ -12,7 +12,8 @@ subcommand calls BLAS or LAPACK; a user's OPENBLAS_NUM_THREADS is kept.
 
 Exit codes: 0 on success, 1 with an error JSON on stdout when an
 operation fails, 2 when the command line or config cannot be parsed,
-`solve` rejects its grid, tolerance, cycle cap or eps, or `cone` its --h.
+`solve` rejects its tolerance, cycle cap or eps, or a subcommand its grid
+or --radius.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument(
         "--command",
         dest="sub_command",
-        choices=("profile", "solve", "check", "cone"),
+        choices=("profile", "solve", "check"),
         default=None,
     )
     p.add_argument("--check", dest="check_what", choices=_CHECKS, default=None)
@@ -205,15 +206,28 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+# At most 4096^2 nodes: one float64 field of that size takes 134 MB, and a
+# solve holds tens of whole-grid arrays.
+_MAX_NODES = 4096**2
+
+
 def _grid_from_args(args) -> GridSpec:
-    lo = _floats(args.lo)
-    hi = _floats(args.hi)
-    n = _ints(args.n)
-    if len(n) == 1:
-        n = n * len(lo)
-    if len(lo) == 1:
-        return make_grid(lo[0], hi[0], n[0])
-    return make_grid(tuple(lo), tuple(hi), tuple(n))
+    """The grid from --lo to --hi by --n nodes per axis, or cone's --h: else ConfigError."""
+    lo, hi = _floats(args.lo), _floats(args.hi)
+    if args.command == "cone":
+        if not 0.0 < args.h < math.inf:
+            raise ConfigError(f"--h must be finite and positive, got {args.h}")
+        n = [np.round((b - a) / args.h) + 1.0 for a, b in zip(lo, hi)]
+    else:
+        n = _ints(args.n)
+        n = n * len(lo) if len(n) == 1 else n
+    try:  # the bound is checked before any count becomes an integer
+        if not math.prod(abs(k) for k in n) <= _MAX_NODES:
+            shape = " x ".join(f"{k:.6g}" for k in n)
+            raise ValueError(f"a {shape} grid exceeds the bound of {_MAX_NODES} nodes")
+        return make_grid(tuple(lo), tuple(hi), tuple(int(k) for k in n))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _field_from_source(source: str, grid: GridSpec, eps: float, term, args) -> ScalarField:
@@ -221,7 +235,10 @@ def _field_from_source(source: str, grid: GridSpec, eps: float, term, args) -> S
     if source == "halfplane":
         return halfplane(grid)
     if source == "radial":
-        return radial_cone(grid, getattr(args, "radius", 0.5))
+        try:  # a --radius that is not finite and positive is a usage error
+            return radial_cone(grid, getattr(args, "radius", 0.5))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if source == "profile":
         return profile_field(term, grid, eps)
     if source == "wedge":
@@ -385,16 +402,8 @@ def _bump_suite_ratio(grid: GridSpec, count: int, seed: int, zero_fraction: floa
 def _run_cone(args, out: Path) -> dict:
     from . import variations
 
-    if not 0.0 < args.h < math.inf:
-        raise ConfigError(f"--h must be finite and positive, got {args.h}")
+    grid = _grid_from_args(args)
     term = make_reference(args.T)
-    lo = _floats(args.lo)
-    hi = _floats(args.hi)
-    n = tuple(int(round((b - a) / args.h)) + 1 for a, b in zip(lo, hi))
-    try:  # a --h too coarse for the box is a usage error
-        grid = make_grid(tuple(lo), tuple(hi), n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     u = _field_from_source(args.kind, grid, 0.0, term, args)
     save_field(u, out / "field.csv")
     payload: dict = {"kind": args.kind, "h": grid.h, "shape": list(grid.shape)}
@@ -415,9 +424,10 @@ def _run_cone(args, out: Path) -> dict:
         }
     if args.x is not None:
         spec = load_vector_spec(args.x)
+        first, second = variations.inner_variations(u, spec, term, 0.0)
         payload["forms"] = {
-            "first_volume": variations.first_inner_variation(u, spec, term, 0.0),
-            "second_volume": variations.second_inner_variation(u, spec, term, 0.0),
+            "first_volume": first,
+            "second_volume": second,
             "second_surface": variations.surface_second_variation(u, spec, curve),
         }
     return payload
@@ -483,7 +493,8 @@ def main(argv: list[str] | None = None) -> int:
     Returns:
         0 on success, 1 after an operation error (error JSON on stdout),
         2 when the command line or config file cannot be parsed, `solve`
-        rejects its grid, tolerance, cycle cap or eps, or `cone` its --h.
+        rejects its tolerance, cycle cap or eps, or a subcommand its grid
+        or --radius.
     """
     parser, table = _build_parser()
     try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -170,9 +171,12 @@ def halfplane(grid: GridSpec) -> ScalarField:
 
 
 def radial_cone(grid: GridSpec, radius: float) -> ScalarField:
-    """R log(r/R) outside r = R = radius, 0 inside; ValueError unless grid is 2D."""
+    """R log(r/R) outside r = R = radius, 0 inside; ValueError unless grid is 2D
+    and radius finite and positive."""
     if grid.dim != 2:
         raise ValueError("radial fields need a 2D grid")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
     rr = np.sqrt(xm**2 + ym**2)
     vals = np.where(rr > radius, radius * np.log(np.maximum(rr, 1e-300) / radius), 0.0)
@@ -301,9 +305,9 @@ def _multilinear(u: ScalarField, pts: np.ndarray) -> np.ndarray:
 
     Cell index and weight per axis follow scipy's find_indices: the cell is
     the last node <= x, clipped to the last cell, so the upper corner lands
-    in the last cell at weight 1.  The corner products are formed and summed
-    in the order of scipy's linear kernels, starting from a 0.0 accumulator
-    as they do (it turns a sum of -0.0 terms into +0.0).
+    in the last cell at weight 1.  As scipy's linear kernels do, each corner
+    value is multiplied by its axis weights in axis order and the corners are
+    summed in binary order from 0.0 (which turns a -0.0 sum into +0.0).
     """
     idx, wts = [], []
     for ax, x in zip(u.grid.axes(), pts.T):
@@ -311,17 +315,13 @@ def _multilinear(u: ScalarField, pts: np.ndarray) -> np.ndarray:
         idx.append(i)
         wts.append((x - ax[i]) / (ax[i + 1] - ax[i]))
     v = u.values
-    if u.grid.dim == 1:
-        (i,), (y,) = idx, wts
-        return 0.0 + v[i] * (1 - y) + v[i + 1] * y
-    (i0, i1), (y0, y1) = idx, wts
-    return (
-        0.0
-        + v[i0, i1] * (1 - y0) * (1 - y1)
-        + v[i0, i1 + 1] * (1 - y0) * y1
-        + v[i0 + 1, i1] * y0 * (1 - y1)
-        + v[i0 + 1, i1 + 1] * y0 * y1
-    )
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=len(idx)):
+        term = v[tuple(i + c for i, c in zip(idx, corner))]
+        for c, y in zip(corner, wts):
+            term = term * (y if c else 1 - y)
+        out = out + term
+    return out
 
 
 def _snap_inside(grid: GridSpec, pts: np.ndarray) -> np.ndarray:

@@ -44,8 +44,7 @@ __all__ = [
     "VariationReport",
     "InterfaceCurve",
     "lie_derivative",
-    "first_inner_variation",
-    "second_inner_variation",
+    "inner_variations",
     "inner_variation_fd",
     "classical_second_variation",
     "extract_interface",
@@ -71,8 +70,7 @@ _SINGULAR_CURVATURE = 10.0
 # (dt = 0.1, 0.05, 0.025) drops to 1.5, with two it is 3.86, and more steps
 # raise it by less than 0.02.
 _FD_STEPS = 2
-# Nodes a gradient stencil reads on each side of a node: the phase
-# gradient's reach, and np.gradient's at a grid edge.
+# Nodes the phase gradient's stencil reads on each side of a node.
 _REACH = 2
 # Marching-squares segments of a cell by its case s00 + 2*s10 + 4*s11 + 8*s01
 # (s marks nodes above the level), as pairs of cell edges 0-3 = S, E, N, W
@@ -247,21 +245,16 @@ def _block_tables(spec: VectorFieldSpec, grid: GridSpec, block, order: int) -> l
 
 
 def _block_gradient(u: ScalarField, block, phase: bool) -> np.ndarray:
-    """The whole-grid gradient of u on block, bit for bit, shape (dim, *block).
+    """The gradient of u on block, shape (dim, *block).
 
-    The stencil runs on the block grown by _REACH nodes per side, so each
-    block node reads the neighbours it reads on the whole grid.  phase
-    selects _phase_gradient on {u > 0}, else gradient.
+    _phase_gradient runs on the block grown by _REACH nodes per side, so each
+    block node reads the neighbours it reads on the whole grid.  Its mask is
+    {u > 0} when phase, else every node: then the stencil is centered off
+    the grid edge and second-order one-sided on it.
     """
-    grid = u.grid
-    ext = _grow(block, _REACH, grid.shape)
+    ext = _grow(block, _REACH, u.grid.shape)
     v = u.values[ext]
-    if phase:
-        g = _phase_gradient(v, grid.h, v > 0.0)
-    else:
-        origin = tuple(ax[s.start] for ax, s in zip(grid.axes(), ext))
-        sub = GridSpec(dim=grid.dim, origin=origin, h=grid.h, shape=v.shape)
-        g = gradient(ScalarField(grid=sub, values=v))
+    g = _phase_gradient(v, u.grid.h, v > 0.0 if phase else np.ones(v.shape, dtype=bool))
     return g[_within(block, ext)]
 
 
@@ -290,20 +283,16 @@ def lie_derivative(u: ScalarField, spec: VectorFieldSpec, eps: float) -> ScalarF
     return ScalarField(grid=u.grid, values=vals)
 
 
-def _energy_density(u, term, eps, block) -> tuple[np.ndarray, np.ndarray]:
-    """The energy gradient of u on block and the density |grad u|^2 + F_eps(u) there."""
-    g = _block_gradient(u, block, phase=eps == 0.0)
-    return g, _contract(g, g) + F_eps(term, eps, u.values[block])
-
-
-def first_inner_variation(
+def inner_variations(
     u: ScalarField, spec: VectorFieldSpec, term: ReactionTerm, eps: float
-) -> float:
-    """d/dt at t=0 of the energy of the deformed competitor u(phi_t^{-1}).
+) -> tuple[float, float]:
+    """First and second t-derivatives at t=0 of the energy of u(phi_t^{-1}).
 
-    Evaluates integral of (|grad u|^2 + F_eps(u)) div X - 2 u_i u_j d_j X^i
-    with exact X-derivatives and quadrature in u, on the nodes strictly
-    inside support_box(spec), off which the density vanishes.
+    Both integrands contract g = grad u and e = |g|^2 + F_eps(u) with the
+    exact derivatives of X, and are summed on the nodes strictly inside
+    support_box(spec), off which they vanish.  The first is
+    e div X - 2 g.(DX g); the second is e div(X div X) plus
+    2 div X (L_X inverse-metric)(du, du) plus (L_X^2 inverse-metric)(du, du).
 
     Args:
         u: field, any smoothness (eps = 0 admits kinked fields).
@@ -312,40 +301,14 @@ def first_inner_variation(
         eps: nonnegative scale; 0 selects the indicator potential.
 
     Returns:
-        The first inner variation.
+        (first, second) inner variations.
     """
     _require_interior_support(u, spec)
     block = _support_block(u.grid, spec)
     if block is None:
-        return 0.0
-    g, e = _energy_density(u, term, eps, block)
-    jac = _block_tables(spec, u.grid, block, 1)[1]
-    dims = range(u.grid.dim)
-    div = sum(jac[i, i] for i in dims)
-    quad = _contract(g, [_contract(jac[i], g) for i in dims])  # g . (J g)
-    return _integral(e * div - 2.0 * quad, u.grid, block)
-
-
-def second_inner_variation(
-    u: ScalarField, spec: VectorFieldSpec, term: ReactionTerm, eps: float
-) -> float:
-    """d^2/dt^2 at t=0 of the energy of the deformed competitor.
-
-    The integrand contracts grad u with X and its first two derivatives:
-    e div(X div X) plus 2 div X (L_X inverse-metric)(du, du) plus
-    (L_X^2 inverse-metric)(du, du), all X-derivatives analytic, on the
-    nodes strictly inside support_box(spec).
-
-    Args (as first_inner_variation).
-
-    Returns:
-        The second inner variation.
-    """
-    _require_interior_support(u, spec)
-    block = _support_block(u.grid, spec)
-    if block is None:
-        return 0.0
-    g, e = _energy_density(u, term, eps, block)
+        return 0.0, 0.0
+    g = _block_gradient(u, block, phase=eps == 0.0)
+    e = _contract(g, g) + F_eps(term, eps, u.values[block])
     xv, jac, hes = _block_tables(spec, u.grid, block, 2)
     dims = range(u.grid.dim)
     div = sum(jac[i, i] for i in dims)
@@ -356,8 +319,9 @@ def second_inner_variation(
     hx = [[_contract(hes[i, j], xv) for j in dims] for i in dims]  # X^k d_jk X^i
     q2 = _contract(g, [_contract(hx[i], g) for i in dims])
     r3 = _contract(jg, jtg) + _contract(jtg, jtg)
-    dens = e * (_contract(xv, graddiv) + div**2) - 4.0 * div * q1 - 2.0 * q2 + 2.0 * r3
-    return _integral(dens, u.grid, block)
+    first = e * div - 2.0 * q1
+    second = e * (_contract(xv, graddiv) + div**2) - 4.0 * div * q1 - 2.0 * q2 + 2.0 * r3
+    return _integral(first, u.grid, block), _integral(second, u.grid, block)
 
 
 def inner_variation_fd(
@@ -381,11 +345,11 @@ def inner_variation_fd(
     trajectories, and the 5-point central first and second derivatives at
     0 are returned, each accurate to O(dt^4).
 
-    g shares the node gradient and the quadrature of first_ and
-    second_inner_variation, so the oracle checks that those formulas are
-    the t-derivatives of the same discrete integral.  It does not check
-    the discretisation of a deformed field; the classical_second_variation
-    identity and the solver acceptance tests cover that.
+    g shares the node gradient and the quadrature of inner_variations, so
+    the oracle checks that its formulas are the t-derivatives of the same
+    discrete integral.  It does not check the discretisation of a deformed
+    field; the classical_second_variation identity and the solver
+    acceptance tests cover that.
 
     Args:
         u: field to deform.
@@ -740,17 +704,13 @@ def surface_second_variation(
     """
     _require_interior_support(u, spec)
     grid = u.grid
-    block = _support_block(grid, spec)
-    # The phase gradient of u is read on the block and where the trace probes sample.
-    probes = np.concatenate(_probe_points(grid, curve.points, curve.normals)[:2])
-    boxes = [b for b in (block, _sample_block(grid, probes, 1) if len(curve) else None) if b]
-    if not boxes:
-        return 0.0
-    cover = tuple(slice(min(s.start for s in ss), max(s.stop for s in ss)) for ss in zip(*boxes))
-    pg = _block_gradient(u, cover, phase=True)
     if len(curve):
+        # The trace reads the phase gradient of u only where the probes sample.
+        probes = np.concatenate(_probe_points(grid, curve.points, curve.normals)[:2])
+        box = _sample_block(grid, probes, 1)
+        pg = _block_gradient(u, box, phase=True)
         gnorm = np.zeros(grid.shape)
-        gnorm[cover] = np.sqrt(np.sum(pg * pg, axis=0))
+        gnorm[box] = np.sqrt(np.sum(pg * pg, axis=0))
         trace, clipped = _offset_probe(
             ScalarField(grid=grid, values=gnorm), curve.points, curve.normals
         )
@@ -760,11 +720,10 @@ def surface_second_variation(
             raise NotClassicalSolutionError(
                 f"|grad u| strays from 1 by {worst:.4f} on the interface"
             )
+    block = _support_block(grid, spec)
     if block is None:
         return 0.0
-    lvals = np.zeros(grid.shape)
-    lvals[block] = _contract(pg[_within(block, cover)], _block_tables(spec, grid, block, 0)[0])
-    return 2.0 * _cjk(u, lvals, block, curve)
+    return 2.0 * _cjk(u, lie_derivative(u, spec, 0.0).values, block, curve)
 
 
 def cjk_form(u: ScalarField, phi: ScalarField, curve: InterfaceCurve) -> float:
@@ -808,8 +767,7 @@ def variation_report(
     """
     if dt is None:
         dt = default_fd_step(spec)
-    first_a = first_inner_variation(u, spec, term, eps)
-    second_a = second_inner_variation(u, spec, term, eps)
+    first_a, second_a = inner_variations(u, spec, term, eps)
     first_fd, second_fd = inner_variation_fd(u, spec, term, eps, dt)
     classical = None
     if eps > 0.0:

@@ -47,10 +47,9 @@ from onephase.solver import SolveConfig, minimize
 from onephase.variations import (
     classical_second_variation,
     extract_interface,
-    first_inner_variation,
+    inner_variations,
     inner_variation_fd,
     lie_derivative,
-    second_inner_variation,
     surface_second_variation,
 )
 
@@ -213,8 +212,7 @@ def test_inner_variation_formulas_match_flow_derivatives():
         # values stay strictly inside (0, T*eps): no reaction-term kink is crossed
         u = ScalarField(grid=grid, values=vals)
         for spec in specs:
-            a1 = first_inner_variation(u, spec, term, eps)
-            a2 = second_inner_variation(u, spec, term, eps)
+            a1, a2 = inner_variations(u, spec, term, eps)
             fd = {dt: inner_variation_fd(u, spec, term, eps, dt=dt) for dt in dts}
             for idx, analytic in ((0, a1), (1, a2)):
                 coarse = fd[dts[0]][idx] - fd[dts[1]][idx]
@@ -232,7 +230,7 @@ def test_converged_solution_is_critical_for_inner_variations():
     eps = 0.2
     u = _thin(eps)
     for spec in _thin_specs(20, 10):
-        val = first_inner_variation(u, spec, _term(), eps)
+        val = inner_variations(u, spec, _term(), eps)[0]
         assert abs(val) <= 1e-3 * _c1_norm(spec)
 
 
@@ -241,7 +239,7 @@ def test_second_inner_variation_matches_quadratic_form_at_solutions():
     for eps in (0.2, 0.3):
         u = _thin(eps)
         for spec in _thin_specs(20, 10):
-            inner = second_inner_variation(u, spec, term, eps)
+            inner = inner_variations(u, spec, term, eps)[1]
             outer = classical_second_variation(u, lie_derivative(u, spec, eps), term, eps)
             assert abs(inner - outer) <= 1e-3 * max(abs(inner), abs(outer))
 
@@ -268,7 +266,7 @@ def test_volume_and_surface_forms_agree_on_exact_solutions():
     plane = halfplane(_square(401))  # h = 5e-3
     radial = radial_cone(_square(401), 0.5)
     for u, spec in ((plane, generic_x), (radial, radial_x)):
-        volume = second_inner_variation(u, spec, term, 0.0)
+        volume = inner_variations(u, spec, term, 0.0)[1]
         curve = extract_interface(u, 0.5 * u.grid.h)
         surface = surface_second_variation(u, spec, curve)
         assert abs(volume - surface) <= 5e-2 * max(abs(volume), abs(surface))
@@ -384,5 +382,5 @@ def test_second_variation_nonnegative_at_profile_solution():
                 PolyBump(coeffs=coeffs, center=tuple(center), halfwidths=tuple(hw))
             )
         spec = VectorFieldSpec(dim=2, components=tuple(comps))
-        values.append(second_inner_variation(u, spec, term, eps))
+        values.append(inner_variations(u, spec, term, eps)[1])
     assert min(values) >= -1e-6

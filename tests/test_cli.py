@@ -230,12 +230,10 @@ def test_grid_below_three_nodes_fails_without_warnings(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["check", "--what", "lipschitz", "--n", "1", "--out", str(tmp_path)])
-    assert rc == 1
+    assert rc == 2
     captured = capsys.readouterr()
-    assert captured.err == ""
-    error = json.loads(captured.out)["error"]
-    assert error["type"] == "ValueError"
-    assert "need at least 3 nodes" in error["message"]
+    assert captured.out == ""
+    assert "need at least 3 nodes" in captured.err
 
 
 def test_python_dash_m_runs_a_subcommand(tmp_path):
@@ -1050,6 +1048,66 @@ def test_cone_rejects_a_spacing_too_coarse_for_three_nodes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "need at least 3 nodes per axis" in captured.err and captured.out == ""
     assert not (tmp_path / "c").exists()
+
+
+# Each grid is refused before any node is allocated: over 10^12 nodes, or
+# fewer than 3 (or a spacing that differs) per axis.
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["cone", "--h", "1e-6"], "exceeds the bound of 16777216 nodes"),
+        (["cone", "--h", "5e-324"], "exceeds the bound of 16777216 nodes"),
+        (["solve", "--n", "1000000"], "exceeds the bound of 16777216 nodes"),
+        (["check", "--what", "lipschitz", "--n", "1000000,1000000"], "exceeds the bound"),
+        (["solve", "--n", "2"], "need at least 3 nodes per axis"),
+        (["solve", "--n", "21,31"], "axes disagree on spacing"),
+        (["check", "--what", "lipschitz", "--n", "2"], "need at least 3 nodes per axis"),
+    ],
+)
+def test_every_grid_builder_rejects_a_grid_it_cannot_build(tmp_path, capsys, argv, reason):
+    # Before one helper built every CLI grid, these exited 1: cone --h 1e-6
+    # only when its 2 000 001^2 allocation failed, --h 5e-324 on an
+    # OverflowError, and solve and check on make_grid's ValueError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, "--out", str(tmp_path / "c")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert reason in captured.err and captured.out == ""
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone", "--kind", "radial", "--emit-interface"],
+        ["check", "--what", "lipschitz", "--field", "radial", "--n", "21"],
+        ["check", "--what", "l1", "--limit", "radial", "--n", "21"],
+    ],
+    ids=["cone", "field", "limit"],
+)
+def test_radial_sources_reject_a_radius_that_is_not_finite_and_positive(
+    tmp_path, capsys, argv, radius
+):
+    # Unchecked, nan gave an all-zero cone, inf a cone with H_expected 0.0,
+    # and 0 and -1 warned and failed (exit 1), nan after writing field.csv.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, f"--radius={radius}", "--out", str(tmp_path / "c")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "radius must be finite and positive" in captured.err and captured.out == ""
+    assert not (tmp_path / "c").exists()
+
+
+def test_sweep_refuses_a_command_without_eps(tmp_path, capsys):
+    # cone has no --eps, which sweep appends to every run, so every entry
+    # failed and the sweep exited 1.
+    rc = main(["sweep", "--command", "cone", "--eps", "0.1", "--out", str(tmp_path / "s")])
+    assert rc == 2
+    capsys.readouterr()
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_without_command_exits_two(capsys):

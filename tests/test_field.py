@@ -79,6 +79,16 @@ def test_radial_cone_needs_a_2d_grid():
         radial_cone(make_grid(-1.0, 1.0, 21), 0.5)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+def test_radial_cone_needs_a_finite_positive_radius(radius):
+    # Unchecked, nan gave an all-zero field, inf a field with no positive
+    # phase in the box, and 0 and -1 divided by zero or took logs of negatives.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"radius must be finite and positive, got {radius}"):
+            radial_cone(make_grid((-1.0, -1.0), (1.0, 1.0), 21), radius)
+
+
 def test_gradient_exact_on_linear():
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 41)
     g = gradient(_linear_field(grid))

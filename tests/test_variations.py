@@ -37,12 +37,11 @@ from onephase.variations import (
     classical_second_variation,
     default_fd_step,
     extract_interface,
-    first_inner_variation,
+    inner_variations,
     inner_variation_fd,
     lie_derivative,
     save_curve,
     load_curve,
-    second_inner_variation,
     surface_second_variation,
     variation_report,
 )
@@ -156,9 +155,36 @@ def test_lie_derivative_halfplane_equals_normal_component():
     assert np.max(np.abs(out.values[inside] - xv[..., 1][inside])) < 1e-12
 
 
+@pytest.mark.parametrize("n", [41, 201])
+def test_lie_derivative_across_the_grid_edge_matches_the_whole_grid_gradient(n):
+    # X's support crosses the grid edge at x = 1 and y = 1, so the block
+    # gradient runs its one-sided stencil there.  Inside the grid it is
+    # (v+ - v-)/2h as gradient computes it, bit for bit; on the edge the two
+    # second-order stencils round apart, by a few ulps of their terms u/h.
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), n)
+    xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
+    s = (0.6 * xm + 0.8 * ym - 0.05) / 0.1
+    u = ScalarField(grid=grid, values=0.1 * np.logaddexp(0.0, s) + 0.3 * np.sin(3.0 * xm * ym))
+    spec = VectorFieldSpec(
+        dim=2,
+        components=(
+            _bump(0.8, 0.7, 0.5, 0.45, {(0, 0): 0.7, (1, 0): 0.3, (0, 1): -0.4}),
+            _bump(0.8, 0.7, 0.5, 0.45, {(0, 0): -0.5, (1, 1): 0.6}),
+        ),
+    )
+    lie = lie_derivative(u, spec, 0.1).values
+    full = np.sum(gradient(u) * np.moveaxis(evaluate(spec, grid), -1, 0), axis=0)
+    edge = np.ones(grid.shape, dtype=bool)
+    edge[1:-1, 1:-1] = False
+    assert np.count_nonzero(lie[edge]) > n // 4
+    assert np.array_equal(lie[~edge], full[~edge])
+    ulp = np.spacing(np.max(np.abs(u.values))) / grid.h * max_norm(spec)
+    assert np.max(np.abs(lie[edge] - full[edge])) <= 4.0 * ulp
+
+
 def test_first_variation_of_zero_field_is_zero():
     u = _smooth_u(make_grid((-1.0, -1.0), (1.0, 1.0), 51))
-    assert first_inner_variation(u, _zero_x(), _term(), 0.5) == 0.0
+    assert inner_variations(u, _zero_x(), _term(), 0.5)[0] == 0.0
 
 
 def test_variations_match_fd_oracle_on_smooth_field():
@@ -167,8 +193,7 @@ def test_variations_match_fd_oracle_on_smooth_field():
     spec = _generic_x()
     eps = 0.5
     dt = 0.1
-    first_a = first_inner_variation(u, spec, term, eps)
-    second_a = second_inner_variation(u, spec, term, eps)
+    first_a, second_a = inner_variations(u, spec, term, eps)
     first_fd, second_fd = inner_variation_fd(u, spec, term, eps, dt)
     assert abs(first_a - first_fd) < 1e-3
     assert abs(second_a - second_fd) < max(1e-3, 10.0 * dt**2)
@@ -183,7 +208,7 @@ def test_first_variation_chain_rule_identity():
     u = _smooth_u(grid)
     spec = _generic_x()
     eps = 0.5
-    first = first_inner_variation(u, spec, term, eps)
+    first = inner_variations(u, spec, term, eps)[0]
     lx = lie_derivative(u, spec, eps)
     gu, gl = gradient(u), gradient(lx)
     dens = 2.0 * np.sum(gu * gl, axis=0) + 2.0 * f_eps(term, eps, u.values) * lx.values
@@ -194,14 +219,14 @@ def test_first_variation_chain_rule_identity():
 def test_first_variation_vanishes_at_converged_solution():
     u, term, eps = _solved_profile()
     spec = _generic_x()
-    val = first_inner_variation(u, spec, term, eps)
+    val = inner_variations(u, spec, term, eps)[0]
     assert abs(val) <= 1e-3 * max_norm(spec) * float(np.max(np.abs(u.values)))
 
 
 def test_second_variation_matches_classical_form_at_solution():
     u, term, eps = _solved_profile()
     spec = _generic_x()
-    inner = second_inner_variation(u, spec, term, eps)
+    inner = inner_variations(u, spec, term, eps)[1]
     classical = classical_second_variation(u, lie_derivative(u, spec, eps), term, eps)
     assert abs(inner - classical) <= 1e-3 * max(abs(inner), abs(classical))
 
@@ -221,7 +246,7 @@ def test_second_variation_nonnegative_at_profile_solution():
             wx, wy = rng.uniform(0.3, 0.6, size=2)
             comps.append(_bump(cx, cy, wx, wy, coef))
         spec = VectorFieldSpec(dim=2, components=tuple(comps))
-        assert second_inner_variation(u, spec, term, eps) >= -1e-6
+        assert inner_variations(u, spec, term, eps)[1] >= -1e-6
 
 
 def test_fd_oracle_matches_formulas_on_softplus_layer():
@@ -235,8 +260,8 @@ def test_fd_oracle_matches_formulas_on_softplus_layer():
     )
     spec, term, eps = _generic_x(), _term(), 0.1
     first, second = inner_variation_fd(u, spec, term, eps)
-    assert first == pytest.approx(first_inner_variation(u, spec, term, eps), rel=1e-6)
-    assert second == pytest.approx(second_inner_variation(u, spec, term, eps), rel=1e-6)
+    assert first == pytest.approx(inner_variations(u, spec, term, eps)[0], rel=1e-6)
+    assert second == pytest.approx(inner_variations(u, spec, term, eps)[1], rel=1e-6)
 
 
 def test_fd_oracle_zero_field_is_roundoff_zero():
@@ -270,7 +295,7 @@ def test_first_variation_halfplane_extrapolates_to_zero():
     vals = {}
     for n in (201, 401):
         u = _halfplane(n)
-        vals[n] = first_inner_variation(u, spec, term, 0.0)
+        vals[n] = inner_variations(u, spec, term, 0.0)[0]
     extrapolated = 2.0 * vals[401] - vals[201]
     assert abs(extrapolated) < 5e-3
 
@@ -279,7 +304,7 @@ def test_surface_form_matches_volume_form_halfplane():
     term = _term()
     u = _halfplane(401)
     spec = _generic_x()
-    volume = second_inner_variation(u, spec, term, 0.0)
+    volume = inner_variations(u, spec, term, 0.0)[1]
     curve = extract_interface(u, 0.5 * u.grid.h)
     surface = surface_second_variation(u, spec, curve)
     assert surface > 0.0
@@ -296,7 +321,7 @@ def test_surface_form_matches_volume_form_radial():
             _bump(0.0, 0.0, 0.85, 0.85, {(0, 1): 1.0}),
         ),
     )
-    volume = second_inner_variation(u, spec, term, 0.0)
+    volume = inner_variations(u, spec, term, 0.0)[1]
     curve = extract_interface(u, 0.5 * u.grid.h)
     surface = surface_second_variation(u, spec, curve)
     assert abs(volume - surface) <= 5e-2 * max(abs(volume), abs(surface))
@@ -643,7 +668,7 @@ def test_interior_support_is_required():
         ),
     )
     with pytest.raises(ValueError):
-        first_inner_variation(u, spec, _term(), 0.5)
+        inner_variations(u, spec, _term(), 0.5)
 
 
 def test_deformation_between_nodes_has_zero_variations():
@@ -660,8 +685,7 @@ def test_deformation_between_nodes_has_zero_variations():
     u = _halfplane(51)
     smooth = _smooth_u(u.grid)
     for field, eps in ((u, 0.0), (smooth, 0.1)):
-        assert first_inner_variation(field, spec, term, eps) == 0.0
-        assert second_inner_variation(field, spec, term, eps) == 0.0
+        assert inner_variations(field, spec, term, eps) == (0.0, 0.0)
         assert inner_variation_fd(field, spec, term, eps) == (0.0, 0.0)
     lie = lie_derivative(smooth, spec, 0.1).values
     assert np.all(lie == 0.0) and not np.any(np.signbit(lie))
@@ -747,8 +771,8 @@ def test_support_block_crop_matches_the_full_grid(spec, eps):
     inside = _inside_box(grid, spec)
     assert np.any(inside) and not np.all(inside)
     first, second = _full_grid_variations(u, spec, term, eps)
-    assert first_inner_variation(u, spec, term, eps) == pytest.approx(first, rel=1e-13, abs=0.0)
-    assert second_inner_variation(u, spec, term, eps) == pytest.approx(second, rel=1e-13, abs=0.0)
+    assert inner_variations(u, spec, term, eps)[0] == pytest.approx(first, rel=1e-13, abs=0.0)
+    assert inner_variations(u, spec, term, eps)[1] == pytest.approx(second, rel=1e-13, abs=0.0)
 
     lie = lie_derivative(u, spec, eps).values
     g = _phase_gradient(u.values, grid.h, u.values > 0.0) if eps == 0.0 else gradient(u)
@@ -772,8 +796,8 @@ def test_support_block_crop_matches_the_full_grid_1d():
     bump = PolyBump(coeffs=c, center=(0.40625,), halfwidths=(0.46875,))
     spec = VectorFieldSpec(dim=1, components=(bump,))
     first, second = _full_grid_variations(u, spec, term, 0.1)
-    assert first_inner_variation(u, spec, term, 0.1) == pytest.approx(first, rel=1e-13, abs=0.0)
-    assert second_inner_variation(u, spec, term, 0.1) == pytest.approx(second, rel=1e-13, abs=0.0)
+    assert inner_variations(u, spec, term, 0.1)[0] == pytest.approx(first, rel=1e-13, abs=0.0)
+    assert inner_variations(u, spec, term, 0.1)[1] == pytest.approx(second, rel=1e-13, abs=0.0)
     lie = lie_derivative(u, spec, 0.1).values
     full = gradient(u)[0] * evaluate(spec, grid)[:, 0]
     assert np.max(np.abs(lie - full)) <= 1e-13 * np.max(np.abs(full))
