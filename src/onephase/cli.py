@@ -12,8 +12,8 @@ subcommand calls BLAS or LAPACK; a user's OPENBLAS_NUM_THREADS is kept.
 
 Exit codes: 0 on success, 1 with an error JSON on stdout when an
 operation fails, 2 when the command line or config cannot be parsed,
-`solve` rejects its tolerance, cycle cap or eps, or a subcommand its grid
-or --radius.
+`solve` rejects its tolerance, cycle cap or eps, or a subcommand its grid,
+--radius, --level or --bumps.
 """
 
 from __future__ import annotations
@@ -230,6 +230,13 @@ def _grid_from_args(args) -> GridSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def _level(args, grid: GridSpec) -> float:
+    """The interface level: --level, h/2 by default; ConfigError unless finite."""
+    if args.level is not None and not math.isfinite(args.level):
+        raise ConfigError(f"--level must be finite, got {args.level}")
+    return 0.5 * grid.h if args.level is None else args.level
+
+
 def _field_from_source(source: str, grid: GridSpec, eps: float, term, args) -> ScalarField:
     """The field source a --boundary, --field or --limit value names, else that CSV."""
     if source == "halfplane":
@@ -324,9 +331,9 @@ def _run_vary(args, out: Path) -> dict:
     term = make_reference(args.T)
     u = load_field(args.field)
     spec = load_vector_spec(args.x)
+    level = _level(args, u.grid)
     curve = None
     if args.emit_interface:
-        level = args.level if args.level is not None else 0.5 * u.grid.h
         curve = extract_interface(u, level)
         save_curve(curve, out / "interface.csv")
     report = variation_report(u, spec, term, args.eps, dt=args.dt, curve=curve)
@@ -344,6 +351,8 @@ def _run_check(args, out: Path) -> dict:
     eps = args.eps
     what = args.what
     if what == "poincare" and args.field == "bumps":
+        if args.bumps < 1:
+            raise ConfigError(f"--bumps must be at least 1, got {args.bumps}")
         value = _bump_suite_ratio(grid, args.bumps, args.seed, args.zero_fraction)
         return {"check": "poincare", "value": value, "suite": args.bumps, "seed": args.seed}
     u = _field_from_source(args.field, grid, eps, term, args)
@@ -403,13 +412,13 @@ def _run_cone(args, out: Path) -> dict:
     from . import variations
 
     grid = _grid_from_args(args)
+    level = _level(args, grid)
     term = make_reference(args.T)
     u = _field_from_source(args.kind, grid, 0.0, term, args)
     save_field(u, out / "field.csv")
     payload: dict = {"kind": args.kind, "h": grid.h, "shape": list(grid.shape)}
     curve = None
     if args.emit_interface or args.x is not None:
-        level = args.level if args.level is not None else 0.5 * grid.h
         curve = variations.extract_interface(u, level)
         variations.save_curve(curve, out / "interface.csv")
         expected = 0.0 if args.kind == "halfplane" else 1.0 / args.radius
@@ -493,8 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     Returns:
         0 on success, 1 after an operation error (error JSON on stdout),
         2 when the command line or config file cannot be parsed, `solve`
-        rejects its tolerance, cycle cap or eps, or a subcommand its grid
-        or --radius.
+        rejects its tolerance, cycle cap or eps, or a subcommand its grid,
+        --radius, --level or --bumps.
     """
     parser, table = _build_parser()
     try:

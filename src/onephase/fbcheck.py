@@ -54,7 +54,7 @@ class CheckReport:
         values: measured constant per parameter; empty when nothing was
             eligible to scan.
         worst: min of values; None exactly when values is empty.
-        threshold: caller's pass bar.
+        threshold: caller's pass bar, finite.
         passed: whether worst >= threshold; False on empty scans.
     """
 
@@ -70,6 +70,8 @@ class CheckReport:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("scan values must be finite")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
         worst = min(self.values, default=None)
         object.__setattr__(self, "worst", worst)
         object.__setattr__(self, "passed", worst is not None and worst >= self.threshold)
@@ -217,8 +219,8 @@ def nondegeneracy_scan(
     Args:
         u: sampled field.
         eps: scale of the threshold height.
-        theta: height parameter; centers need u >= theta * eps.
-        radii: positive ball radii to scan.
+        theta: finite positive height parameter; centers need u >= theta * eps.
+        radii: finite positive ball radii to scan.
         threshold: pass bar on the minimum constant.
 
     Returns:
@@ -231,9 +233,11 @@ def nondegeneracy_scan(
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ValueError(f"radii must be finite and positive, got {radii}")
     return _scan(
         "nondegeneracy", u.grid, radii, 1.0, u.values >= theta * eps,
         lambda r, box: _ball_reduce(u.values[box], r, u.grid.h, np.maximum, -np.inf) / r,
@@ -259,7 +263,7 @@ def density_scan(
         u: sampled field.
         eps: scale.
         L: lower bound enforced on r / eps.
-        radii: ball diameters to scan; each must be >= L * eps.
+        radii: ball diameters to scan; each must be finite and >= L * eps.
         threshold: pass bar on the minimum fraction.
         term: reaction term fixing T and tau; the reference family by default.
 
@@ -278,8 +282,8 @@ def density_scan(
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     radii = [float(r) for r in radii]
-    if not radii or any(r < L * eps - 1e-12 for r in radii):
-        raise ValueError("every radius must be at least L * eps")
+    if not radii or not all(L * eps - 1e-12 <= r < math.inf for r in radii):
+        raise ValueError(f"radii must be finite and at least L * eps = {L * eps}, got {radii}")
     tau = term.tau
     band = (u.values >= tau * eps) & (u.values <= term.T * eps)
     low = u.values <= (tau / 4.0) * eps
@@ -313,7 +317,7 @@ def zero_phase_density(u: ScalarField, radii, threshold: float = 0.0) -> CheckRe
 
     Args:
         u: limit field (zero set read with a relative tolerance).
-        radii: positive ball radii.
+        radii: finite positive ball radii.
         threshold: pass bar on the minimum fraction.
 
     Returns:
@@ -324,8 +328,8 @@ def zero_phase_density(u: ScalarField, radii, threshold: float = 0.0) -> CheckRe
             its ball inside the domain.
     """
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ValueError(f"radii must be finite and positive, got {radii}")
     zero = _zero_mask(u.values)
     return _scan(
         "zero-phase-density", u.grid, radii, 1.0, _limit_boundary(u.values),
@@ -393,16 +397,18 @@ def poincare_ratio(g: ScalarField, zero_fraction: float = 0.0) -> float:
 
     Args:
         g: sampled field vanishing on part of the domain.
-        zero_fraction: fraction of nodes required to be zero (relative
-            tolerance); violating it is an error.
+        zero_fraction: fraction in [0, 1] of nodes required to be zero
+            (relative tolerance); violating it is an error.
 
     Returns:
         ||g||_L1 / (R ||grad g||_L1) with R the half-diameter of the
         domain box, or 0.0 when the gradient norm vanishes.
 
     Raises:
-        ValueError: when g vanishes on fewer nodes than promised.
+        ValueError: on a zero_fraction outside [0, 1] or a broken promise.
     """
+    if not 0.0 <= zero_fraction <= 1.0:
+        raise ValueError(f"zero_fraction must lie in [0, 1], got {zero_fraction}")
     vals = np.abs(g.values).ravel()
     zeros = np.count_nonzero(_zero_mask(vals))
     if zeros < zero_fraction * vals.size - 1e-9:

@@ -25,13 +25,12 @@ from .field import (
     ScalarField,
     VectorFieldSpec,
     _contract,
+    _derivative,
     _integral,
     _matmul,
     _nodes,
-    _shift,
     _tables,
     flow,
-    gradient,
     max_norm,
     sample,
     support_box,
@@ -70,7 +69,7 @@ _SINGULAR_CURVATURE = 10.0
 # (dt = 0.1, 0.05, 0.025) drops to 1.5, with two it is 3.86, and more steps
 # raise it by less than 0.02.
 _FD_STEPS = 2
-# Nodes the phase gradient's stencil reads on each side of a node.
+# Nodes the one-sided stencils of _derivative read on each side of a node.
 _REACH = 2
 # Marching-squares segments of a cell by its case s00 + 2*s10 + 4*s11 + 8*s01
 # (s marks nodes above the level), as pairs of cell edges 0-3 = S, E, N, W
@@ -174,41 +173,6 @@ def _require_interior_support(u: ScalarField, spec: VectorFieldSpec) -> None:
         raise ValueError("support of X must lie strictly inside the grid domain")
 
 
-def _phase_gradient(values: np.ndarray, h: float, mask: np.ndarray) -> np.ndarray:
-    """Gradient restricted to a phase: stencils never cross the mask edge.
-
-    Centered where both neighbors share the phase, second-order one-sided
-    where only one side does, first-order when the phase is two nodes
-    thin, zero on isolated nodes and outside the mask.
-    """
-    dim = values.ndim
-    out = np.zeros((dim,) + values.shape)
-    for ax in range(dim):
-        vp, vm = _shift(values, 1, ax, 0.0), _shift(values, -1, ax, 0.0)
-        vpp, vmm = _shift(values, 2, ax, 0.0), _shift(values, -2, ax, 0.0)
-        mp, mm = _shift(mask, 1, ax, False), _shift(mask, -1, ax, False)
-        mpp, mmm = _shift(mask, 2, ax, False), _shift(mask, -2, ax, False)
-        d = np.where(
-            mp & mm,
-            (vp - vm) / (2.0 * h),
-            np.where(
-                mp & mpp,
-                (-3.0 * values + 4.0 * vp - vpp) / (2.0 * h),
-                np.where(
-                    mp,
-                    (vp - values) / h,
-                    np.where(
-                        mm & mmm,
-                        (3.0 * values - 4.0 * vm + vmm) / (2.0 * h),
-                        np.where(mm, (values - vm) / h, 0.0),
-                    ),
-                ),
-            ),
-        )
-        out[ax] = np.where(mask, d, 0.0)
-    return out
-
-
 def _support_block(grid: GridSpec, spec: VectorFieldSpec) -> tuple[slice, ...] | None:
     """Per-axis slices of the nodes strictly inside support_box(spec).
 
@@ -247,22 +211,23 @@ def _block_tables(spec: VectorFieldSpec, grid: GridSpec, block, order: int) -> l
 def _block_gradient(u: ScalarField, block, phase: bool) -> np.ndarray:
     """The gradient of u on block, shape (dim, *block).
 
-    _phase_gradient runs on the block grown by _REACH nodes per side, so each
+    _derivative runs on the block grown by _REACH nodes per side, so each
     block node reads the neighbours it reads on the whole grid.  Its mask is
     {u > 0} when phase, else every node: then the stencil is centered off
-    the grid edge and second-order one-sided on it.
+    the grid edge and second-order one-sided on it, as gradient is.
     """
     ext = _grow(block, _REACH, u.grid.shape)
     v = u.values[ext]
-    g = _phase_gradient(v, u.grid.h, v > 0.0 if phase else np.ones(v.shape, dtype=bool))
+    mask = v > 0.0 if phase else None
+    g = np.stack([_derivative(v, u.grid.h, ax, mask) for ax in range(v.ndim)])
     return g[_within(block, ext)]
 
 
 def lie_derivative(u: ScalarField, spec: VectorFieldSpec, eps: float) -> ScalarField:
     """Derivative of u along X: node-wise <grad u, X>.
 
-    grad u is the gradient the inner variations read: the phase gradient
-    on {u > 0} at eps = 0, so no stencil crosses the free boundary.
+    grad u is the gradient the inner variations read: on the phase {u > 0} at
+    eps = 0, so no stencil crosses the free boundary, else gradient(u).
 
     Args:
         u: field to differentiate.
@@ -534,7 +499,7 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
 
     Args:
         u: 2D field.
-        level: contour value; a level outside the field range (or a
+        level: finite contour value; a level outside the field range (or a
             constant field) yields an empty curve.
 
     Returns:
@@ -542,6 +507,8 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
     """
     if u.grid.dim != 2:
         raise ValueError("interface extraction requires a 2D field")
+    if not np.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
     grid = u.grid
     v = u.values
     h = grid.h
@@ -601,22 +568,17 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
     points = pts[bounds[k]:bounds[k + 1]]
     closed = len(best) >= 3 and best[0] in adj[best[-1]]
 
-    g = gradient(u)
-    norm = np.sqrt(np.sum(g * g, axis=0))
-    floor = 1e-14 * (float(np.max(norm)) + 1e-300)
-    gx = ScalarField(grid=grid, values=g[0])
-    gy = ScalarField(grid=grid, values=g[1])
-    # The floor scales with |grad u| on the whole grid.  Every probe lies
-    # within _PROBE_FAR h of a vertex, so the curvature is needed on this
-    # block only; its stencil reads nhat _REACH nodes past it.
+    # Every probe lies within _PROBE_FAR h of a vertex: the gradient, its floor
+    # and the curvature are read on this block only, nhat on ext around it.
     block = _sample_block(grid, points, int(_PROBE_FAR) + 1)
     ext = _grow(block, _REACH, grid.shape)
-    nhat = np.where(norm[ext] > floor, g[(slice(None), *ext)] / np.maximum(norm[ext], floor), 0.0)
-    kx = np.gradient(nhat[0], grid.h, axis=0, edge_order=2)
-    ky = np.gradient(nhat[1], grid.h, axis=1, edge_order=2)
-    curvature = np.zeros(grid.shape)
-    curvature[block] = (kx + ky)[_within(block, ext)[1:]]
-    kappa = ScalarField(grid=grid, values=curvature)
+    g = _block_gradient(u, ext, phase=False)
+    norm = np.sqrt(np.sum(g * g, axis=0))
+    floor = 1e-14 * (float(np.max(norm)) + 1e-300)
+    nhat = np.where(norm > floor, g / np.maximum(norm, floor), 0.0)
+    fields = np.zeros((3,) + grid.shape)
+    fields[(slice(None), *ext)] = [*g, _derivative(nhat[0], h, 0) + _derivative(nhat[1], h, 1)]
+    gx, gy, kappa = (ScalarField(grid=grid, values=f) for f in fields)
 
     raw = np.stack([sample(gx, points), sample(gy, points)], axis=1)
     seed = -raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), floor)
@@ -671,7 +633,8 @@ def _cjk(u: ScalarField, phi: np.ndarray, box, curve: InterfaceCurve) -> float:
     # grad phi reaches _REACH nodes past box; its stencil reads as far again.
     region = _grow(box, _REACH, grid.shape)
     ext = _grow(region, _REACH, grid.shape)
-    g = _phase_gradient(phi[ext], grid.h, mask[ext])[_within(region, ext)]
+    g = np.stack([_derivative(phi[ext], grid.h, ax, mask[ext]) for ax in range(grid.dim)])
+    g = g[_within(region, ext)]
     bulk = _integral(np.where(mask[region], _contract(g, g), 0.0), grid, region)
     if not len(curve):
         return bulk

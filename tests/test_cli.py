@@ -1101,6 +1101,61 @@ def test_radial_sources_reject_a_radius_that_is_not_finite_and_positive(
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--what", "nondeg", "--radii", "nan"], "radii must be finite and positive"),
+        (["--what", "nondeg", "--radii", "0.25,inf"], "radii must be finite and positive"),
+        (["--what", "density", "--radii", "nan"], "radii must be finite and at least"),
+        (["--what", "zero-density", "--radii", "inf"], "radii must be finite and positive"),
+        (["--what", "nondeg", "--theta", "nan"], "theta must be finite and positive"),
+        (["--what", "nondeg", "--theta", "inf"], "theta must be finite and positive"),
+        (["--what", "nondeg", "--theta", "0"], "theta must be finite and positive"),
+        (["--what", "nondeg", "--threshold", "nan"], "threshold must be finite"),
+        (["--what", "poincare", "--zero-fraction", "nan"], "zero_fraction must lie in [0, 1]"),
+        (["--what", "exit", "--theta", "0.125", "--point=nan,0"], "not finite or outside"),
+    ],
+)
+def test_check_names_a_parameter_it_cannot_use(tmp_path, capsys, argv, message):
+    # Before, nan and inf radii failed in int(r / h) without naming the
+    # parameter; nan and inf theta gave empty scans and 0 scanned every node
+    # (exit 0); a nan threshold failed in the JSON writer; a nan zero fraction
+    # kept no promise and a nan point was never reached (exit 0).
+    out = tmp_path / "c"
+    rc = main(["check", *argv, "--field", "halfplane", "--n", "41", "--out", str(out)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert message in payload["error"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["cone", "vary"])
+def test_interface_level_that_is_not_finite_exits_two(tmp_path, capsys, command, level):
+    # Before, both gave an empty curve (exit 0), and vary's surface_second
+    # silently dropped its curve integral.
+    if command == "cone":
+        argv = ["cone", "--h", "0.05", "--emit-interface"]
+    else:
+        field, spec = _layer_file(tmp_path), _spec_file(tmp_path)
+        argv = ["vary", "--field", str(field), "--x", str(spec), "--emit-interface"]
+    rc = main([*argv, f"--level={level}", "--out", str(tmp_path / "c")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--level must be finite" in captured.err and captured.out == ""
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_bump_suite_without_bumps_exits_two(tmp_path, capsys, count):
+    # Before, an empty suite reported the ratio 0.0 (exit 0).
+    argv = ["check", "--what", "poincare", "--field", "bumps", f"--bumps={count}", "--n", "21"]
+    assert main([*argv, "--out", str(tmp_path / "c")]) == 2
+    captured = capsys.readouterr()
+    assert "--bumps must be at least 1" in captured.err and captured.out == ""
+    assert not (tmp_path / "c").exists()
+
+
 def test_sweep_refuses_a_command_without_eps(tmp_path, capsys):
     # cone has no --eps, which sweep appends to every run, so every entry
     # failed and the sweep exited 1.

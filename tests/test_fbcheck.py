@@ -160,6 +160,35 @@ def test_nondegeneracy_validation():
         nondegeneracy_scan(u, 1e-6, 0.5, [1.5])
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+@pytest.mark.parametrize("scan", ["nondeg", "density", "zero-density"])
+def test_scans_refuse_a_radius_that_is_not_finite(scan, radius):
+    # nan and inf used to reach int(r / h) and fail there, naming no parameter.
+    u = _halfplane(51)
+    with pytest.raises(ValueError, match=r"radii must be finite"):
+        if scan == "nondeg":
+            nondegeneracy_scan(u, 0.1, 0.5, [0.25, radius])
+        elif scan == "density":
+            density_scan(u, 0.1, 1.0, [radius])
+        else:
+            zero_phase_density(u, [radius])
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -0.5])
+def test_nondegeneracy_refuses_a_theta_that_is_not_finite_and_positive(theta):
+    # Unchecked, nan and inf gave an empty scan and 0 scanned every node.
+    with pytest.raises(ValueError, match="theta must be finite and positive"):
+        nondegeneracy_scan(_halfplane(51), 0.1, theta, [0.25])
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_check_report_refuses_a_threshold_that_is_not_finite(threshold):
+    # A nan threshold made a report that JSON could not hold.
+    for values in [(), (1.0,)]:
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            CheckReport(check="x", params=values, values=values, threshold=threshold)
+
+
 def test_density_profile_thick_ball_passes():
     u = _profile_field(0.1, -2.0, 2.0, 401)
     report = density_scan(u, 0.1, 24.0, [2.4], threshold=0.4)
@@ -352,6 +381,14 @@ def test_poincare_rejects_broken_promise():
     g = ScalarField(grid=grid, values=np.ones(grid.shape))
     with pytest.raises(ValueError):
         poincare_ratio(g, 0.3)
+
+
+@pytest.mark.parametrize("fraction", [math.nan, -0.1, 1.5])
+def test_poincare_refuses_a_zero_fraction_outside_the_unit_interval(fraction):
+    # nan compared False and kept no promise; -0.1 promised nothing.
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 41)
+    with pytest.raises(ValueError, match=r"zero_fraction must lie in \[0, 1\]"):
+        poincare_ratio(halfplane(grid), fraction)
 
 
 def test_l1_gap_halves_with_eps():

@@ -112,6 +112,25 @@ def test_gradient_error_bound_on_sine():
     assert err <= grid.h**2 / 6.0 * 1.01
 
 
+def test_gradient_is_np_gradient_inside_and_within_4_ulps_on_the_edge():
+    # Inside, both take (v[i+1] - v[i-1]) / 2h.  On the edge np.gradient
+    # rounds -1.5/h, 2/h and -0.5/h apart, gradient takes (-3v0 + 4v1 - v2)/2h:
+    # on 3000 random fields the gap was at most 3 ulps of (3|v0| + 4|v1| + |v2|)/2h.
+    rng = np.random.default_rng(5)
+    for shape in [(3,), (4,), (17,), (3, 3), (5, 9), (31, 4)]:
+        for h in (1.0, 0.013, 2.0**-7):
+            grid = make_grid((0.0,) * len(shape), tuple(h * (n - 1) for n in shape), shape)
+            v = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+            got = gradient(ScalarField(grid=grid, values=v))
+            for ax in range(len(shape)):
+                want = np.moveaxis(np.gradient(v, grid.h, axis=ax, edge_order=2), ax, 0)
+                g, w = np.moveaxis(got[ax], ax, 0), np.moveaxis(v, ax, 0)
+                assert g[1:-1].tobytes() == want[1:-1].tobytes()
+                for k, s in ((0, 1), (-1, -1)):
+                    scale = (3.0 * abs(w[k]) + 4.0 * abs(w[k + s]) + abs(w[k + 2 * s])) / (2.0 * grid.h)
+                    assert np.all(np.abs(g[k] - want[k]) <= 4.0 * np.spacing(scale))
+
+
 def test_laplacian_exact_on_quadratics():
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 41)
     mesh = np.meshgrid(*grid.axes(), indexing="ij")
@@ -190,6 +209,18 @@ def test_sample_linear_node_and_cell_center():
     assert err == pytest.approx(line.h**2 / 4.0, rel=1e-9)
     with pytest.raises(DomainError):
         sample(u, (1.5, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_refuses_a_point_that_is_not_finite(bad):
+    # A nan coordinate passed both bounds tests and interpolated to nan.
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), 21)
+    u = _linear_field(grid)
+    for p in [(bad, 0.0), (0.0, bad), [(0.1, 0.2), (bad, bad)]]:
+        with pytest.raises(DomainError, match="not finite or outside"):
+            sample(u, p)
+    with pytest.raises(DomainError):
+        sample(ScalarField(grid=make_grid(0.0, 1.0, 11), values=np.zeros(11)), (bad,))
 
 
 @pytest.mark.parametrize(
@@ -547,20 +578,3 @@ def test_vector_spec_json_round_trip(tmp_path):
         assert np.array_equal(a.coeffs, b.coeffs)
         assert a.center == b.center
         assert a.halfwidths == b.halfwidths
-
-
-def test_shift_matches_pad_reference():
-    # Every shift that keeps part of the array and every one that keeps
-    # none, on both axes: out[i] = a[i + k], fill elsewhere.
-    from onephase.field import _shift
-
-    a = np.arange(35, dtype=float).reshape(5, 7)
-    for axis, n in enumerate(a.shape):
-        for k in range(-n - 1, n + 2):
-            pad = [(0, 0), (0, 0)]
-            pad[axis] = (max(-k, 0), max(k, 0))
-            keep = [slice(None), slice(None)]
-            keep[axis] = slice(max(k, 0), max(k, 0) + n)
-            want = np.pad(a, pad, constant_values=99.0)[tuple(keep)]
-            assert np.array_equal(_shift(a, k, axis, 99.0), want)
-            assert np.array_equal(_shift(a > 17, k, axis, True), want > 17)

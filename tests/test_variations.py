@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from onephase.field import (
     PolyBump,
+    _derivative,
     ScalarField,
     VectorFieldSpec,
     evaluate,
@@ -32,7 +33,6 @@ from onephase.variations import (
     NotClassicalSolutionError,
     VariationReport,
     _curve_quadrature,
-    _phase_gradient,
     cjk_form,
     classical_second_variation,
     default_fd_step,
@@ -92,6 +92,49 @@ def _halfplane(n, slope=1.0):
 
 def _radial(n=401, radius=0.5):
     return radial_cone(make_grid((-1.0, -1.0), (1.0, 1.0), n), radius)
+
+
+def _shifted(a, k, axis, fill):
+    """out[i] = a[i + k] along axis, fill past the array edge."""
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = (max(-k, 0), max(k, 0))
+    padded = np.pad(a, pad, constant_values=fill)
+    return np.take(padded, np.arange(a.shape[axis]) + max(k, 0), axis=axis)
+
+
+def _cascade(values, h, mask):
+    """The gradient on a phase by five nested np.where stencils on every node.
+
+    The phase gradient that field._derivative replaced, kept as its oracle:
+    centered where both neighbours share the phase, second-order one-sided
+    where only one side does, first-order when the phase is two nodes thin,
+    zero on isolated nodes and outside the mask.
+    """
+    out = np.zeros((values.ndim,) + values.shape)
+    for ax in range(values.ndim):
+        vp, vm = _shifted(values, 1, ax, 0.0), _shifted(values, -1, ax, 0.0)
+        vpp, vmm = _shifted(values, 2, ax, 0.0), _shifted(values, -2, ax, 0.0)
+        mp, mm = _shifted(mask, 1, ax, False), _shifted(mask, -1, ax, False)
+        mpp, mmm = _shifted(mask, 2, ax, False), _shifted(mask, -2, ax, False)
+        d = np.where(
+            mp & mm,
+            (vp - vm) / (2.0 * h),
+            np.where(
+                mp & mpp,
+                (-3.0 * values + 4.0 * vp - vpp) / (2.0 * h),
+                np.where(
+                    mp,
+                    (vp - values) / h,
+                    np.where(
+                        mm & mmm,
+                        (3.0 * values - 4.0 * vm + vmm) / (2.0 * h),
+                        np.where(mm, (values - vm) / h, 0.0),
+                    ),
+                ),
+            ),
+        )
+        out[ax] = np.where(mask, d, 0.0)
+    return out
 
 
 @functools.cache
@@ -180,6 +223,74 @@ def test_lie_derivative_across_the_grid_edge_matches_the_whole_grid_gradient(n):
     assert np.array_equal(lie[~edge], full[~edge])
     ulp = np.spacing(np.max(np.abs(u.values))) / grid.h * max_norm(spec)
     assert np.max(np.abs(lie[edge] - full[edge])) <= 4.0 * ulp
+
+
+@pytest.mark.parametrize("n", [41, 201])
+def test_lie_derivative_at_positive_eps_is_the_gradient_contracted_with_x(n):
+    # The block gradient at eps > 0 is gradient(u) on the block, one-sided
+    # stencils on the grid edge included, so the contraction is exact there.
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), n)
+    xm, ym = np.meshgrid(*grid.axes(), indexing="ij")
+    u = ScalarField(grid=grid, values=0.1 * np.logaddexp(0.0, (0.6 * xm + 0.8 * ym) / 0.1))
+    spec = VectorFieldSpec(
+        dim=2,
+        components=(
+            _bump(0.8, 0.7, 0.5, 0.45, {(0, 0): 0.7, (1, 0): 0.3, (0, 1): -0.4}),
+            _bump(0.8, 0.7, 0.5, 0.45, {(0, 0): -0.5, (1, 1): 0.6}),
+        ),
+    )
+    g, xv = gradient(u), evaluate(spec, grid)
+    want = g[0] * xv[..., 0] + g[1] * xv[..., 1]
+    lie = lie_derivative(u, spec, 0.1).values
+    edge = np.ones(grid.shape, dtype=bool)
+    edge[1:-1, 1:-1] = False
+    assert np.count_nonzero(lie[edge]) > n // 4
+    assert np.array_equal(lie, want)
+
+
+_STEPS = st.sampled_from([1.0, 0.1, 2.0**-7, 0.013])
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _masked_lines(draw):
+    """Values and a mask on a 1D or 2D array of 1 to 9 nodes per axis.
+
+    The mask is random, or all-true, or all-false, or runs of one or two
+    nodes along one axis, gaps of one or two between them: thin phases and
+    isolated nodes on every line.
+    """
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2)))
+    size = math.prod(shape)
+    values = np.array(draw(st.lists(_VALUES, min_size=size, max_size=size))).reshape(shape)
+    kind = draw(st.sampled_from(["random", "all", "none", "thin"]))
+    if kind == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    elif kind == "thin":
+        axis = draw(st.integers(0, len(shape) - 1))
+        lines = []
+        for _ in range(size // shape[axis]):
+            line = [False] * draw(st.integers(0, 1))
+            while len(line) < shape[axis]:
+                line += [True] * draw(st.integers(1, 2)) + [False] * draw(st.integers(1, 2))
+            lines.append(line[: shape[axis]])
+        mask = np.moveaxis(np.array(lines).reshape(shape[:axis] + shape[axis + 1:] + shape[axis:axis + 1]), -1, axis)
+    else:
+        mask = np.full(size, kind == "all")
+    return values, mask.reshape(shape)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_masked_lines(), h=_STEPS)
+def test_derivative_matches_the_five_way_cascade_bit_for_bit(case, h):
+    values, mask = case
+    want = _cascade(values, h, mask)
+    for ax in range(values.ndim):
+        got = _derivative(values, h, ax, mask)
+        assert got.shape == values.shape
+        assert got.tobytes() == want[ax].tobytes(), (ax, values, mask)
+        if mask.all():
+            assert _derivative(values, h, ax).tobytes() == got.tobytes()
 
 
 def test_first_variation_of_zero_field_is_zero():
@@ -392,7 +503,14 @@ def test_extract_interface_bits_are_pinned_on_a_saddle_rich_field():
     arrays = (curve.points, curve.normals, curve.curvature, curve.singular)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays) + bytes([curve.closed]))
     assert (len(curve), curve.closed) == (68, False)
-    assert digest.hexdigest() == "542d1a2f09d0c185d863bbd2fdfcbd64cae04c188de15ded6c335cd01974c1db"
+    assert digest.hexdigest() == "01b6fe0f73bc298d5f04e3128303264be00fdce5839b230a0c1f9cb8404fcb26"
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_extract_interface_refuses_a_level_that_is_not_finite(level):
+    # Before, every comparison with nan was False: an empty curve.
+    with pytest.raises(ValueError, match="level must be finite"):
+        extract_interface(_halfplane(21), level)
 
 
 @pytest.mark.parametrize("u", [_halfplane(201), _radial(101)], ids=["open", "closed"])
@@ -478,7 +596,7 @@ def test_classical_second_variation_matches_a_whole_grid_reference(support):
 def _phase_bulk(u, phi):
     """int_{u>0} |grad phi|^2 by the trapezoid rule, grad phi the phase gradient."""
     mask = u.values > 0.0
-    g = _phase_gradient(phi, u.grid.h, mask)
+    g = _cascade(phi, u.grid.h, mask)
     return integrate(ScalarField(grid=u.grid, values=np.where(mask, np.sum(g * g, axis=0), 0.0)))
 
 
@@ -724,7 +842,7 @@ _NEAR_EDGE = VectorFieldSpec(
 
 def _full_grid_variations(u, spec, term, eps):
     """First and second inner variation densities on every node, integrated."""
-    g = _phase_gradient(u.values, u.grid.h, u.values > 0.0) if eps == 0.0 else gradient(u)
+    g = _cascade(u.values, u.grid.h, u.values > 0.0) if eps == 0.0 else gradient(u)
     e = np.sum(g * g, axis=0) + F_eps(term, eps, u.values)
     xv, jac, hes = tables(spec, u.grid, 2)
     div = np.einsum("...ii->...", jac)
@@ -744,9 +862,9 @@ def _full_grid_variations(u, spec, term, eps):
 def _full_grid_surface_bulk(u, spec):
     """2 int_{u>0} |grad L_X u|^2 with every stencil on the whole grid."""
     mask = u.values > 0.0
-    pg = _phase_gradient(u.values, u.grid.h, mask)
+    pg = _cascade(u.values, u.grid.h, mask)
     lvals = np.sum(pg * np.moveaxis(evaluate(spec, u.grid), -1, 0), axis=0)
-    lg = _phase_gradient(lvals, u.grid.h, mask)
+    lg = _cascade(lvals, u.grid.h, mask)
     dens = np.where(mask, np.sum(lg * lg, axis=0), 0.0)
     return 2.0 * integrate(ScalarField(grid=u.grid, values=dens))
 
@@ -775,7 +893,7 @@ def test_support_block_crop_matches_the_full_grid(spec, eps):
     assert inner_variations(u, spec, term, eps)[1] == pytest.approx(second, rel=1e-13, abs=0.0)
 
     lie = lie_derivative(u, spec, eps).values
-    g = _phase_gradient(u.values, grid.h, u.values > 0.0) if eps == 0.0 else gradient(u)
+    g = _cascade(u.values, grid.h, u.values > 0.0) if eps == 0.0 else gradient(u)
     full = np.sum(g * np.moveaxis(evaluate(spec, grid), -1, 0), axis=0)
     assert np.max(np.abs(lie - full)) <= 1e-13 * np.max(np.abs(full))
     off = lie[~inside]
