@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import GridSpec, ScalarField, _span, gradient, integrate, sample
+from .field import GridSpec, ScalarField, _box, _span, gradient, integrate, sample
 from .potentials import F_eps, ReactionTerm, make_reference
 from .records import from_json, to_json
 
@@ -175,7 +175,7 @@ def _disc_box(mask: np.ndarray, r: float, h: float) -> tuple[slice, ...]:
     disc of radius r: it holds every disc node of every node of mask."""
     offs, widths = _disc(r, h, mask.ndim)
     w = max(int(np.max(np.abs(offs))), int(np.max(widths)))
-    return tuple(slice(max(int(i.min()) - w, 0), int(i.max()) + w + 1) for i in np.nonzero(mask))
+    return _box(np.nonzero(mask), w, mask.shape)
 
 
 def _scan(
@@ -384,7 +384,7 @@ def exit_radius(
     hit = u.values >= tau * eps
     if not hit.any():
         return math.inf
-    nodes = u.grid.nodes()[hit.ravel()]
+    nodes = np.stack([ax[i] for ax, i in zip(u.grid.axes(), np.nonzero(hit))], axis=-1)
     dmin = float(np.min(np.linalg.norm(nodes - pt, axis=1)))
     lo = np.asarray(u.grid.origin, dtype=float)
     hi = np.asarray(u.grid.hi, dtype=float)
@@ -401,15 +401,16 @@ def poincare_ratio(g: ScalarField, zero_fraction: float = 0.0) -> float:
             (relative tolerance); violating it is an error.
 
     Returns:
-        ||g||_L1 / (R ||grad g||_L1) with R the half-diameter of the
-        domain box, or 0.0 when the gradient norm vanishes.
+        ||g||_L1 / (R ||grad g||_L1), both norms by integrate (second order
+        in h), R the half-diameter of the domain box; 0.0 when the gradient
+        norm vanishes.
 
     Raises:
         ValueError: on a zero_fraction outside [0, 1] or a broken promise.
     """
     if not 0.0 <= zero_fraction <= 1.0:
         raise ValueError(f"zero_fraction must lie in [0, 1], got {zero_fraction}")
-    vals = np.abs(g.values).ravel()
+    vals = np.abs(g.values)
     zeros = np.count_nonzero(_zero_mask(vals))
     if zeros < zero_fraction * vals.size - 1e-9:
         raise ValueError(
@@ -417,10 +418,8 @@ def poincare_ratio(g: ScalarField, zero_fraction: float = 0.0) -> float:
             f"below the promised {zero_fraction}"
         )
     grad = gradient(g)
-    gnorm = np.sqrt(np.sum(grad * grad, axis=0)).ravel()
-    cell = math.prod([g.grid.h] * g.grid.dim)
-    num = float(np.sum(vals)) * cell
-    den = float(np.sum(gnorm)) * cell
+    num = integrate(ScalarField(grid=g.grid, values=vals))
+    den = integrate(ScalarField(grid=g.grid, values=np.sqrt(np.sum(grad * grad, axis=0))))
     span = np.subtract(g.grid.hi, g.grid.origin, dtype=float)
     radius = 0.5 * float(np.sqrt(np.sum(span * span)))
     if den * radius == 0.0:

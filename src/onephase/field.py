@@ -320,24 +320,33 @@ def integrate(u: ScalarField) -> float:
     return _integral(u.values, u.grid, tuple(slice(0, n) for n in u.grid.shape))
 
 
-def _multilinear(u: ScalarField, pts: np.ndarray) -> np.ndarray:
+def _box(idx, pad: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """Bounding box of a node set, one index array per axis, grown by pad and clipped to shape."""
+    return tuple(
+        slice(max(int(i.min()) - pad, 0), min(int(i.max()) + pad + 1, n)) for i, n in zip(idx, shape)
+    )
+
+
+def _multilinear(v: np.ndarray, axes: Sequence[np.ndarray], pts: np.ndarray) -> np.ndarray:
     """Multilinear interpolation, bit for bit scipy's RegularGridInterpolator.
 
-    Cell index and weight per axis follow scipy's find_indices: the cell is
-    the last node <= x, clipped to the last cell, so the upper corner lands
-    in the last cell at weight 1.  As scipy's linear kernels do, each corner
-    value is multiplied by its axis weights in axis order and the corners are
-    summed in binary order from 0.0 (which turns a -0.0 sum into +0.0).
+    v holds node values on a block, behind any leading component axes, and
+    axes are the block's slices of grid.axes().  Cell index and weight per
+    axis follow scipy's find_indices: the cell is the last node <= x,
+    clipped to the last cell, so the upper corner lands in the last cell at
+    weight 1.  As scipy's linear kernels do, each corner value is multiplied
+    by its axis weights in axis order and the corners are summed in binary
+    order from 0.0 (which turns a -0.0 sum into +0.0).  So a point whose
+    cell lies in the block gets the bits of the whole grid.
     """
     idx, wts = [], []
-    for ax, x in zip(u.grid.axes(), pts.T):
+    for ax, x in zip(axes, pts.T):
         i = np.clip(np.searchsorted(ax, x, "right") - 1, 0, len(ax) - 2)
         idx.append(i)
         wts.append((x - ax[i]) / (ax[i + 1] - ax[i]))
-    v = u.values
     out = 0.0
     for corner in itertools.product((0, 1), repeat=len(idx)):
-        term = v[tuple(i + c for i, c in zip(idx, corner))]
+        term = v[(..., *(i + c for i, c in zip(idx, corner)))]
         for c, y in zip(corner, wts):
             term = term * (y if c else 1 - y)
         out = out + term
@@ -371,7 +380,7 @@ def sample(u: ScalarField, p: Iterable[float] | np.ndarray) -> float | np.ndarra
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != u.grid.dim:
         raise ValueError(f"points must have {u.grid.dim} coordinates")
-    vals = _multilinear(u, _snap_inside(u.grid, pts))
+    vals = _multilinear(u.values, u.grid.axes(), _snap_inside(u.grid, pts))
     return float(vals[0]) if single else vals
 
 

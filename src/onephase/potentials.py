@@ -255,7 +255,7 @@ def make_tabulated(
         raise ValueError("samples must be an (n, 2) table with n >= 2")
     s_grid = rows[:, 0]
     f_grid = rows[:, 1]
-    if np.any(np.diff(s_grid) <= 0):
+    if not np.all(np.diff(s_grid) > 0):  # a nan abscissa fails too
         raise ValueError("sample abscissae must be strictly increasing")
     T = float(s_grid[-1])
     if not T > 0:
@@ -355,7 +355,7 @@ def F_eps(term: ReactionTerm, eps: float, t: Any) -> Any:
     For eps > 0 the value is clamped to 0 for t <= 0 and saturates at 1 for
     t >= T*eps.  eps must be nonnegative.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     t_arr = np.asarray(t, dtype=float)
     if eps == 0:

@@ -24,15 +24,16 @@ from .field import (
     GridSpec,
     ScalarField,
     VectorFieldSpec,
+    _box,
     _contract,
     _derivative,
     _integral,
     _matmul,
+    _multilinear,
     _nodes,
     _tables,
     flow,
     max_norm,
-    sample,
     support_box,
 )
 from .potentials import F_eps, ReactionTerm
@@ -427,8 +428,7 @@ def classical_second_variation(
     nodes = np.nonzero(phi.values)
     if not len(nodes[0]):
         return 0.0
-    box = tuple(slice(int(k.min()), int(k.max()) + 1) for k in nodes)
-    region = _grow(box, _REACH, u.grid.shape)
+    region = _box(nodes, _REACH, u.grid.shape)
     g = _block_gradient(phi, region, phase=False)
     curv = term.fprime(u.values[region] / eps) / (eps * eps)
     dens = _contract(g, g) + curv * phi.values[region] ** 2
@@ -445,39 +445,31 @@ def _clip_inside(grid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _offset_probe(
-    field: ScalarField, pts: np.ndarray, nu: np.ndarray
+    grid: GridSpec, v: np.ndarray, box, pts: np.ndarray, nu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Linear extrapolation of a node field from two in-phase probe points.
+    """Linear extrapolation of node values v, given on box, from two in-phase probes.
 
     Samples at p - 3h*nu and p - 5h*nu (inside the positive phase, clear
     of interface-polluted stencils) and extrapolates back to p.  Probes
-    that leave the grid are clamped and flagged.
+    that leave the grid are clamped and flagged.  box must hold every node
+    the probes read, as _probe_block(grid, pts) does.
     """
-    near, far, clipped = _probe_points(field.grid, pts, nu)
-    ratio = _PROBE_NEAR / (_PROBE_FAR - _PROBE_NEAR)
-    v_near = np.atleast_1d(np.asarray(sample(field, near)))
-    v_far = np.atleast_1d(np.asarray(sample(field, far)))
-    return v_near + ratio * (v_near - v_far), clipped
-
-
-def _probe_points(grid, pts: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The probes p - 3h*nu and p - 5h*nu clamped into the grid, and the clamped flags."""
+    axes = [ax[s] for ax, s in zip(grid.axes(), box)]
     near, fn = _clip_inside(grid, pts - _PROBE_NEAR * grid.h * nu)
     far, ff = _clip_inside(grid, pts - _PROBE_FAR * grid.h * nu)
-    return near, far, fn | ff
+    ratio = _PROBE_NEAR / (_PROBE_FAR - _PROBE_NEAR)
+    v_near, v_far = _multilinear(v, axes, near), _multilinear(v, axes, far)
+    return v_near + ratio * (v_near - v_far), fn | ff
 
 
-def _sample_block(grid: GridSpec, pts: np.ndarray, pad: int) -> tuple[slice, ...]:
-    """Per-axis slices holding every node that sample at pts reads, and pad - 1 more.
-
-    sample reads nodes i and i + 1 around a point on each axis, i the last
-    node at or below it; pad >= 1 absorbs the rounding of i.
-    """
-    cells = (pts - np.asarray(grid.origin)) / grid.h
-    lo, hi = np.floor(cells.min(axis=0)), np.floor(cells.max(axis=0))
-    return tuple(
-        slice(max(int(a) - pad, 0), min(int(b) + 2 + pad, n)) for a, b, n in zip(lo, hi, grid.shape)
-    )
+def _probe_block(grid: GridSpec, pts: np.ndarray) -> tuple[slice, ...]:
+    """Per-axis slices holding every node read by a sample within _PROBE_FAR h of pts:
+    the box of the cells of pts, clipped into the grid as clamped probes are, padded
+    by _PROBE_FAR + 2, as a sample reads nodes i and i + 1 of its cell i, and one
+    more node absorbs the rounding of i."""
+    cells = np.floor((pts - np.asarray(grid.origin)) / grid.h)
+    cells = np.clip(cells, 0, np.asarray(grid.shape) - 2).astype(int)
+    return _box(cells.T, int(_PROBE_FAR) + 2, grid.shape)
 
 
 def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
@@ -512,7 +504,7 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
     grid = u.grid
     v = u.values
     h = grid.h
-    s = (v > level).astype(np.intp)
+    s = (v > level).astype(np.uint8)
     case = s[:-1, :-1] + 2 * s[1:, :-1] + 4 * s[1:, 1:] + 8 * s[:-1, 1:]
     i, j = np.nonzero((case > 0) & (case < 15))
     if len(i) == 0:
@@ -527,7 +519,7 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
     saddle = (case == 5) | (case == 10)
     si, sj = i[saddle], j[saddle]
     centre = 0.25 * (v[si, sj] + v[si + 1, sj] + v[si + 1, sj + 1] + v[si, sj + 1])
-    case[saddle] ^= np.where(centre > level, 0, 15)
+    case[saddle] ^= np.where(centre > level, np.uint8(0), np.uint8(15))
     nx, ny = grid.shape
     nh = (nx - 1) * ny
     south, west = i * ny + j, nh + i * (ny - 1) + j
@@ -568,28 +560,27 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
     points = pts[bounds[k]:bounds[k + 1]]
     closed = len(best) >= 3 and best[0] in adj[best[-1]]
 
-    # Every probe lies within _PROBE_FAR h of a vertex: the gradient, its floor
-    # and the curvature are read on this block only, nhat on ext around it.
-    block = _sample_block(grid, points, int(_PROBE_FAR) + 1)
-    ext = _grow(block, _REACH, grid.shape)
+    # The probes read the probe block only.  The gradient, its floor and the
+    # curvature are formed and sampled on ext around it, where each block node
+    # reads the neighbours it reads on the whole grid.
+    ext = _grow(_probe_block(grid, points), _REACH, grid.shape)
+    axes = [ax[s] for ax, s in zip(grid.axes(), ext)]
     g = _block_gradient(u, ext, phase=False)
     norm = np.sqrt(np.sum(g * g, axis=0))
     floor = 1e-14 * (float(np.max(norm)) + 1e-300)
     nhat = np.where(norm > floor, g / np.maximum(norm, floor), 0.0)
-    fields = np.zeros((3,) + grid.shape)
-    fields[(slice(None), *ext)] = [*g, _derivative(nhat[0], h, 0) + _derivative(nhat[1], h, 1)]
-    gx, gy, kappa = (ScalarField(grid=grid, values=f) for f in fields)
+    kappa = _derivative(nhat[0], h, 0) + _derivative(nhat[1], h, 1)
 
-    raw = np.stack([sample(gx, points), sample(gy, points)], axis=1)
+    raw = _multilinear(g, axes, points).T
     seed = -raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), floor)
     probe, moved = _clip_inside(grid, points - _PROBE_NEAR * h * seed)
-    refined = np.stack([sample(gx, probe), sample(gy, probe)], axis=1)
+    refined = _multilinear(g, axes, probe).T
     rnorm = np.linalg.norm(refined, axis=1, keepdims=True)
     degenerate = rnorm[:, 0] <= floor
     normals = np.where(
         degenerate[:, None], [1.0, 0.0], -refined / np.maximum(rnorm, floor)
     )
-    curv, clipped = _offset_probe(kappa, points, normals)
+    curv, clipped = _offset_probe(grid, kappa, ext, points, normals)
     singular = (
         moved | degenerate | clipped | (np.abs(curv) > _SINGULAR_CURVATURE / h)
     )
@@ -638,7 +629,7 @@ def _cjk(u: ScalarField, phi: np.ndarray, box, curve: InterfaceCurve) -> float:
     bulk = _integral(np.where(mask[region], _contract(g, g), 0.0), grid, region)
     if not len(curve):
         return bulk
-    v, clipped = _offset_probe(ScalarField(grid=grid, values=phi), curve.points, curve.normals)
+    v, clipped = _offset_probe(grid, phi, (slice(None),) * grid.dim, curve.points, curve.normals)
     return bulk - _curve_quadrature(curve, curve.curvature * np.where(clipped, 0.0, v) ** 2)
 
 
@@ -668,14 +659,11 @@ def surface_second_variation(
     _require_interior_support(u, spec)
     grid = u.grid
     if len(curve):
-        # The trace reads the phase gradient of u only where the probes sample.
-        probes = np.concatenate(_probe_points(grid, curve.points, curve.normals)[:2])
-        box = _sample_block(grid, probes, 1)
+        # The trace reads the phase gradient of u on the probe block only.
+        box = _probe_block(grid, curve.points)
         pg = _block_gradient(u, box, phase=True)
-        gnorm = np.zeros(grid.shape)
-        gnorm[box] = np.sqrt(np.sum(pg * pg, axis=0))
         trace, clipped = _offset_probe(
-            ScalarField(grid=grid, values=gnorm), curve.points, curve.normals
+            grid, np.sqrt(np.sum(pg * pg, axis=0)), box, curve.points, curve.normals
         )
         ok = curve.singular | clipped
         worst = float(np.max(np.where(ok, 0.0, np.abs(trace - 1.0))))

@@ -606,8 +606,8 @@ def test_check_poincare_of_the_profile_field(tmp_path):
     # u = eps V(y/eps) with V(t) = 1 + t for t >= 0 and V' = sqrt(F(V)) below:
     # over [-1, 1]^2, |u|_L1 = 2 (1/2 + eps + c eps^2) with
     # c = int_0^1 dV / sqrt(3 V^2 - 8 V + 6), |grad u|_L1 = 2 (1 + eps), and
-    # R = sqrt(2).  The node sums are first order in h: 0.3916 at h = 0.01
-    # and 0.3907 at h = 0.005, against 0.3898.
+    # R = sqrt(2).  The trapezoid norms give 0.389798 at h = 0.01, against
+    # 0.389793 (test_poincare_ratio_is_second_order_in_h).
     eps = 0.1
     argv = ["check", "--what", "poincare", "--field", "profile", "--eps", repr(eps)]
     assert main([*argv, "--out", str(tmp_path)]) == 0
@@ -1184,6 +1184,37 @@ def test_sweep_propagates_sub_failure(tmp_path, capsys):
     )
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["check", "--what", "nondeg", "--radii", "0.5,abc", "--n", "21"], 2,
+         "expected comma-separated numbers, got '0.5,abc'"),
+        (["profile", "--config", "ARRAY"], 2, "config must be a JSON object"),
+        (["vary", "--x", "spec.json"], 2, "vary needs --field and --x"),
+        (["vary", "--field", "field.csv"], 2, "vary needs --field and --x"),
+        (["check", "--what", "exit", "--n", "21"], 2, "exit needs --point"),
+        (["sweep", "--command", "solve", "--check", "l1", "--eps", "0.1"], 2,
+         "--check only applies to the check subcommand"),
+        (["sweep", "--command", "profile"], 2, "sweep needs --eps"),
+        (["sweep", "--command", "profile", "--eps", ","], 2, "sweep needs a nonempty --eps list"),
+        (["check", "--what", "poincare", "--field", "bumps", "--lo=-1", "--hi", "1", "--n", "21"], 1,
+         "the bump suite needs a 2D grid"),
+    ],
+)
+def test_usage_errors_exit_with_their_message(tmp_path, capsys, argv, code, message):
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]", encoding="utf-8")
+    out = tmp_path / "c"
+    rc = main([str(array) if a == "ARRAY" else a for a in argv] + ["--out", str(out)])
+    assert rc == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err == f"config error: {message}\n" and captured.out == ""
+    else:
+        assert json.loads(captured.out)["error"]["message"] == message
+    assert not out.exists()
 
 
 def test_reports_share_version_and_hash_fields(tmp_path):

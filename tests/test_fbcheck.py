@@ -341,6 +341,20 @@ def test_scans_read_the_window_from_the_term():
         exit_radius(u, eps, 0.3, [0.0, 0.5], term=tab)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_exit_radius_is_the_distance_to_the_nearest_hit_node(dim):
+    # The oracle scans the whole-grid node list; exit_radius reads the hit nodes' axes.
+    grid = make_grid((-1.0,) * dim, (1.0,) * dim, 81 if dim > 1 else 801)
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    wave = 0.2 * np.sin(3.0 * mesh[0]) if dim > 1 else 0.0
+    u = ScalarField(grid=grid, values=0.1 * np.maximum(mesh[-1] + 0.8 + wave, 0.0))
+    p = np.array([0.05, -0.6][-dim:])
+    hit = u.values >= TAU * 0.1
+    want = float(np.min(np.linalg.norm(grid.nodes()[hit.ravel()] - p, axis=1)))
+    assert exit_radius(u, 0.1, 0.0001, p) == want
+    assert 0.0 < want < 1.0
+
+
 def test_poincare_zero_field():
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 41)
     g = ScalarField(grid=grid, values=np.zeros(grid.shape))
@@ -352,6 +366,21 @@ def test_poincare_clamp_field():
     ratio = poincare_ratio(halfplane(grid), 0.3)
     assert ratio <= 1.0
     assert ratio == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=0.01)
+
+
+def test_poincare_ratio_is_second_order_in_h():
+    # The closed form of test_check_poincare_of_the_profile_field (eps 0.1).
+    # Node sums of |g| and |grad g| missed it by 1.8e-3 at 201^2 and 8.8e-4 at
+    # 401^2, first order; the trapezoid rule misses it by 5.4e-6 and 1.3e-6.
+    eps = 0.1
+    r3 = math.sqrt(3.0)
+    c = math.log((2.0 * r3 - 2.0) / (6.0 * math.sqrt(2.0) - 8.0)) / r3
+    want = (0.5 + eps + c * eps * eps) / (math.sqrt(2.0) * (1.0 + eps))
+    err = [abs(poincare_ratio(_profile_field(eps, -1.0, 1.0, n)) - want) for n in (201, 401)]
+    assert err[0] < 1e-4
+    assert err[0] > 3.5 * err[1]
+    # |g|_L1 = 1 and |grad g|_L1 = 2 on [-1, 1]^2, exact for the trapezoid rule.
+    assert poincare_ratio(_halfplane(201), 0.3) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=1e-14)
 
 
 def test_poincare_random_bumps_bounded():

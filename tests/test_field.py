@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from onephase.field import (
     DomainError,
+    _multilinear,
     _neighbour_sum,
     _neighbours,
     GridSpec,
@@ -72,6 +73,34 @@ def test_grid_validation():
     g = make_grid((0.0, 0.0), (1.0, 2.0), (11, 21))
     assert g.h == pytest.approx(0.1)
     assert g.hi == pytest.approx((1.0, 2.0))
+
+
+_PB = PolyBump(coeffs=np.zeros((4, 4)), center=(0.0, 0.0), halfwidths=(0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GridSpec(dim=2, origin=(0.0,), h=0.1, shape=(3, 3)), "origin and shape must have length dim"),
+        (lambda: GridSpec(dim=2, origin=(0.0, 0.0), h=0.1, shape=(3,)), "origin and shape must have length dim"),
+        (lambda: GridSpec(dim=1, origin=(0.0,), h=0.0, shape=(3,)), "spacing must be positive, got 0.0"),
+        (lambda: GridSpec(dim=1, origin=(0.0,), h=math.nan, shape=(3,)), "spacing must be positive, got nan"),
+        (lambda: make_grid((0.0, 0.0), (1.0,), 3), "lo, hi, n must agree in length"),
+        (lambda: make_grid((0.0, 0.0), (1.0, 1.0), (3, 3, 3)), "lo, hi, n must agree in length"),
+        (lambda: ScalarField(grid=make_grid(0.0, 1.0, 3), values=[0.0, math.inf, 0.0]), "field values must be finite"),
+        (lambda: sample(_linear_field(make_grid((0.0, 0.0), (1.0, 1.0), 3)), [0.5]), "points must have 2 coordinates"),
+        (lambda: PolyBump(coeffs=np.zeros((3, 3)), center=(0.0, 0.0), halfwidths=(1.0, 1.0)),
+         r"coeffs must have shape \(4, 4\), got \(3, 3\)"),
+        (lambda: PolyBump(coeffs=np.full(4, math.nan), center=(0.0,), halfwidths=(1.0,)), "coefficients must be finite"),
+        (lambda: VectorFieldSpec(dim=3, components=(_PB,) * 3), "dim must be 1 or 2, got 3"),
+        (lambda: VectorFieldSpec(dim=2, components=(_PB,)), "need exactly one component per axis"),
+        (lambda: VectorFieldSpec(dim=1, components=(_PB,)), "component dimension mismatch"),
+        (lambda: flow(_bump_spec(), 0.1, [0.0, 0.0], n_steps=0), "n_steps must be >= 1, got 0"),
+    ],
+)
+def test_field_refuses_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_radial_cone_needs_a_2d_grid():
@@ -247,6 +276,42 @@ def test_sample_linear_is_bit_identical_to_regular_grid_interpolator(origin, h, 
     ours = sample(u, pts)
     ref = RegularGridInterpolator(grid.axes(), values, method="linear")(pts)
     assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
+@st.composite
+def _grids_and_blocks(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.integers(3, 12)) for _ in range(dim))
+    origin = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(dim))
+    grid = GridSpec(dim=dim, origin=origin, h=draw(st.floats(1e-3, 1.0)), shape=shape)
+    block = []
+    for n in shape:
+        start = draw(st.integers(0, n - 2))
+        block.append(slice(start, draw(st.integers(start + 2, n))))
+    return grid, tuple(block), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_grids_and_blocks())
+def test_sampling_a_block_is_sampling_the_whole_grid_bit_for_bit(case):
+    # Points whose cells lie in the block: its nodes, its upper corner and
+    # upper edges (where the whole grid takes the next cell at weight 0),
+    # and points drawn across its span.
+    grid, block, seed = case
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((2, *grid.shape)) * np.exp(rng.uniform(-20.0, 20.0, (2, *grid.shape)))
+    values[rng.random(values.shape) < 0.1] = -0.0
+    axes = [ax[s] for ax, s in zip(grid.axes(), block)]
+    lo, hi = [ax[0] for ax in axes], [ax[-1] for ax in axes]
+    pts = np.concatenate([
+        np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim),
+        rng.uniform(lo, hi, size=(50, grid.dim)),
+        [hi],
+        [[ax[-1] if k == j else x for k, (ax, x) in enumerate(zip(axes, lo))] for j in range(grid.dim)],
+    ])
+    ours = _multilinear(values[(slice(None), *block)], axes, pts)
+    whole = [sample(ScalarField(grid=grid, values=v), pts) for v in values]
+    assert np.array_equal(ours.view(np.int64), np.stack(whole).view(np.int64))
 
 
 def test_vector_spec_rejects_high_degree():

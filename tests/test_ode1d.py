@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ def test_wedge_rejects_degenerate_slopes():
     for s in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(ValueError):
             solve_wedge(term, eps=1.0, s=s, t_max=1.0, h=1e-3)
+
+
+@pytest.mark.parametrize(
+    "eps, t_max, h, message",
+    [
+        (0.0, 1.0, 1e-3, "eps must be positive, got 0.0"),
+        (math.nan, 1.0, 1e-3, "eps must be positive, got nan"),
+        (1.0, 0.0, 1e-3, "t_max and h must be positive"),
+        (1.0, math.nan, 1e-3, "t_max and h must be positive"),
+        (1.0, 1.0, -1e-3, "t_max and h must be positive"),
+    ],
+)
+def test_wedge_refuses_malformed_scales(eps, t_max, h, message):
+    with pytest.raises(ValueError, match=message):
+        solve_wedge(_term(), eps=eps, s=0.5, t_max=t_max, h=h)
 
 
 def test_degenerate_wedge_family_stays_below_twice_eps():

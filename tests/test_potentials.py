@@ -54,6 +54,28 @@ def test_make_reference_rejects_nonpositive_support():
         make_reference(-1.0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_reference(1.0).Finv(1.5), r"Finv argument must lie in \[0, 1\], got 1.5"),
+        (lambda: make_reference(1.0).Finv(-0.1), r"Finv argument must lie in \[0, 1\], got -0.1"),
+        (lambda: make_tabulated([[0.0, 1.0]]), r"samples must be an \(n, 2\) table with n >= 2"),
+        (lambda: make_tabulated([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), r"samples must be an \(n, 2\) table"),
+        (lambda: make_tabulated([[0.0, 0.0], [0.0, 1.0]]), "sample abscissae must be strictly increasing"),
+        # A nan abscissa compared False against 0 and passed as increasing.
+        (lambda: make_tabulated([[0.0, 0.0], [math.nan, 1.0], [1.0, 0.0]]),
+         "sample abscissae must be strictly increasing"),
+        (lambda: make_tabulated([[-2.0, 0.0], [-1.0, 0.0]]), "last sample abscissa must be positive"),
+        (lambda: F_eps(make_reference(1.0), -0.1, 0.5), "eps must be nonnegative, got -0.1"),
+        # A nan eps compared False against 0 and gave nan potentials.
+        (lambda: F_eps(make_reference(1.0), math.nan, 0.5), "eps must be nonnegative, got nan"),
+    ],
+)
+def test_potentials_refuse_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_make_reference_rejects_t_where_6_over_t4_is_not_finite():
     # 1e-300**4 underflows to 0, so 6/T**4 would divide by zero; at 1e-78
     # it is inf, and 1e78**4 overflows.  The error names the range of T.

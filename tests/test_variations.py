@@ -31,8 +31,11 @@ from onephase.records import from_json, to_json
 from onephase.solver import SolveConfig, minimize
 from onephase.variations import (
     NotClassicalSolutionError,
+    InterfaceCurve,
     VariationReport,
     _curve_quadrature,
+    _offset_probe,
+    _probe_block,
     cjk_form,
     classical_second_variation,
     default_fd_step,
@@ -759,6 +762,80 @@ def test_variation_report_rejects_non_finite():
             second_fd=0.0,
             dt=0.1,
         )
+
+
+_GRID = make_grid((-1.0, -1.0), (1.0, 1.0), 21)
+_X1 = VectorFieldSpec(dim=1, components=(PolyBump(coeffs=np.zeros(4), center=(0.0,), halfwidths=(0.5,)),))
+_COARSE = ScalarField(grid=make_grid((-1.0, -1.0), (1.0, 1.0), 11), values=np.zeros((11, 11)))
+
+
+def _curve(**kw):
+    return InterfaceCurve(**{
+        "points": np.zeros((2, 2)), "normals": [[1.0, 0.0]] * 2, "curvature": np.zeros(2),
+        "singular": np.zeros(2, dtype=bool), "closed": False, **kw,
+    })
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: VariationReport(0.0, 0.0, 0.0, 0.0, dt=0.0), "dt must be positive, got 0.0"),
+        (lambda: VariationReport(0.0, 0.0, 0.0, 0.0, dt=0.1, classical_second=math.nan),
+         "classical_second must be finite when present"),
+        (lambda: VariationReport(0.0, 0.0, 0.0, 0.0, dt=0.1, surface_second=math.inf),
+         "surface_second must be finite when present"),
+        (lambda: _curve(curvature=np.zeros(3)), "per-vertex arrays disagree in length"),
+        (lambda: _curve(points=[[0.0, 0.0], [math.nan, 0.0]]), "curve data must be finite"),
+        (lambda: _curve(curvature=[0.0, math.inf]), "curve data must be finite"),
+        (lambda: _curve(normals=[[1.0, 0.0], [1.0, 1.0]]), "normals must be unit vectors"),
+        (lambda: inner_variations(halfplane(_GRID), _X1, _term(), 0.0), "X has dim 1, field has dim 2"),
+        (lambda: lie_derivative(halfplane(_GRID), _X1, 0.0), "X has dim 1, field has dim 2"),
+        (lambda: classical_second_variation(_smooth_u(_GRID), _COARSE, _term(), 0.1),
+         "phi must live on the grid of u"),
+        (lambda: cjk_form(halfplane(_GRID), _COARSE, _curve()), "phi must live on the grid of u"),
+        (lambda: extract_interface(halfplane(make_grid(-1.0, 1.0, 21)), 0.05),
+         "interface extraction requires a 2D field"),
+    ],
+)
+def test_variations_refuse_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_curve_quadrature_of_a_single_vertex_is_zero():
+    curve = InterfaceCurve(points=[[0.0, 0.0]], normals=[[1.0, 0.0]], curvature=[2.0],
+                           singular=[False], closed=True)
+    assert _curve_quadrature(curve, np.ones(1)) == 0.0
+
+
+@st.composite
+def _probe_cases(draw):
+    return draw(st.integers(12, 80)), draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=_probe_cases())
+def test_the_probe_block_holds_every_node_the_probes_read(case):
+    # Vertices on nodes and anywhere within 12h of the grid, so some probes are
+    # clamped, with unit normals in every direction: values that are nan off
+    # the probe block, or given on it alone, must probe as the whole field does.
+    n, k, seed = case
+    rng = np.random.default_rng(seed)
+    grid = make_grid((-1.0, -1.0), (1.0, 1.0), n)
+    pts = rng.uniform(-1.0 - 12.0 * grid.h, 1.0 + 12.0 * grid.h, size=(k, 2))
+    pts[: k // 2] = grid.nodes()[rng.integers(0, n * n, k // 2)]
+    angle = rng.uniform(0.0, 2.0 * math.pi, k)
+    nu = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    v = rng.standard_normal(grid.shape)
+    box = _probe_block(grid, pts)
+    whole = (slice(0, n), slice(0, n))
+    want, clipped = _offset_probe(grid, v, whole, pts, nu)
+    masked = np.full(grid.shape, math.nan)
+    masked[box] = v[box]
+    for values, where in [(masked, whole), (v[box], box)]:
+        got, got_clipped = _offset_probe(grid, values, where, pts, nu)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got_clipped, clipped)
 
 
 def test_save_load_curve_roundtrip(tmp_path):
