@@ -361,7 +361,7 @@ def _run_check(args, out: Path) -> dict:
         scan = fbcheck.nondegeneracy_scan(u, eps, theta, radii, args.threshold)
         return fbcheck.check_to_json(scan)
     if what == "density":
-        scan = fbcheck.density_scan(u, eps, args.L, radii, args.threshold, term)
+        scan = fbcheck.density_scan(u, term, eps, args.L, radii, args.threshold)
         return fbcheck.check_to_json(scan)
     if what == "zero-density":
         return fbcheck.check_to_json(fbcheck.zero_phase_density(u, radii, args.threshold))
@@ -372,7 +372,7 @@ def _run_check(args, out: Path) -> dict:
     if what == "exit":
         if args.point is None:
             raise ConfigError("exit needs --point")
-        r = fbcheck.exit_radius(u, eps, theta, _floats(args.point), term)
+        r = fbcheck.exit_radius(u, term, eps, theta, _floats(args.point))
         reached = math.isfinite(r)
         return {"check": "exit", "eps": eps, "reached": reached, "value": r if reached else None}
     limit = _field_from_source(args.limit, u.grid, eps, term, args)

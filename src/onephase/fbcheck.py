@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import GridSpec, ScalarField, _box, _span, gradient, integrate, sample
-from .potentials import F_eps, ReactionTerm, make_reference
+from .potentials import F_eps, ReactionTerm
 from .records import from_json, to_json
 
 __all__ = [
@@ -247,11 +247,11 @@ def nondegeneracy_scan(
 
 def density_scan(
     u: ScalarField,
+    term: ReactionTerm,
     eps: float,
     L: float,
     radii,
     threshold: float = 0.0,
-    term: ReactionTerm | None = None,
 ) -> CheckReport:
     """Measure the low-set volume fraction near the transition band.
 
@@ -261,11 +261,11 @@ def density_scan(
 
     Args:
         u: sampled field.
+        term: reaction term fixing T and tau.
         eps: scale.
         L: lower bound enforced on r / eps.
         radii: ball diameters to scan; each must be finite and >= L * eps.
         threshold: pass bar on the minimum fraction.
-        term: reaction term fixing T and tau; the reference family by default.
 
     Returns:
         CheckReport with one fraction per radius; empty when the band
@@ -275,8 +275,6 @@ def density_scan(
         ValueError: on parameter violations or when a radius leaves no
             center with its ball inside the domain.
     """
-    if term is None:
-        term = make_reference(1.0)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not L > 0:
@@ -343,13 +341,7 @@ def lipschitz_constant(u: ScalarField) -> float:
     return float(np.max(np.sqrt(np.sum(g * g, axis=0))))
 
 
-def exit_radius(
-    u: ScalarField,
-    eps: float,
-    theta: float,
-    p,
-    term: ReactionTerm | None = None,
-) -> float:
+def exit_radius(u: ScalarField, term: ReactionTerm, eps: float, theta: float, p) -> float:
     """Distance from p to the set {u >= tau * eps}, tau the term's window end.
 
     This is the smallest r with sup over B_r(p) of u at least tau * eps.
@@ -358,11 +350,11 @@ def exit_radius(
 
     Args:
         u: sampled field.
+        term: reaction term fixing T and tau.
         eps: scale.
         theta: height of p in profile units; needs 0 < theta < tau and
             u(p) >= theta * eps.
         p: scan center.
-        term: reaction term fixing T and tau; the reference family by default.
 
     Returns:
         Exit radius in physical units, or inf when not reached.
@@ -370,8 +362,6 @@ def exit_radius(
     Raises:
         ValueError: on parameter violations.
     """
-    if term is None:
-        term = make_reference(1.0)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     tau = term.tau

@@ -93,6 +93,10 @@ class GridSpec:
             raise ValueError(f"need at least 3 nodes per axis, got {self.shape}")
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        if not all(map(math.isfinite, (self.h, *self.origin))):
+            raise ValueError(
+                f"spacing and origin must be finite, got h = {self.h}, origin = {self.origin}"
+            )
 
     @property
     def hi(self) -> tuple[float, ...]:
@@ -128,8 +132,8 @@ def make_grid(
         GridSpec whose last node lands on hi.
 
     Raises:
-        ValueError: if an axis has fewer than 3 nodes or the axes would not
-            share a common spacing.
+        ValueError: if an axis has fewer than 3 nodes, the spacing or lo is
+            not finite, or the axes would not share a common spacing.
     """
     lo_t = tuple(np.atleast_1d(np.asarray(lo, dtype=float)))
     hi_t = tuple(np.atleast_1d(np.asarray(hi, dtype=float)))
@@ -140,10 +144,12 @@ def make_grid(
     if any(k < 3 for k in n_t):
         raise ValueError(f"need at least 3 nodes per axis, got {n_t}")
     spacings = [(b - a) / (k - 1) for a, b, k in zip(lo_t, hi_t, n_t)]
-    h = spacings[0]
-    if any(abs(s - h) > 1e-12 * abs(h) for s in spacings[1:]):
+    # Built first: GridSpec refuses a spacing that is not finite, so the
+    # comparison never meets inf - inf.
+    grid = GridSpec(dim=dim, origin=lo_t, h=spacings[0], shape=n_t)
+    if not all(abs(s - grid.h) <= 1e-12 * abs(grid.h) for s in spacings[1:]):
         raise ValueError(f"axes disagree on spacing: {spacings}")
-    return GridSpec(dim=dim, origin=lo_t, h=h, shape=n_t)
+    return grid
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -183,6 +189,10 @@ def radial_cone(grid: GridSpec, radius: float) -> ScalarField:
     return ScalarField(grid=grid, values=vals)
 
 
+# Nodes the one-sided stencils of _derivative read on each side of a node.
+_REACH = 2
+
+
 def _derivative(v: np.ndarray, h: float, axis: int, mask: np.ndarray | None = None) -> np.ndarray:
     """The library's one difference stencil: d v / d x_axis, reading mask nodes only.
 
@@ -218,6 +228,29 @@ def _derivative(v: np.ndarray, h: float, axis: int, mask: np.ndarray | None = No
     return out
 
 
+def _grow(block: tuple[slice, ...], reach: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """block grown by reach nodes per side, clipped at the grid edge."""
+    return tuple(
+        slice(max(s.start - reach, 0), min(s.stop + reach, n)) for s, n in zip(block, shape)
+    )
+
+
+def _block_gradient(
+    v: np.ndarray, h: float, block: tuple[slice, ...], mask: np.ndarray | None = None
+) -> np.ndarray:
+    """The gradient of the node values v on block, shape (dim, *block).
+
+    _derivative runs along each axis on block grown by _REACH nodes per side,
+    reading mask (of v's shape; None for every node) there, so each block
+    node reads the neighbours it reads on the whole array and gets its bits.
+    """
+    ext = _grow(block, _REACH, v.shape)
+    m = None if mask is None else mask[ext]
+    g = np.stack([_derivative(v[ext], h, ax, m) for ax in range(v.ndim)])
+    crop = (slice(b.start - e.start, b.stop - e.start) for b, e in zip(block, ext))
+    return g[(slice(None), *crop)]
+
+
 def gradient(u: ScalarField) -> np.ndarray:
     """Second-order gradient, centered inside and one-sided at the boundary.
 
@@ -225,10 +258,9 @@ def gradient(u: ScalarField) -> np.ndarray:
         u: field on a grid with at least 3 nodes per axis.
 
     Returns:
-        Array of shape (dim, *grid.shape); component k is _derivative along
-        axis k.
+        Array of shape (dim, *grid.shape): _block_gradient on the whole grid.
     """
-    return np.stack([_derivative(u.values, u.grid.h, ax) for ax in range(u.grid.dim)])
+    return _block_gradient(u.values, u.grid.h, tuple(slice(0, n) for n in u.grid.shape))
 
 
 def _neighbours(block: tuple[slice, ...]) -> tuple[tuple[slice, ...], ...]:
@@ -321,10 +353,8 @@ def integrate(u: ScalarField) -> float:
 
 
 def _box(idx, pad: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
-    """Bounding box of a node set, one index array per axis, grown by pad and clipped to shape."""
-    return tuple(
-        slice(max(int(i.min()) - pad, 0), min(int(i.max()) + pad + 1, n)) for i, n in zip(idx, shape)
-    )
+    """Bounding box of a node set, one index array per axis, grown by pad (see _grow)."""
+    return _grow(tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx), pad, shape)
 
 
 def _multilinear(v: np.ndarray, axes: Sequence[np.ndarray], pts: np.ndarray) -> np.ndarray:
@@ -353,13 +383,12 @@ def _multilinear(v: np.ndarray, axes: Sequence[np.ndarray], pts: np.ndarray) -> 
     return out
 
 
-def _snap_inside(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
-    lo, hi = np.asarray(grid.origin), np.asarray(grid.hi)
-    tol = 1e-9 * grid.h
-    inside = np.all((pts >= lo - tol) & (pts <= hi + tol), axis=-1)
-    if not np.all(inside):
-        raise DomainError(f"point not finite or outside grid domain: {pts[~inside][:1]!r}")
-    return np.clip(pts, lo, hi)
+def _clamp(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pts clamped into the grid box, and each point's excess: the largest
+    distance it moved along an axis (nan coordinates are skipped; nan when
+    every one is nan)."""
+    clamped = np.clip(pts, grid.origin, grid.hi)
+    return clamped, np.fmax.reduce(np.abs(clamped - pts), axis=-1)
 
 
 def sample(u: ScalarField, p: Iterable[float] | np.ndarray) -> float | np.ndarray:
@@ -380,7 +409,11 @@ def sample(u: ScalarField, p: Iterable[float] | np.ndarray) -> float | np.ndarra
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != u.grid.dim:
         raise ValueError(f"points must have {u.grid.dim} coordinates")
-    vals = _multilinear(u.values, u.grid.axes(), _snap_inside(u.grid, pts))
+    clamped, excess = _clamp(u.grid, pts)
+    inside = (excess <= 1e-9 * u.grid.h) & np.all(np.isfinite(pts), axis=-1)
+    if not np.all(inside):
+        raise DomainError(f"point not finite or outside grid domain: {pts[~inside][:1]!r}")
+    vals = _multilinear(u.values, u.grid.axes(), clamped)
     return float(vals[0]) if single else vals
 
 
@@ -570,6 +603,36 @@ def support_box(spec: VectorFieldSpec) -> tuple[tuple[float, ...], tuple[float, 
         for k in range(spec.dim)
     ]
     return tuple(lo), tuple(hi)
+
+
+def _support_block(
+    grid: GridSpec, spec: VectorFieldSpec, interior: bool = False
+) -> tuple[slice, ...] | None:
+    """Per-axis slices of the grid nodes strictly inside support_box(spec).
+
+    These are the nodes that _tables does not move off the support, so off
+    this block X and all its partials are exactly zero, and so is every
+    variation density.  None when no node lies inside.  ValueError when X
+    and the grid differ in dimension, or, when interior, unless support_box
+    lies strictly inside the grid box.
+    """
+    if spec.dim != grid.dim:
+        raise ValueError(f"X has dim {spec.dim}, field has dim {grid.dim}")
+    lo, hi = support_box(spec)
+    if interior and (
+        any(a <= b for a, b in zip(lo, grid.origin)) or any(a >= b for a, b in zip(hi, grid.hi))
+    ):
+        raise ValueError("support of X must lie strictly inside the grid domain")
+    block = tuple(
+        slice(int(np.searchsorted(ax, a, "right")), int(np.searchsorted(ax, b, "left")))
+        for ax, a, b in zip(grid.axes(), lo, hi)
+    )
+    return block if all(s.start < s.stop for s in block) else None
+
+
+def _block_tables(spec: VectorFieldSpec, grid: GridSpec, block, order: int) -> list[np.ndarray]:
+    """tables(spec, grid, order) on the block's nodes only, component axes first."""
+    return _tables(spec, np.ix_(*(ax[s] for ax, s in zip(grid.axes(), block))), order)
 
 
 def max_norm(spec: VectorFieldSpec) -> float:

@@ -260,6 +260,8 @@ def make_tabulated(
     T = float(s_grid[-1])
     if not T > 0:
         raise ValueError("last sample abscissa must be positive")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("samples must be finite")
 
     cumulative = np.concatenate(
         [[0.0], np.cumsum(np.diff(s_grid) * (f_grid[:-1] + f_grid[1:]))]

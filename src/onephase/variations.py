@@ -21,17 +21,22 @@ from pathlib import Path
 import numpy as np
 
 from .field import (
+    _REACH,
     GridSpec,
     ScalarField,
     VectorFieldSpec,
+    _block_gradient,
+    _block_tables,
     _box,
+    _clamp,
     _contract,
     _derivative,
+    _grow,
     _integral,
     _matmul,
     _multilinear,
     _nodes,
-    _tables,
+    _support_block,
     flow,
     max_norm,
     support_box,
@@ -60,6 +65,9 @@ __all__ = [
 # curve; both stay clear of the one-cell band of polluted stencils.
 _PROBE_NEAR = 3.0
 _PROBE_FAR = 5.0
+# A probe that leaves the grid is clamped into it, and flagged when it moved
+# by more than this many grid spacings.
+_PROBE_MOVED = 1e-12
 # A vertex whose extrapolated curvature exceeds this many inverse grid
 # spacings is below the resolvable radius and flagged singular.
 _SINGULAR_CURVATURE = 10.0
@@ -70,8 +78,6 @@ _SINGULAR_CURVATURE = 10.0
 # (dt = 0.1, 0.05, 0.025) drops to 1.5, with two it is 3.86, and more steps
 # raise it by less than 0.02.
 _FD_STEPS = 2
-# Nodes the one-sided stencils of _derivative read on each side of a node.
-_REACH = 2
 # Marching-squares segments of a cell by its case s00 + 2*s10 + 4*s11 + 8*s01
 # (s marks nodes above the level), as pairs of cell edges 0-3 = S, E, N, W
 # padded with -1.  The saddle rows 5 and 10 join the corners above the level
@@ -113,7 +119,7 @@ class VariationReport:
     surface_second: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("first_analytic", "second_analytic", "first_fd", "second_fd"):
+        for name in ("first_analytic", "second_analytic", "first_fd", "second_fd", "dt"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.dt > 0.0:
@@ -165,65 +171,6 @@ class InterfaceCurve:
         return len(self.points)
 
 
-def _require_interior_support(u: ScalarField, spec: VectorFieldSpec) -> None:
-    if spec.dim != u.grid.dim:
-        raise ValueError(f"X has dim {spec.dim}, field has dim {u.grid.dim}")
-    lo, hi = support_box(spec)
-    glo, ghi = u.grid.origin, u.grid.hi
-    if any(a <= b for a, b in zip(lo, glo)) or any(a >= b for a, b in zip(hi, ghi)):
-        raise ValueError("support of X must lie strictly inside the grid domain")
-
-
-def _support_block(grid: GridSpec, spec: VectorFieldSpec) -> tuple[slice, ...] | None:
-    """Per-axis slices of the nodes strictly inside support_box(spec).
-
-    Off this block X and all its partials are exactly zero, and so is every
-    variation density.  None when no node lies inside.
-    """
-    lo, hi = support_box(spec)
-    block = []
-    for ax, a, b in zip(grid.axes(), lo, hi):
-        start, stop = int(np.searchsorted(ax, a, "right")), int(np.searchsorted(ax, b, "left"))
-        if start >= stop:
-            return None
-        block.append(slice(start, stop))
-    return tuple(block)
-
-
-def _grow(block: tuple[slice, ...], reach: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
-    """block grown by reach nodes per side, clipped at the grid edge."""
-    return tuple(
-        slice(max(s.start - reach, 0), min(s.stop + reach, n)) for s, n in zip(block, shape)
-    )
-
-
-def _within(block: tuple[slice, ...], outer: tuple[slice, ...]) -> tuple[slice, ...]:
-    """block as a component index into an array holding the outer block."""
-    return (slice(None),) + tuple(
-        slice(s.start - o.start, s.stop - o.start) for s, o in zip(block, outer)
-    )
-
-
-def _block_tables(spec: VectorFieldSpec, grid: GridSpec, block, order: int) -> list[np.ndarray]:
-    """tables(spec, grid, order) on the block's nodes only, component axes first."""
-    return _tables(spec, np.ix_(*(ax[s] for ax, s in zip(grid.axes(), block))), order)
-
-
-def _block_gradient(u: ScalarField, block, phase: bool) -> np.ndarray:
-    """The gradient of u on block, shape (dim, *block).
-
-    _derivative runs on the block grown by _REACH nodes per side, so each
-    block node reads the neighbours it reads on the whole grid.  Its mask is
-    {u > 0} when phase, else every node: then the stencil is centered off
-    the grid edge and second-order one-sided on it, as gradient is.
-    """
-    ext = _grow(block, _REACH, u.grid.shape)
-    v = u.values[ext]
-    mask = v > 0.0 if phase else None
-    g = np.stack([_derivative(v, u.grid.h, ax, mask) for ax in range(v.ndim)])
-    return g[_within(block, ext)]
-
-
 def lie_derivative(u: ScalarField, spec: VectorFieldSpec, eps: float) -> ScalarField:
     """Derivative of u along X: node-wise <grad u, X>.
 
@@ -238,13 +185,11 @@ def lie_derivative(u: ScalarField, spec: VectorFieldSpec, eps: float) -> ScalarF
     Returns:
         ScalarField on the grid of u, +0.0 off the support block of X.
     """
-    if spec.dim != u.grid.dim:
-        raise ValueError(f"X has dim {spec.dim}, field has dim {u.grid.dim}")
     vals = np.zeros(u.grid.shape)
     block = _support_block(u.grid, spec)
     if block is not None:
         xv = _block_tables(spec, u.grid, block, 0)[0]
-        g = _block_gradient(u, block, phase=eps == 0.0)
+        g = _block_gradient(u.values, u.grid.h, block, u.values > 0.0 if eps == 0.0 else None)
         vals[block] = _contract(g, xv)
     return ScalarField(grid=u.grid, values=vals)
 
@@ -269,11 +214,10 @@ def inner_variations(
     Returns:
         (first, second) inner variations.
     """
-    _require_interior_support(u, spec)
-    block = _support_block(u.grid, spec)
+    block = _support_block(u.grid, spec, interior=True)
     if block is None:
         return 0.0, 0.0
-    g = _block_gradient(u, block, phase=eps == 0.0)
+    g = _block_gradient(u.values, u.grid.h, block, u.values > 0.0 if eps == 0.0 else None)
     e = _contract(g, g) + F_eps(term, eps, u.values[block])
     xv, jac, hes = _block_tables(spec, u.grid, block, 2)
     dims = range(u.grid.dim)
@@ -332,16 +276,15 @@ def inner_variation_fd(
         ValueError: if dt is not finite and positive, or the flow map folds
             at +-dt or +-2dt (det J_t <= 0 or not finite at some node).
     """
-    _require_interior_support(u, spec)
+    grid = u.grid
+    block = _support_block(grid, spec, interior=True)
     if dt is None:
         dt = default_fd_step(spec)
     elif not 0.0 < dt < np.inf:
         raise ValueError(f"dt = {dt} is not a finite positive step")
-    grid = u.grid
-    block = _support_block(grid, spec)
     if block is None:
         return 0.0, 0.0
-    g = _block_gradient(u, block, phase=eps == 0.0)
+    g = _block_gradient(u.values, grid.h, block, u.values > 0.0 if eps == 0.0 else None)
     pot = F_eps(term, eps, u.values[block])
     e0 = _contract(g, g) + pot
     nodes = _nodes(ax[s] for ax, s in zip(grid.axes(), block))
@@ -429,19 +372,10 @@ def classical_second_variation(
     if not len(nodes[0]):
         return 0.0
     region = _box(nodes, _REACH, u.grid.shape)
-    g = _block_gradient(phi, region, phase=False)
+    g = _block_gradient(phi.values, u.grid.h, region)
     curv = term.fprime(u.values[region] / eps) / (eps * eps)
     dens = _contract(g, g) + curv * phi.values[region] ** 2
     return 2.0 * _integral(dens, u.grid, region)
-
-
-def _clip_inside(grid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp points into the grid box; second output flags moved points."""
-    lo = np.asarray(grid.origin)
-    hi = np.asarray(grid.hi)
-    clipped = np.clip(pts, lo, hi)
-    moved = np.any(np.abs(clipped - pts) > 1e-12 * grid.h, axis=-1)
-    return clipped, moved
 
 
 def _offset_probe(
@@ -455,11 +389,11 @@ def _offset_probe(
     the probes read, as _probe_block(grid, pts) does.
     """
     axes = [ax[s] for ax, s in zip(grid.axes(), box)]
-    near, fn = _clip_inside(grid, pts - _PROBE_NEAR * grid.h * nu)
-    far, ff = _clip_inside(grid, pts - _PROBE_FAR * grid.h * nu)
+    near, en = _clamp(grid, pts - _PROBE_NEAR * grid.h * nu)
+    far, ef = _clamp(grid, pts - _PROBE_FAR * grid.h * nu)
     ratio = _PROBE_NEAR / (_PROBE_FAR - _PROBE_NEAR)
     v_near, v_far = _multilinear(v, axes, near), _multilinear(v, axes, far)
-    return v_near + ratio * (v_near - v_far), fn | ff
+    return v_near + ratio * (v_near - v_far), np.fmax(en, ef) > _PROBE_MOVED * grid.h
 
 
 def _probe_block(grid: GridSpec, pts: np.ndarray) -> tuple[slice, ...]:
@@ -565,7 +499,7 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
     # reads the neighbours it reads on the whole grid.
     ext = _grow(_probe_block(grid, points), _REACH, grid.shape)
     axes = [ax[s] for ax, s in zip(grid.axes(), ext)]
-    g = _block_gradient(u, ext, phase=False)
+    g = _block_gradient(v, h, ext)
     norm = np.sqrt(np.sum(g * g, axis=0))
     floor = 1e-14 * (float(np.max(norm)) + 1e-300)
     nhat = np.where(norm > floor, g / np.maximum(norm, floor), 0.0)
@@ -573,7 +507,7 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
 
     raw = _multilinear(g, axes, points).T
     seed = -raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), floor)
-    probe, moved = _clip_inside(grid, points - _PROBE_NEAR * h * seed)
+    probe, excess = _clamp(grid, points - _PROBE_NEAR * h * seed)
     refined = _multilinear(g, axes, probe).T
     rnorm = np.linalg.norm(refined, axis=1, keepdims=True)
     degenerate = rnorm[:, 0] <= floor
@@ -581,9 +515,8 @@ def extract_interface(u: ScalarField, level: float) -> InterfaceCurve:
         degenerate[:, None], [1.0, 0.0], -refined / np.maximum(rnorm, floor)
     )
     curv, clipped = _offset_probe(grid, kappa, ext, points, normals)
-    singular = (
-        moved | degenerate | clipped | (np.abs(curv) > _SINGULAR_CURVATURE / h)
-    )
+    moved = excess > _PROBE_MOVED * h
+    singular = moved | degenerate | clipped | (np.abs(curv) > _SINGULAR_CURVATURE / h)
     return InterfaceCurve(
         points=points,
         normals=normals,
@@ -621,11 +554,8 @@ def _cjk(u: ScalarField, phi: np.ndarray, box, curve: InterfaceCurve) -> float:
     """
     grid = u.grid
     mask = u.values > 0.0
-    # grad phi reaches _REACH nodes past box; its stencil reads as far again.
-    region = _grow(box, _REACH, grid.shape)
-    ext = _grow(region, _REACH, grid.shape)
-    g = np.stack([_derivative(phi[ext], grid.h, ax, mask[ext]) for ax in range(grid.dim)])
-    g = g[_within(region, ext)]
+    region = _grow(box, _REACH, grid.shape)  # grad phi reaches _REACH nodes past box
+    g = _block_gradient(phi, grid.h, region, mask)
     bulk = _integral(np.where(mask[region], _contract(g, g), 0.0), grid, region)
     if not len(curve):
         return bulk
@@ -656,12 +586,12 @@ def surface_second_variation(
         NotClassicalSolutionError: if |grad u| strays from 1 along the
             curve by more than 5e-2.
     """
-    _require_interior_support(u, spec)
     grid = u.grid
+    block = _support_block(grid, spec, interior=True)
     if len(curve):
         # The trace reads the phase gradient of u on the probe block only.
         box = _probe_block(grid, curve.points)
-        pg = _block_gradient(u, box, phase=True)
+        pg = _block_gradient(u.values, grid.h, box, u.values > 0.0)
         trace, clipped = _offset_probe(
             grid, np.sqrt(np.sum(pg * pg, axis=0)), box, curve.points, curve.normals
         )
@@ -671,7 +601,6 @@ def surface_second_variation(
             raise NotClassicalSolutionError(
                 f"|grad u| strays from 1 by {worst:.4f} on the interface"
             )
-    block = _support_block(grid, spec)
     if block is None:
         return 0.0
     return 2.0 * _cjk(u, lie_derivative(u, spec, 0.0).values, block, curve)

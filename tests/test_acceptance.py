@@ -316,12 +316,12 @@ def test_growth_scan_separates_profile_from_wedge():
 def test_density_scan_separates_profile_from_wedge():
     for eps in (0.2, 0.1, 0.05):
         u, _ = _tiled(eps, -20.0 * eps, 20.0 * eps, 401)
-        rep = density_scan(u, eps, 4.0, [24.0 * eps], threshold=0.4)
+        rep = density_scan(u, _term(), eps, 4.0, [24.0 * eps], threshold=0.4)
         assert rep.passed
         assert rep.worst >= 0.4
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), (401, 401))
     wedge = wedge_field(_term(), grid, 0.05, 0.05)
-    rep_w = density_scan(wedge, 0.05, 4.0, [0.5])
+    rep_w = density_scan(wedge, _term(), 0.05, 4.0, [0.5])
     assert rep_w.worst < 0.1
 
 
@@ -354,7 +354,7 @@ def test_exit_radius_grows_logarithmically_in_height():
     rates = []
     for theta in (tau / 2, tau / 4, tau / 8):
         y_theta = float(np.interp(theta * eps, col, ys)) + 1e-9
-        r = exit_radius(u, eps, theta, (0.0, y_theta), term)
+        r = exit_radius(u, term, eps, theta, (0.0, y_theta))
         assert np.isfinite(r)
         rates.append(r / (eps * np.log(tau / theta)))
     assert max(rates) / min(rates) <= 1.2

@@ -1201,6 +1201,11 @@ def test_sweep_propagates_sub_failure(tmp_path, capsys):
         (["sweep", "--command", "profile", "--eps", ","], 2, "sweep needs a nonempty --eps list"),
         (["check", "--what", "poincare", "--field", "bumps", "--lo=-1", "--hi", "1", "--n", "21"], 1,
          "the bump suite needs a 2D grid"),
+        # An infinite spacing built the grid, and the run exited 1 on its field.
+        (["solve", "--hi=inf,inf", "--n", "5"], 2,
+         "spacing and origin must be finite, got h = inf, origin = (-1.0, -1.0)"),
+        (["check", "--what", "nondeg", "--lo=-inf,-1", "--n", "5"], 2,
+         "spacing and origin must be finite, got h = inf, origin = (-inf, -1.0)"),
     ],
 )
 def test_usage_errors_exit_with_their_message(tmp_path, capsys, argv, code, message):

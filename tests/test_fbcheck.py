@@ -169,7 +169,7 @@ def test_scans_refuse_a_radius_that_is_not_finite(scan, radius):
         if scan == "nondeg":
             nondegeneracy_scan(u, 0.1, 0.5, [0.25, radius])
         elif scan == "density":
-            density_scan(u, 0.1, 1.0, [radius])
+            density_scan(u, TERM, 0.1, 1.0, [radius])
         else:
             zero_phase_density(u, [radius])
 
@@ -191,7 +191,7 @@ def test_check_report_refuses_a_threshold_that_is_not_finite(threshold):
 
 def test_density_profile_thick_ball_passes():
     u = _profile_field(0.1, -2.0, 2.0, 401)
-    report = density_scan(u, 0.1, 24.0, [2.4], threshold=0.4)
+    report = density_scan(u, TERM, 0.1, 24.0, [2.4], threshold=0.4)
     assert report.passed
     assert 0.40 <= report.worst <= 0.46
 
@@ -201,13 +201,13 @@ def test_density_profile_thin_ball_reveals_band_offset():
     # below the worst band center, so the measured fraction drops well
     # under one half
     u = _profile_field(0.1, -2.0, 2.0, 401)
-    report = density_scan(u, 0.1, 5.0, [0.5])
+    report = density_scan(u, TERM, 0.1, 5.0, [0.5])
     assert 0.15 <= report.worst <= 0.25
 
 
 def test_density_wedge_slab_fails():
     eps = 0.05
-    report = density_scan(_wedge_field(eps), eps, 5.0, [0.5], threshold=0.1)
+    report = density_scan(_wedge_field(eps), TERM, eps, 5.0, [0.5], threshold=0.1)
     assert report.worst == 0.0
     assert not report.passed
 
@@ -215,7 +215,7 @@ def test_density_wedge_slab_fails():
 def test_density_empty_band():
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 21)
     u = ScalarField(grid=grid, values=np.full(grid.shape, 0.9))
-    report = density_scan(u, 0.1, 1.0, [0.5])
+    report = density_scan(u, TERM, 0.1, 1.0, [0.5])
     assert report.values == ()
     assert report.worst is None
 
@@ -225,19 +225,19 @@ def test_density_rescale_invariance():
     # discrete balls and profile samples, so the fractions agree exactly
     coarse = _profile_field(0.2, -2.0, 2.0, 401)
     fine = _profile_field(0.1, -1.0, 1.0, 401)
-    r1 = density_scan(coarse, 0.2, 12.0, [2.4])
-    r2 = density_scan(fine, 0.1, 12.0, [1.2])
+    r1 = density_scan(coarse, TERM, 0.2, 12.0, [2.4])
+    r2 = density_scan(fine, TERM, 0.1, 12.0, [1.2])
     assert r1.worst == pytest.approx(r2.worst, rel=1e-12)
 
 
 def test_density_validation():
     u = _profile_field(0.1, -1.0, 1.0, 101)
     with pytest.raises(ValueError):
-        density_scan(u, 0.1, 10.0, [0.5])
+        density_scan(u, TERM, 0.1, 10.0, [0.5])
     with pytest.raises(ValueError):
-        density_scan(u, 0.1, 0.0, [0.5])
+        density_scan(u, TERM, 0.1, 0.0, [0.5])
     with pytest.raises(ValueError):
-        density_scan(u, 0.0, 1.0, [0.5])
+        density_scan(u, TERM, 0.0, 1.0, [0.5])
 
 
 def test_zero_phase_density_halfplane():
@@ -287,7 +287,7 @@ def test_exit_radius_zero_when_already_above():
     grid = make_grid(-1.0, 1.0, 2001)
     u = profile_field(TERM, grid, eps)
     k = int(np.argmax(u.values >= TAU * eps))
-    assert exit_radius(u, eps, TAU / 4, [grid.axes()[0][k]]) == 0.0
+    assert exit_radius(u, TERM, eps, TAU / 4, [grid.axes()[0][k]]) == 0.0
 
 
 def test_exit_radius_profile_log_growth():
@@ -298,7 +298,7 @@ def test_exit_radius_profile_log_growth():
     rates = []
     for theta, want in expected.items():
         k = int(np.argmax(u.values >= theta * eps))
-        r = exit_radius(u, eps, theta, [grid.axes()[0][k]])
+        r = exit_radius(u, TERM, eps, theta, [grid.axes()[0][k]])
         assert r / eps == pytest.approx(want, abs=0.03)
         rates.append(r / (eps * math.log(TAU / theta)))
     assert max(rates) / min(rates) <= 1.2
@@ -307,17 +307,17 @@ def test_exit_radius_profile_log_growth():
 def test_exit_radius_unreachable_is_inf():
     grid = make_grid(-1.0, 1.0, 201)
     u = ScalarField(grid=grid, values=np.full(201, 0.03))
-    assert exit_radius(u, 0.1, 0.25, [0.0]) == math.inf
+    assert exit_radius(u, TERM, 0.1, 0.25, [0.0]) == math.inf
 
 
 def test_exit_radius_validation():
     u = _halfplane(51)
     with pytest.raises(ValueError):
-        exit_radius(u, 0.1, TAU, [0.0, 0.5])
+        exit_radius(u, TERM, 0.1, TAU, [0.0, 0.5])
     with pytest.raises(ValueError):
-        exit_radius(u, 0.1, TAU / 4, [0.0, -0.5])
+        exit_radius(u, TERM, 0.1, TAU / 4, [0.0, -0.5])
     with pytest.raises(ValueError):
-        exit_radius(u, 0.0, TAU / 4, [0.0, 0.5])
+        exit_radius(u, TERM, 0.0, TAU / 4, [0.0, 0.5])
 
 
 def test_scans_read_the_window_from_the_term():
@@ -332,13 +332,13 @@ def test_scans_read_the_window_from_the_term():
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 101)
     y = np.meshgrid(*grid.axes(), indexing="ij")[1]
     tent = ScalarField(grid=grid, values=np.maximum(0.05 - np.abs(y), 0.0))
-    scans = [density_scan(tent, eps, 1.0, [0.5, 0.8], term=t).values for t in (tab, ref)]
+    scans = [density_scan(tent, t, eps, 1.0, [0.5, 0.8]).values for t in (tab, ref)]
     assert scans[0] == scans[1] and min(scans[0]) > 0.0
     u = _halfplane(201)
-    radii = [exit_radius(u, eps, 0.05, [0.0, 0.01], term=t) for t in (tab, ref)]
+    radii = [exit_radius(u, t, eps, 0.05, [0.0, 0.01]) for t in (tab, ref)]
     assert radii[0] == radii[1] == pytest.approx(0.02, abs=1e-12)
     with pytest.raises(ValueError, match="theta must lie in"):
-        exit_radius(u, eps, 0.3, [0.0, 0.5], term=tab)
+        exit_radius(u, tab, eps, 0.3, [0.0, 0.5])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -351,7 +351,7 @@ def test_exit_radius_is_the_distance_to_the_nearest_hit_node(dim):
     p = np.array([0.05, -0.6][-dim:])
     hit = u.values >= TAU * 0.1
     want = float(np.min(np.linalg.norm(grid.nodes()[hit.ravel()] - p, axis=1)))
-    assert exit_radius(u, 0.1, 0.0001, p) == want
+    assert exit_radius(u, TERM, 0.1, 0.0001, p) == want
     assert 0.0 < want < 1.0
 
 
@@ -569,6 +569,7 @@ def test_check_report_json_roundtrip():
             grid=make_grid((-1.0, -1.0), (1.0, 1.0), 21),
             values=np.full((21, 21), 0.9),
         ),
+        TERM,
         0.1,
         1.0,
         [0.5],

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from onephase.field import (
     DomainError,
+    _block_gradient,
+    _derivative,
     _multilinear,
     _neighbour_sum,
     _neighbours,
@@ -85,6 +87,14 @@ _PB = PolyBump(coeffs=np.zeros((4, 4)), center=(0.0, 0.0), halfwidths=(0.5, 0.5)
         (lambda: GridSpec(dim=2, origin=(0.0, 0.0), h=0.1, shape=(3,)), "origin and shape must have length dim"),
         (lambda: GridSpec(dim=1, origin=(0.0,), h=0.0, shape=(3,)), "spacing must be positive, got 0.0"),
         (lambda: GridSpec(dim=1, origin=(0.0,), h=math.nan, shape=(3,)), "spacing must be positive, got nan"),
+        # An infinite spacing passed as positive and gave axes [nan, inf, inf].
+        (lambda: GridSpec(dim=1, origin=(0.0,), h=math.inf, shape=(3,)),
+         r"spacing and origin must be finite, got h = inf, origin = \(0.0,\)"),
+        (lambda: GridSpec(dim=2, origin=(0.0, -math.inf), h=0.1, shape=(3, 3)),
+         r"spacing and origin must be finite, got h = 0.1, origin = \(0.0, -inf\)"),
+        # A nan spacing on a later axis compared False and passed as agreeing.
+        (lambda: make_grid((0.0, 0.0), (1.0, math.nan), 3), "axes disagree on spacing"),
+        (lambda: make_grid((0.0, 0.0), (math.inf, math.inf), 3), "spacing and origin must be finite, got h = inf"),
         (lambda: make_grid((0.0, 0.0), (1.0,), 3), "lo, hi, n must agree in length"),
         (lambda: make_grid((0.0, 0.0), (1.0, 1.0), (3, 3, 3)), "lo, hi, n must agree in length"),
         (lambda: ScalarField(grid=make_grid(0.0, 1.0, 3), values=[0.0, math.inf, 0.0]), "field values must be finite"),
@@ -312,6 +322,22 @@ def test_sampling_a_block_is_sampling_the_whole_grid_bit_for_bit(case):
     ours = _multilinear(values[(slice(None), *block)], axes, pts)
     whole = [sample(ScalarField(grid=grid, values=v), pts) for v in values]
     assert np.array_equal(ours.view(np.int64), np.stack(whole).view(np.int64))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_grids_and_blocks(), masked=st.booleans())
+def test_block_gradient_is_the_whole_grid_stencil_on_the_block_bit_for_bit(case, masked):
+    # Blocks inside the grid and on its edges, with no mask or a random one
+    # (thin phases and isolated nodes among them), values with signed zeros.
+    grid, block, seed = case
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(grid.shape) * np.exp(rng.uniform(-20.0, 20.0, grid.shape))
+    values[rng.random(grid.shape) < 0.1] = -0.0
+    mask = rng.random(grid.shape) < rng.uniform(0.2, 1.0) if masked else None
+    whole = np.stack([_derivative(values, grid.h, ax, mask) for ax in range(grid.dim)])
+    got = _block_gradient(values, grid.h, block, mask)
+    want = whole[(slice(None), *block)]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_vector_spec_rejects_high_degree():

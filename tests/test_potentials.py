@@ -66,6 +66,9 @@ def test_make_reference_rejects_nonpositive_support():
         (lambda: make_tabulated([[0.0, 0.0], [math.nan, 1.0], [1.0, 0.0]]),
          "sample abscissae must be strictly increasing"),
         (lambda: make_tabulated([[-2.0, 0.0], [-1.0, 0.0]]), "last sample abscissa must be positive"),
+        # A nan ordinate built a term with c0 = nan, an infinite abscissa one with T = inf.
+        (lambda: make_tabulated([[0.0, 0.0], [0.5, math.nan], [1.0, 0.0]]), "samples must be finite"),
+        (lambda: make_tabulated([[0.0, 0.0], [0.5, 1.0], [math.inf, 0.0]]), "samples must be finite"),
         (lambda: F_eps(make_reference(1.0), -0.1, 0.5), "eps must be nonnegative, got -0.1"),
         # A nan eps compared False against 0 and gave nan potentials.
         (lambda: F_eps(make_reference(1.0), math.nan, 0.5), "eps must be nonnegative, got nan"),

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onephase.field import (
+    DomainError,
+    GridSpec,
     PolyBump,
     _derivative,
     ScalarField,
@@ -22,6 +24,7 @@ from onephase.field import (
     make_grid,
     max_norm,
     radial_cone,
+    sample,
     support_box,
     tables,
 )
@@ -780,6 +783,8 @@ def _curve(**kw):
     "build, message",
     [
         (lambda: VariationReport(0.0, 0.0, 0.0, 0.0, dt=0.0), "dt must be positive, got 0.0"),
+        # An infinite step passed as positive, and a report with it was built.
+        (lambda: VariationReport(0.0, 0.0, 0.0, 0.0, dt=math.inf), "dt must be finite"),
         (lambda: VariationReport(0.0, 0.0, 0.0, 0.0, dt=0.1, classical_second=math.nan),
          "classical_second must be finite when present"),
         (lambda: VariationReport(0.0, 0.0, 0.0, 0.0, dt=0.1, surface_second=math.inf),
@@ -836,6 +841,56 @@ def test_the_probe_block_holds_every_node_the_probes_read(case):
         got, got_clipped = _offset_probe(grid, values, where, pts, nu)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(got_clipped, clipped)
+
+
+def _old_refusal_and_moved(grid, pts):
+    """The rules that _clamp replaced: sample's DomainError test and the probes' moved flag."""
+    lo, hi = np.asarray(grid.origin), np.asarray(grid.hi)
+    tol = 1e-9 * grid.h
+    refused = ~np.all((pts >= lo - tol) & (pts <= hi + tol), axis=-1)
+    moved = np.any(np.abs(np.clip(pts, lo, hi) - pts) > 1e-12 * grid.h, axis=-1)
+    return refused, moved
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), origin=st.floats(-2.0, 2.0), h=st.floats(1e-3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_clamp_keeps_the_old_refusals_and_moved_flags(dim, origin, h, seed):
+    # Points 0, 1e-12 h, 1e-9 h and 1e-6 h outside either side of the box, or
+    # nan or +-inf, on one coordinate (the others inside) or on all of them,
+    # and in 2D nan beside a coordinate 1e-6 h outside.
+    grid = GridSpec(dim=dim, origin=(origin, -origin)[:dim], h=h, shape=(7, 5)[:dim])
+    lo, hi = np.asarray(grid.origin), np.asarray(grid.hi)
+    rng = np.random.default_rng(seed)
+    offsets = (0.0, 1e-12, 1e-9, 1e-6)
+    outside = [lo - k * h for k in offsets] + [hi + k * h for k in offsets]
+    pts = []
+    mixed = np.where(np.arange(dim) == 0, math.nan, hi + 1e-6 * h)
+    for x in outside + [np.full(dim, x) for x in (math.nan, math.inf, -math.inf)] + [mixed]:
+        for a in range(dim):
+            pts.append(rng.uniform(lo, hi))
+            pts[-1][a] = x[a]
+        pts.append(x)
+    pts = np.array(pts)
+    refused, moved = _old_refusal_and_moved(grid, pts)
+    u = ScalarField(grid=grid, values=np.zeros(grid.shape))
+    got_refused = []
+    for p in pts:
+        try:
+            sample(u, p)
+            got_refused.append(False)
+        except DomainError:
+            got_refused.append(True)
+    whole = tuple(slice(0, n) for n in grid.shape)  # both probes on the point
+    got_moved = _offset_probe(grid, u.values, whole, pts, np.zeros_like(pts))[1]
+    assert np.array_equal(got_moved, moved)
+    # The old refusal compared p with the rounded bound lo - 1e-9 h; sample
+    # now compares the distance lo - p, exact there, with 1e-9 h.  They part
+    # only at the one double p = fl(lo - 1e-9 h) when fl rounded it down (or
+    # fl(hi + 1e-9 h) up), which the distance refuses.
+    tol = 1e-9 * h
+    tie = ((pts == lo - tol) & (lo - pts > tol)) | ((pts == hi + tol) & (pts - hi > tol))
+    assert np.array_equal(np.array(got_refused), refused | np.any(tie, axis=-1))
 
 
 def test_save_load_curve_roundtrip(tmp_path):
