@@ -440,8 +440,10 @@ class PolyBump:
         degree = np.indices(c.shape).sum(axis=0)
         if np.any(c[degree > _MAX_TOTAL_DEGREE] != 0.0):
             raise ValueError("total degree above 3 is not admitted")
-        if len(self.halfwidths) != dim or any(w <= 0 for w in self.halfwidths):
-            raise ValueError("halfwidths must be positive, one per axis")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
+        if len(self.halfwidths) != dim or not all(0 < w < math.inf for w in self.halfwidths):
+            raise ValueError("halfwidths must be finite and positive, one per axis")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
         object.__setattr__(self, "halfwidths", tuple(float(v) for v in self.halfwidths))

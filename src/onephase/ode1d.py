@@ -78,11 +78,11 @@ def _rk4_scan(
     top: float,
     eps: float,
 ):
-    """Integrate V'' = rhs(V) with RK4; stops once V underflows below 1e-14.
+    """Integrate V'' = rhs(V) with RK4; stops once V underflows below 1e-14*top*eps.
 
     rhs must return a Python float for a Python float argument: the loop
-    then runs on plain floats.  The reference term's f takes its Python
-    float path at every stage, which gives the bits of its array path.
+    then runs on plain floats.  A term's f takes its Python float path at
+    every stage, which gives the bits of its array path.
 
     rhs(v) must be exactly 0.0 wherever v / eps >= top, as f_eps is at and
     above T*eps.  Once v / eps >= top with w >= 0 and step > 0, every later
@@ -96,8 +96,9 @@ def _rk4_scan(
     W = np.zeros(n_steps + 1)
     V[0], W[0] = v0, w0
     v, w = v0, w0
+    floor = _UNDERFLOW_FLOOR * top * eps
     for k in range(n_steps):
-        if step > 0.0 and w >= 0.0 and v / eps >= top and v >= _UNDERFLOW_FLOOR:
+        if step > 0.0 and w >= 0.0 and v / eps >= top and v >= floor:
             w += 0.0
             V[k + 1 :] = step / 6.0 * (w + 2.0 * w + 2.0 * w + w)
             np.cumsum(V[k:], out=V[k:])
@@ -113,7 +114,7 @@ def _rk4_scan(
         k4w = rhs(v + step * k3v)
         v = v + step / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         w = w + step / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        if v < _UNDERFLOW_FLOOR:
+        if v < floor:
             if v < -neg_tol:
                 raise IntegrationFailure(
                     f"profile reached V = {v:.3e} < 0; reduce the step size"

@@ -9,8 +9,9 @@ F_eps degenerates to the indicator of {t > 0} as eps -> 0.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -42,9 +43,9 @@ class ReactionTerm:
         tau: right end of the linearity window, 0 < tau < T.
         c0: window constant in (0, 1], c0*s <= f(s) <= s/c0 on [0, tau].
         f: the nonlinearity, vectorized over numpy arrays; 0 off (0, T).
-        F: antiderivative of 2f, clamped to 0 below 0 and to 1 above T.
-            The reference f, F and root evaluate their polynomial or cubic
-            only on the nodes of an array that need it (see make_reference).
+        F: antiderivative of 2f, clamped to 0 below 0 and to F(T) above T.
+            f, F, fprime and the root run a family's kernels only on the
+            band (0, T) of an array (see _assemble).
         fprime: derivative of f (one-sided at kinks for tabulated terms).
         Finv: inverse of F on [0, 1] -> [0, T], resolved by bisection.
         shifted_inverse: shifted_inverse(k) returns root(m), the
@@ -94,6 +95,64 @@ def _bisect_inverse(F: Callable[[float], float], T: float) -> Callable[[float], 
     return Finv
 
 
+def _assemble(T: float, F_top: float, f_band, F_band, fprime_band, band_root, **fields: Any):
+    """Build a ReactionTerm (with **fields) from a family's kernels on (0, T).
+
+    Off the band every kernel is a constant or linear, and this is the one
+    owner of that rule: f and f' are 0 off (0, T), nan included; F is 0 at
+    or below 0 and F_top at or above T, and a nan goes through F_band; the
+    node root is m/k for m >= k*T, and every root is projected to s >= 0.
+    A kernel runs only on the nodes of an array in its band, elementwise,
+    so each node gets the bits of the whole-array expression.  Most nodes
+    of a solve lie off the band.  f_band takes a Python float to a Python
+    float, as the RK4 profile calls f once per stage.  band_root(k) raises
+    ValueError unless k*s + f(s) increases strictly, and else returns the
+    root of k*s + f(s) = m for m < k*T or nan.
+    """
+
+    def on_band(kernel: Callable[[np.ndarray], np.ndarray], s: Any) -> Any:
+        s_arr = np.asarray(s, dtype=float)
+        out = np.zeros(s_arr.shape)
+        band = (s_arr > 0.0) & (s_arr < T)
+        out[band] = kernel(s_arr[band])
+        return _scalarize(out)
+
+    def f(s: Any) -> Any:
+        if type(s) is float:
+            return f_band(s) if 0.0 < s < T else 0.0
+        return on_band(f_band, s)
+
+    def F(v: Any) -> Any:
+        v_arr = np.asarray(v, dtype=float)
+        top = v_arr >= T
+        out = np.where(top, F_top, 0.0)
+        # Not (v > 0) & (v < T): F(nan) is nan.
+        band = ~(top | (v_arr <= 0.0))
+        out[band] = F_band(v_arr[band])
+        return _scalarize(out)
+
+    def shifted_inverse(k: float) -> Callable[[Any], np.ndarray]:
+        root_on_band = band_root(k)
+        top = k * T
+
+        def root(m: Any) -> np.ndarray:
+            m = np.asarray(m, dtype=float)
+            out = np.empty(m.shape)
+            np.divide(m, k, out=out)
+            # Not m < top: a nan m takes the band root.
+            band = ~(m >= top)
+            out[band] = root_on_band(m[band])
+            return np.maximum(out, 0.0, out=out)
+
+        return root
+
+    fprime = functools.partial(on_band, fprime_band)
+    Finv = _bisect_inverse(F, T)
+    return ReactionTerm(
+        T, f=f, F=F, fprime=fprime, Finv=Finv, shifted_inverse=shifted_inverse, **fields
+    )
+
+
 def make_reference(T: float) -> ReactionTerm:
     """Build the reference family f(s) = (6/T^4) s (T - s)^2 on [0, T].
 
@@ -103,19 +162,9 @@ def make_reference(T: float) -> ReactionTerm:
     constant compatible with f(s)/s = (6/T^4)(T - s)^2 on [0, tau]; at
     T = 1 this gives c0 = 1/6.
 
-    The nonlinearity lives on the transition band: f and F are constant
-    off (0, T), and above s = T the node root is linear, s = m/k.  On an
-    array each kernel runs its polynomial or cubic only where it is needed
-    and writes the constant elsewhere: f on (s > 0) & (s < T), F where not
-    (v <= 0 or v >= T), so that F(nan) is nan, and root where not
-    (m >= top).  Every node keeps the bits the whole-array expression gave
-    it, because each node goes through the same operations either way.
-    Most nodes of a solve lie off the band.
-
     f and F are products and quotients, with no `**`: + - * / round
     correctly on every path, so a Python float, a 0-d array and an array
-    element get the same bits whichever SIMD kernels numpy picks.  f takes
-    Python floats without numpy, as the RK4 profile calls it once per stage.
+    element get the same bits whichever SIMD kernels numpy picks.
 
     Args:
         T: support endpoint, must be positive.
@@ -135,44 +184,24 @@ def make_reference(T: float) -> ReactionTerm:
     T = float(T)
     a = 6.0 / T**4
 
-    def f_band(s: Any) -> Any:
+    def f(s: Any) -> Any:
         d = T - s
         return a * s * (d * d)
 
-    def f(s: Any) -> Any:
-        if type(s) is float:
-            return f_band(s) if 0.0 < s < T else 0.0
-        s_arr = np.asarray(s, dtype=float)
-        out = np.zeros(s_arr.shape)
-        band = (s_arr > 0.0) & (s_arr < T)
-        out[band] = f_band(s_arr[band])
-        return _scalarize(out)
+    def F(v: np.ndarray) -> np.ndarray:
+        v2 = v * v
+        return 2.0 * a * (T * T * v2 / 2.0 - 2.0 * T * (v2 * v) / 3.0 + v2 * v2 / 4.0)
 
-    def F(v: Any) -> Any:
-        v_arr = np.asarray(v, dtype=float)
-        top = v_arr >= T
-        # Not top.astype(float): for a 0-d top that is a numpy scalar.
-        out = np.array(top, dtype=float)
-        # Not (v > 0) & (v < T): F(nan) is nan.
-        band = ~(top | (v_arr <= 0.0))
-        vb = v_arr[band]
-        v2 = vb * vb
-        out[band] = 2.0 * a * (T * T * v2 / 2.0 - 2.0 * T * (v2 * vb) / 3.0 + v2 * v2 / 4.0)
-        return _scalarize(out)
+    def fprime(s: np.ndarray) -> np.ndarray:
+        return a * (T - s) * (T - 3.0 * s)
 
-    def fprime(s: Any) -> Any:
-        s_arr = np.asarray(s, dtype=float)
-        inside = (s_arr > 0.0) & (s_arr < T)
-        val = a * (T - s_arr) * (T - 3.0 * s_arr)
-        return _scalarize(np.where(inside, val, 0.0))
-
-    def shifted_inverse(k: float) -> Callable[[Any], np.ndarray]:
+    def band_root(k: float) -> Callable[[np.ndarray], np.ndarray]:
         # On [0, T], k*s + f(s) = m is the cubic a*s*(T - s)^2 + k*s = m;
         # s = x + 2T/3 depresses it to x^3 + p*x + q = 0 with
         # q = (2T/3)*(T^2/9 + k/a) - m/a.  min f' = -2/T^2, so the left side
         # increases strictly exactly when p > 0, and then the one real root
         # is x = -2*r*sinh(asinh(q/(2*r^3))/3) with r = sqrt(p/3) (Holmes,
-        # Math. Gazette 86, 2002).  Above s = T, f = 0 and s = m/k.
+        # Math. Gazette 86, 2002).
         p = k / a - T**2 / 3.0
         if not p > 0.0:
             raise ValueError(
@@ -182,16 +211,9 @@ def make_reference(T: float) -> ReactionTerm:
         r = math.sqrt(p / 3.0)
         z0 = (2.0 * T / 3.0) * (T**2 / 9.0 + k / a) / (2.0 * r**3)
         zm = -1.0 / (2.0 * a * r**3)
-        top = k * T
 
-        def root(m: Any) -> np.ndarray:
-            m = np.asarray(m, dtype=float)
-            out = np.empty(m.shape)
-            np.divide(m, k, out=out)
-            # Not m < top: the complement of the linear part, so a nan m takes the cubic.
-            band = ~(m >= top)
-            mb = m[band]
-            s0 = np.multiply(mb, zm)
+        def root(m: np.ndarray) -> np.ndarray:
+            s0 = np.multiply(m, zm)
             s0 += z0
             np.arcsinh(s0, out=s0)
             s0 /= 3.0
@@ -206,30 +228,18 @@ def make_reference(T: float) -> ReactionTerm:
             step *= s0
             step *= s0
             step *= 2.0 * a
-            step += mb
+            step += m
             d = np.multiply(s0, 3.0 * a)
             d -= 4.0 * a * T
             d *= s0
             d += a * T**2 + k
             step /= d
-            out[band] = step
-            return np.maximum(out, 0.0, out=out)
+            return step
 
         return root
 
     c0 = min(3.0 / (2.0 * T**2), T**2 / 6.0)
-    return ReactionTerm(
-        T=T,
-        tau=T / 2.0,
-        c0=c0,
-        f=f,
-        F=F,
-        fprime=fprime,
-        Finv=_bisect_inverse(F, T),
-        shifted_inverse=shifted_inverse,
-        family="reference",
-        samples=None,
-    )
+    return _assemble(T, 1.0, f, F, fprime, band_root, tau=T / 2.0, c0=c0, family="reference")
 
 
 def make_tabulated(
@@ -244,8 +254,9 @@ def make_tabulated(
 
     Args:
         samples: iterable of (s, f(s)) pairs covering [0, T], s increasing.
-        tau: linearity window end; defaults to T/2.
-        c0: window constant; defaults to the worst measured ratio on (0, tau].
+        tau: linearity window end, finite and positive; defaults to T/2.
+        c0: window constant, finite and positive; defaults to the worst
+            measured ratio on (0, tau].
 
     Returns:
         The assembled ReactionTerm with family "tabulated".
@@ -262,31 +273,27 @@ def make_tabulated(
         raise ValueError("last sample abscissa must be positive")
     if not np.all(np.isfinite(rows)):
         raise ValueError("samples must be finite")
+    for name, value in (("tau", tau), ("c0", c0)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
     cumulative = np.concatenate(
         [[0.0], np.cumsum(np.diff(s_grid) * (f_grid[:-1] + f_grid[1:]))]
     )
-    F_top = float(cumulative[-1])
     slopes = np.diff(f_grid) / np.diff(s_grid)
 
+    def interval(s: np.ndarray) -> np.ndarray:
+        return np.clip(np.searchsorted(s_grid, s, side="right") - 1, 0, len(slopes) - 1)
+
     def f(s: Any) -> Any:
-        s_arr = np.asarray(s, dtype=float)
-        val = np.interp(s_arr, s_grid, f_grid, left=0.0, right=0.0)
-        inside = (s_arr > 0.0) & (s_arr < T)
-        return _scalarize(np.where(inside, val, 0.0))
+        val = np.interp(s, s_grid, f_grid, left=0.0)
+        # np.interp takes a Python float to a numpy scalar.
+        return float(val) if type(s) is float else val
 
-    def F(v: Any) -> Any:
-        v_arr = np.asarray(v, dtype=float)
-        idx = np.clip(np.searchsorted(s_grid, v_arr, side="right") - 1, 0, len(slopes) - 1)
-        d = np.maximum(v_arr - s_grid[idx], 0.0)
-        val = cumulative[idx] + d * (2.0 * f_grid[idx] + slopes[idx] * d)
-        return _scalarize(np.where(v_arr >= T, F_top, np.where(v_arr <= 0.0, 0.0, val)))
-
-    def fprime(s: Any) -> Any:
-        s_arr = np.asarray(s, dtype=float)
-        idx = np.clip(np.searchsorted(s_grid, s_arr, side="right") - 1, 0, len(slopes) - 1)
-        inside = (s_arr > 0.0) & (s_arr < T)
-        return _scalarize(np.where(inside, slopes[idx], 0.0))
+    def F(v: np.ndarray) -> np.ndarray:
+        idx = interval(v)
+        d = np.maximum(v - s_grid[idx], 0.0)
+        return cumulative[idx] + d * (2.0 * f_grid[idx] + slopes[idx] * d)
 
     # The knots of f on [0, T]: f is 0 at s = 0 and below the first row,
     # so a row value there is a jump, two knots at one s.
@@ -295,10 +302,9 @@ def make_tabulated(
         [[0.0, np.interp(0.0, s_grid, f_grid, left=0.0)], f_grid[s_grid > 0.0]]
     )
 
-    def shifted_inverse(k: float) -> Callable[[Any], np.ndarray]:
-        # k*s + f(s) is linear between the knots and equals k*s above T,
-        # so one knot search and one interpolation give the exact root; on
-        # a jump the root stays at its s.
+    def band_root(k: float) -> Callable[[np.ndarray], np.ndarray]:
+        # k*s + f(s) is linear between the knots, so one knot search and one
+        # interpolation give the exact root; on a jump the root stays at its s.
         knots = k * xk + fk
         keep = np.concatenate([[True], (np.diff(xk) != 0.0) | (np.diff(knots) != 0.0)])
         xs, knots = xk[keep], knots[keep]
@@ -309,35 +315,24 @@ def make_tabulated(
             )
         rate = np.diff(xs) / np.diff(knots)
 
-        def root(m: Any) -> np.ndarray:
-            m = np.asarray(m, dtype=float)
+        def root(m: np.ndarray) -> np.ndarray:
             i = np.clip(np.searchsorted(knots, m, side="right") - 1, 0, len(rate) - 1)
-            s = np.where(m >= knots[-1], m / k, xs[i] + (m - knots[i]) * rate[i])
-            return np.maximum(s, 0.0, out=s)
+            return xs[i] + (m - knots[i]) * rate[i]
 
         return root
 
-    if tau is None:
-        tau = T / 2.0
+    tau = T / 2.0 if tau is None else float(tau)
+    term = _assemble(
+        T, float(cumulative[-1]), f, F, lambda s: slopes[interval(s)], band_root,
+        tau=tau, c0=c0, family="tabulated", samples=tuple((float(s), float(v)) for s, v in rows),
+    )
     if c0 is None:
         window = s_grid[(s_grid > 0.0) & (s_grid <= tau)]
-        ratios = np.asarray(f(window)) / window if window.size else np.asarray([1.0])
+        ratios = np.asarray(term.f(window)) / window if window.size else np.asarray([1.0])
         lo = float(np.min(ratios))
         hi = float(np.max(ratios))
         c0 = min(max(lo, 1e-12), 1.0 / max(hi, 1e-12), 1.0)
-
-    return ReactionTerm(
-        T=T,
-        tau=float(tau),
-        c0=float(c0),
-        f=f,
-        F=F,
-        fprime=fprime,
-        Finv=_bisect_inverse(F, T),
-        shifted_inverse=shifted_inverse,
-        family="tabulated",
-        samples=tuple((float(s), float(v)) for s, v in rows),
-    )
+    return replace(term, c0=float(c0))
 
 
 def f_eps(term: ReactionTerm, eps: float, t: Any) -> Any:

@@ -160,7 +160,8 @@ class InterfaceCurve:
             raise ValueError("per-vertex arrays disagree in length")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(kap))):
             raise ValueError("curve data must be finite")
-        if len(nus) and np.max(np.abs(np.linalg.norm(nus, axis=1) - 1.0)) > 1e-9:
+        # Not > 1e-9: a nan normal is refused too.
+        if len(nus) and not np.max(np.abs(np.linalg.norm(nus, axis=1) - 1.0)) <= 1e-9:
             raise ValueError("normals must be unit vectors")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "normals", nus)

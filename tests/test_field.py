@@ -102,6 +102,14 @@ _PB = PolyBump(coeffs=np.zeros((4, 4)), center=(0.0, 0.0), halfwidths=(0.5, 0.5)
         (lambda: PolyBump(coeffs=np.zeros((3, 3)), center=(0.0, 0.0), halfwidths=(1.0, 1.0)),
          r"coeffs must have shape \(4, 4\), got \(3, 3\)"),
         (lambda: PolyBump(coeffs=np.full(4, math.nan), center=(0.0,), halfwidths=(1.0,)), "coefficients must be finite"),
+        # A nan center or halfwidth gave a nan support box, and the inner variations read 0.0.
+        (lambda: PolyBump(coeffs=np.zeros((4, 4)), center=(math.nan, 0.0), halfwidths=(0.5, 0.5)),
+         r"center must be finite, got \(nan, 0.0\)"),
+        (lambda: PolyBump(coeffs=np.zeros(4), center=(math.inf,), halfwidths=(0.5,)), r"center must be finite, got \(inf,\)"),
+        (lambda: PolyBump(coeffs=np.zeros((4, 4)), center=(0.0, 0.0), halfwidths=(math.nan, 0.5)),
+         "halfwidths must be finite and positive, one per axis"),
+        (lambda: PolyBump(coeffs=np.zeros(4), center=(0.0,), halfwidths=(math.inf,)), "halfwidths must be finite and positive"),
+        (lambda: PolyBump(coeffs=np.zeros(4), center=(0.0,), halfwidths=(0.0,)), "halfwidths must be finite and positive,"),
         (lambda: VectorFieldSpec(dim=3, components=(_PB,) * 3), "dim must be 1 or 2, got 3"),
         (lambda: VectorFieldSpec(dim=2, components=(_PB,)), "need exactly one component per axis"),
         (lambda: VectorFieldSpec(dim=1, components=(_PB,)), "component dimension mismatch"),

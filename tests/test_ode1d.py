@@ -118,6 +118,25 @@ def test_integration_failure_on_inadmissible_reaction():
         solve_monotone(bogus, t_min=-1.0, t_max=0.1, h=1e-2)
 
 
+@pytest.mark.parametrize(
+    "make_profile, slope",
+    [
+        # The defaults of `profile --T 1e-20`.
+        (lambda: solve_monotone(make_reference(1e-20), -30e-20, 30e-20, 1e-23), 1.0),
+        # The defaults of `profile --wedge --eps 1e-14 --s 0.5`.
+        (lambda: solve_wedge(_term(), 1e-14, 0.5, 30e-14, 1e-17), 0.5),
+    ],
+    ids=["monotone-T1e-20", "wedge-eps1e-14"],
+)
+def test_underflow_floor_scales_with_the_profile(make_profile, slope):
+    # An absolute floor of 1e-14 stopped a scan whose scale T*eps lies near
+    # or below it after one step and left V = V' = 0 behind it.
+    p = make_profile()
+    assert p.Vp[-1] == pytest.approx(slope, rel=1e-9)
+    assert np.count_nonzero(p.V > 0.0) > len(p.V) // 2
+    assert first_integral_residual(p, make_reference(p.T)) < 1e-10
+
+
 def test_wedge_initial_height_from_first_integral():
     term = _term()
     p = solve_wedge(term, eps=1.0, s=np.sqrt(0.3125), t_max=2.0, h=1e-3)

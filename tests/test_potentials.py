@@ -69,6 +69,11 @@ def test_make_reference_rejects_nonpositive_support():
         # A nan ordinate built a term with c0 = nan, an infinite abscissa one with T = inf.
         (lambda: make_tabulated([[0.0, 0.0], [0.5, math.nan], [1.0, 0.0]]), "samples must be finite"),
         (lambda: make_tabulated([[0.0, 0.0], [0.5, 1.0], [math.inf, 0.0]]), "samples must be finite"),
+        # A nan tau built a term with tau = nan, and c0 was not checked.
+        (lambda: make_tabulated([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]], tau=math.nan), "tau must be finite and positive, got nan"),
+        (lambda: make_tabulated([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]], tau=0.0), "tau must be finite and positive, got 0.0"),
+        (lambda: make_tabulated([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]], tau=5.0, c0=-3), "c0 must be finite and positive, got -3"),
+        (lambda: make_tabulated([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]], c0=math.inf), "c0 must be finite and positive, got inf"),
         (lambda: F_eps(make_reference(1.0), -0.1, 0.5), "eps must be nonnegative, got -0.1"),
         # A nan eps compared False against 0 and gave nan potentials.
         (lambda: F_eps(make_reference(1.0), math.nan, 0.5), "eps must be nonnegative, got nan"),
@@ -224,6 +229,53 @@ def _full_reference_kernels(T: float):
     return f, F, shifted_inverse
 
 
+def _full_tabulated_kernels(samples):
+    """The tabulated f, F, f' and shifted_inverse evaluated on every node, as
+    they were before the shared band rule: the oracle of those kernels."""
+    rows = np.asarray(samples, dtype=float)
+    s_grid, f_grid = rows[:, 0], rows[:, 1]
+    T = float(s_grid[-1])
+    cumulative = np.concatenate([[0.0], np.cumsum(np.diff(s_grid) * (f_grid[:-1] + f_grid[1:]))])
+    F_top = float(cumulative[-1])
+    slopes = np.diff(f_grid) / np.diff(s_grid)
+
+    def f(s):
+        s_arr = np.asarray(s, dtype=float)
+        val = np.interp(s_arr, s_grid, f_grid, left=0.0, right=0.0)
+        return np.where((s_arr > 0.0) & (s_arr < T), val, 0.0)
+
+    def F(v):
+        v_arr = np.asarray(v, dtype=float)
+        idx = np.clip(np.searchsorted(s_grid, v_arr, side="right") - 1, 0, len(slopes) - 1)
+        d = np.maximum(v_arr - s_grid[idx], 0.0)
+        val = cumulative[idx] + d * (2.0 * f_grid[idx] + slopes[idx] * d)
+        return np.where(v_arr >= T, F_top, np.where(v_arr <= 0.0, 0.0, val))
+
+    def fprime(s):
+        s_arr = np.asarray(s, dtype=float)
+        idx = np.clip(np.searchsorted(s_grid, s_arr, side="right") - 1, 0, len(slopes) - 1)
+        return np.where((s_arr > 0.0) & (s_arr < T), slopes[idx], 0.0)
+
+    xk = np.concatenate([[0.0, max(s_grid[0], 0.0)], s_grid[s_grid > 0.0]])
+    fk = np.concatenate([[0.0, np.interp(0.0, s_grid, f_grid, left=0.0)], f_grid[s_grid > 0.0]])
+
+    def shifted_inverse(k):
+        knots = k * xk + fk
+        keep = np.concatenate([[True], (np.diff(xk) != 0.0) | (np.diff(knots) != 0.0)])
+        xs, knots = xk[keep], knots[keep]
+        rate = np.diff(xs) / np.diff(knots)
+
+        def root(m):
+            m = np.asarray(m, dtype=float)
+            i = np.clip(np.searchsorted(knots, m, side="right") - 1, 0, len(rate) - 1)
+            s = np.where(m >= knots[-1], m / k, xs[i] + (m - knots[i]) * rate[i])
+            return np.maximum(s, 0.0, out=s)
+
+        return root
+
+    return f, F, fprime, shifted_inverse
+
+
 def _kernel_inputs(rng, n: int, scale: float):
     """n values over [-0.5, 1.5] * scale, every third one an edge value,
     as a contiguous array and as a strided view of the same values."""
@@ -288,6 +340,55 @@ def test_band_only_reference_kernels_are_the_full_kernels_bit_for_bit(T):
                 assert _same_bits(got(np.asarray(x)), want(np.asarray(x)))
     assert np.isnan(term.F(np.array([np.nan])))[0] and np.isnan(term.F(float("nan")))
     assert term.f(np.array([np.nan]))[0] == 0.0
+    assert cases == 42 * 6 * 2 + 6 * 3
+
+
+_FIRST_ROW_INSIDE = np.linspace(0.1, 1.0, 37)
+_FROM_ZERO = np.linspace(0.0, 2.0, 41)
+
+
+@pytest.mark.parametrize(
+    "samples, ks",
+    [
+        # f jumps from 0 to its first row at s = 0.1, as in the solver's
+        # test_tabulated_node_solve_below_the_first_row.
+        (np.column_stack([_FIRST_ROW_INSIDE, 6.0 * _FIRST_ROW_INSIDE * (1.0 - _FIRST_ROW_INSIDE) ** 2]),
+         [2.0 * (1.0 + 1e-9), 10.0, 250.0]),
+        (np.column_stack([_FROM_ZERO, 0.375 * _FROM_ZERO * (2.0 - _FROM_ZERO) ** 2]), [0.5 * (1.0 + 1e-9), 2.0, 25.0]),
+    ],
+    ids=["first-row-inside", "from-zero"],
+)
+def test_tabulated_kernels_are_the_full_kernels_bit_for_bit(samples, ks):
+    # The table's f, F, f' and node root give every node the value the
+    # whole-array expression gives it, nan and signed zeros included, and f
+    # takes a Python float to a Python float.
+    term = make_tabulated(samples)
+    T = term.T
+    f, F, fprime, shifted_inverse = _full_tabulated_kernels(samples)
+    rng = np.random.default_rng(len(samples))
+    roots = [(term.shifted_inverse(k), shifted_inverse(k), k * T) for k in ks]
+    kernels = [(term.f, f, T), (term.F, F, T), (term.fprime, fprime, T), *roots]
+    cases = 0
+    with np.errstate(all="ignore"):  # inf and nan inputs
+        for n in [*range(1, 41), 999, 4900]:
+            for got_f, want_f, scale in kernels:
+                for x in _kernel_inputs(rng, n, scale):
+                    assert _same_bits(got_f(x), want_f(x)), (n, scale)
+                    cases += 1
+                if n == 4900:
+                    x = _kernel_inputs(rng, n, scale)[0].reshape(70, 70)
+                    for v in (x, x.T, x[::2, 1::3]):
+                        assert _same_bits(got_f(v), want_f(v)), scale
+                        cases += 1
+        for got_f, want_f, scale in kernels:
+            for x in _kernel_inputs(rng, 60, scale)[0]:
+                assert _same_bits(got_f(np.asarray(x)), want_f(np.asarray(x))), x
+        for x in _kernel_inputs(rng, 60, T)[0].tolist() + [float(s) for s in samples[:, 0]]:
+            got = term.f(x)
+            assert type(got) is float
+            assert got.hex() == float(f(x)).hex(), x
+    assert np.isnan(term.F(np.array([np.nan])))[0] and np.isnan(term.F(float("nan")))
+    assert term.f(np.array([np.nan]))[0] == 0.0 and term.fprime(float("nan")) == 0.0
     assert cases == 42 * 6 * 2 + 6 * 3
 
 

@@ -793,6 +793,8 @@ def _curve(**kw):
         (lambda: _curve(points=[[0.0, 0.0], [math.nan, 0.0]]), "curve data must be finite"),
         (lambda: _curve(curvature=[0.0, math.inf]), "curve data must be finite"),
         (lambda: _curve(normals=[[1.0, 0.0], [1.0, 1.0]]), "normals must be unit vectors"),
+        # A nan normal compared False against the tolerance and was kept.
+        (lambda: _curve(normals=[[math.nan, 0.0], [1.0, 0.0]]), "normals must be unit"),
         (lambda: inner_variations(halfplane(_GRID), _X1, _term(), 0.0), "X has dim 1, field has dim 2"),
         (lambda: lie_derivative(halfplane(_GRID), _X1, 0.0), "X has dim 1, field has dim 2"),
         (lambda: classical_second_variation(_smooth_u(_GRID), _COARSE, _term(), 0.1),
