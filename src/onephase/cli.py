@@ -113,7 +113,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p = subs.add_parser(name, help=text)
         p.add_argument("--config", default=None, help="JSON file with option defaults")
         p.add_argument("--out", default=".", help="output directory")
-        if name != "sweep":
+        if name not in ("sweep", "cone"):  # a cone's eps = 0 fields read no T
             p.add_argument("--T", type=float, default=1.0)
         table[name] = p
         return p
@@ -378,7 +378,7 @@ def _run_check(args, out: Path) -> dict:
     limit = _field_from_source(args.limit, u.grid, eps, term, args)
     if what == "l1":
         return {"check": "l1", "eps": eps, "value": fbcheck.l1_gap(u, limit, term, eps)}
-    band = fbcheck.level_region(u, term, eps, "F", term.tau)
+    band = np.argwhere(fbcheck.level_region(u, term, eps, "F", term.tau))
     boundary = np.argwhere(fbcheck._limit_boundary(limit.values))
     value = fbcheck.hausdorff_distance(band, boundary, u.grid.h)
     return {"check": "hausdorff", "eps": eps, "value": value}
@@ -413,7 +413,7 @@ def _run_cone(args, out: Path) -> dict:
 
     grid = _grid_from_args(args)
     level = _level(args, grid)
-    term = make_reference(args.T)
+    term = make_reference(1.0)
     u = _field_from_source(args.kind, grid, 0.0, term, args)
     save_field(u, out / "field.csv")
     payload: dict = {"kind": args.kind, "h": grid.h, "shape": list(grid.shape)}

@@ -91,7 +91,7 @@ def level_region(
         theta: band parameter, 0 < theta <= T.
 
     Returns:
-        (n, dim) integer multi-indices of the selected nodes, in scan order.
+        Boolean mask of the selected nodes, shaped like u.values.
 
     Raises:
         ValueError: on a bad kind, theta out of range, or eps <= 0.
@@ -101,12 +101,10 @@ def level_region(
     if not 0.0 < theta <= term.T:
         raise ValueError(f"theta must lie in (0, {term.T}], got {theta}")
     if kind == "Z":
-        mask = u.values <= theta * eps
-    elif kind == "F":
-        mask = (u.values >= theta * eps) & (u.values <= term.T * eps)
-    else:
-        raise ValueError(f"kind must be 'Z' or 'F', got {kind!r}")
-    return np.argwhere(mask)
+        return u.values <= theta * eps
+    if kind == "F":
+        return (u.values >= theta * eps) & (u.values <= term.T * eps)
+    raise ValueError(f"kind must be 'Z' or 'F', got {kind!r}")
 
 
 def _disc(r: float, h: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,16 +273,13 @@ def density_scan(
         ValueError: on parameter violations or when a radius leaves no
             center with its ball inside the domain.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    band = level_region(u, term, eps, "F", term.tau)  # refuses eps <= 0 first
+    low = level_region(u, term, eps, "Z", term.tau / 4.0)
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     radii = [float(r) for r in radii]
     if not radii or not all(L * eps - 1e-12 <= r < math.inf for r in radii):
         raise ValueError(f"radii must be finite and at least L * eps = {L * eps}, got {radii}")
-    tau = term.tau
-    band = (u.values >= tau * eps) & (u.values <= term.T * eps)
-    low = u.values <= (tau / 4.0) * eps
     return _scan(
         "density", u.grid, radii, 0.5, band,
         lambda r, box: _ball_fraction(low[box], r, u.grid.h), threshold,

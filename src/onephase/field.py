@@ -107,10 +107,6 @@ class GridSpec:
             o + self.h * np.arange(n) for o, n in zip(self.origin, self.shape)
         )
 
-    def nodes(self) -> np.ndarray:
-        """All node coordinates, row-major, as an (n_nodes, dim) array."""
-        return _nodes(self.axes())
-
 
 def _nodes(axes: Iterable[np.ndarray]) -> np.ndarray:
     """The tensor grid of the axes, row-major, as an (n_nodes, dim) array."""

@@ -14,6 +14,7 @@ a-posteriori oracle for the fixed-step integrator.  `profile_field` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,11 +145,11 @@ def solve_monotone(
         Profile1D with eps = 1 and kind "monotone".
 
     Raises:
-        ValueError: on a malformed span or an oversized step.
+        ValueError: on a malformed or unbounded span, or an oversized step.
         IntegrationFailure: if V turns negative beyond tolerance.
     """
-    if not (t_min < 0.0 < t_max):
-        raise ValueError(f"need t_min < 0 < t_max, got [{t_min}, {t_max}]")
+    if not -math.inf < t_min < 0.0 < t_max < math.inf:
+        raise ValueError(f"need finite t_min < 0 < t_max, got [{t_min}, {t_max}]")
     if not 0.0 < h <= 1e-2 * term.T:
         raise ValueError(f"step h must satisfy 0 < h <= 1e-2*T, got {h}")
     n_neg = int(np.ceil(-t_min / h - 1e-9))
@@ -194,14 +195,15 @@ def solve_wedge(
         Profile1D with kind "wedge"; V(-t) = V(t) by construction.
 
     Raises:
-        ValueError: if s is outside (0, 1) or parameters are malformed.
+        ValueError: if s is outside (0, 1), or eps, t_max or h is not
+            finite and positive.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"wedge slope must lie in (0, 1), got {s}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not (t_max > 0 and h > 0):
-        raise ValueError("t_max and h must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be {'finite' if eps > 0 else 'positive'}, got {eps}")
+    if not (0.0 < t_max < math.inf and 0.0 < h < math.inf):
+        raise ValueError(f"t_max and h must be positive and finite, got t_max = {t_max}, h = {h}")
 
     def rhs(v: float) -> float:
         return term.f(v / eps) / eps
@@ -250,10 +252,11 @@ def rescale(p: Profile1D, eps_new: float) -> Profile1D:
     """Rescale a profile to a new eps: t -> (eps_new/eps) * V(t * eps/eps_new).
 
     The result is resampled on the original grid span, continued past the
-    stored span as _profile_at does.
+    stored span as _profile_at does.  eps_new must be finite and positive.
     """
-    if not eps_new > 0:
-        raise ValueError(f"eps_new must be positive, got {eps_new}")
+    if not 0.0 < eps_new < math.inf:
+        bound = "finite" if eps_new > 0.0 else "positive"
+        raise ValueError(f"eps_new must be {bound}, got {eps_new}")
     lam = eps_new / p.eps
     V, Vp = _profile_at(p, p.t / lam)
     return Profile1D(

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _BISECT_TOL = 1e-12
+_VALIDATE_SAMPLES = 10_000  # sampling points of each condition in validate
 
 # The T that make_reference takes: a round range inside the one where T^4
 # and a = 6/T^4 are finite positive floats (about 1.4e-77 to 1.2e77).
@@ -40,7 +41,7 @@ class ReactionTerm:
 
     Fields:
         T: support endpoint of f (f vanishes outside [0, T]).
-        tau: right end of the linearity window, 0 < tau < T.
+        tau: right end of the linearity window, 0 < tau <= T.
         c0: window constant in (0, 1], c0*s <= f(s) <= s/c0 on [0, tau].
         f: the nonlinearity, vectorized over numpy arrays; 0 off (0, T).
         F: antiderivative of 2f, clamped to 0 below 0 and to F(T) above T.
@@ -254,9 +255,9 @@ def make_tabulated(
 
     Args:
         samples: iterable of (s, f(s)) pairs covering [0, T], s increasing.
-        tau: linearity window end, finite and positive; defaults to T/2.
-        c0: window constant, finite and positive; defaults to the worst
-            measured ratio on (0, tau].
+        tau: linearity window end in (0, T]; defaults to T/2.
+        c0: window constant in (0, 1]; defaults to the worst measured
+            ratio on (0, tau].
 
     Returns:
         The assembled ReactionTerm with family "tabulated".
@@ -276,6 +277,9 @@ def make_tabulated(
     for name, value in (("tau", tau), ("c0", c0)):
         if value is not None and not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    for name, value, top in (("tau", tau, T), ("c0", c0, 1.0)):
+        if value is not None and value > top:
+            raise ValueError(f"{name} must be at most {top}, got {value}")
 
     cumulative = np.concatenate(
         [[0.0], np.cumsum(np.diff(s_grid) * (f_grid[:-1] + f_grid[1:]))]
@@ -339,10 +343,10 @@ def f_eps(term: ReactionTerm, eps: float, t: Any) -> Any:
     """Rescaled reaction f_eps(t) = f(t/eps) / eps; vanishes off (0, T*eps).
 
     Raises:
-        ValueError: if eps <= 0.
+        ValueError: if eps is not finite and positive.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be {'finite' if eps > 0 else 'positive'}, got {eps}")
     return term.f(np.asarray(t, dtype=float) / eps) / eps
 
 
@@ -350,10 +354,10 @@ def F_eps(term: ReactionTerm, eps: float, t: Any) -> Any:
     """Rescaled potential F_eps(t) = F(t/eps), indicator of {t > 0} at eps = 0.
 
     For eps > 0 the value is clamped to 0 for t <= 0 and saturates at 1 for
-    t >= T*eps.  eps must be nonnegative.
+    t >= T*eps.  eps must be finite and nonnegative.
     """
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be {'finite' if eps > 0 else 'nonnegative'}, got {eps}")
     t_arr = np.asarray(t, dtype=float)
     if eps == 0:
         return _scalarize((t_arr > 0.0).astype(float))
@@ -375,44 +379,40 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(np.sum(hsum / 6.0 * pairs))
 
 
-def validate(term: ReactionTerm, n_samples: int = 10_000) -> dict[str, Any]:
+def validate(term: ReactionTerm) -> dict[str, Any]:
     """Check the structural conditions on a reaction term by sampling.
 
     Four conditions are measured: nonnegativity of f, support in [0, T],
     the normalization int_0^T 2 f = 1 (composite Simpson quadrature on
-    n_samples points), and the window bound c0*s <= f(s) <= s/c0 on
-    (0, tau].  Failures are reported, never raised.
+    _VALIDATE_SAMPLES + 1 points), and the window bound c0*s <= f(s) <= s/c0
+    on (0, tau].  Failures are reported, never raised.
 
     Args:
         term: the reaction term under test.
-        n_samples: number of quadrature/sampling points, at least 100.
 
     Returns:
         {"passed": bool, "conditions": {name: {"passed", "worst", ...}}}.
     """
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
-    T, tau, c0 = term.T, term.tau, term.c0
+    T, tau, c0, n = term.T, term.tau, term.c0, _VALIDATE_SAMPLES
     slack = 1e-9
 
-    s_in = np.linspace(0.0, T, n_samples)
+    s_in = np.linspace(0.0, T, n)
     f_in = np.asarray(term.f(s_in), dtype=float)
     nonneg_worst = float(np.min(f_in))
     nonneg = {"passed": bool(nonneg_worst >= -slack), "worst": nonneg_worst}
 
     s_out = np.concatenate(
-        [np.linspace(-T, 0.0, n_samples // 4), np.linspace(T, 2.0 * T, n_samples // 4)]
+        [np.linspace(-T, 0.0, n // 4), np.linspace(T, 2.0 * T, n // 4)]
     )
     support_worst = float(np.max(np.abs(np.asarray(term.f(s_out), dtype=float))))
     support = {"passed": bool(support_worst <= slack), "worst": support_worst}
 
-    n_quad = n_samples if n_samples % 2 == 1 else n_samples + 1
-    s_quad = np.linspace(0.0, T, n_quad)
+    s_quad = np.linspace(0.0, T, n + 1)  # Simpson takes an odd count
     mass = _simpson(2.0 * np.asarray(term.f(s_quad), dtype=float), s_quad)
     norm_worst = abs(mass - 1.0)
     normalization = {"passed": bool(norm_worst <= 1e-8), "worst": norm_worst, "integral": mass}
 
-    s_win = np.linspace(tau / n_samples, tau, n_samples)
+    s_win = np.linspace(tau / n, tau, n)
     ratios = np.asarray(term.f(s_win), dtype=float) / s_win
     lower_worst = float(np.min(ratios / c0))
     upper_worst = float(np.max(ratios * c0))

@@ -131,7 +131,7 @@ class SolveConfig:
     """Minimization settings.
 
     Attributes:
-        eps: phase-transition scale, positive.
+        eps: phase-transition scale, finite and positive.
         tol_residual: stop once max |Delta u - f_eps(u)| falls below this.
         max_iter: cap on iterations, each one multigrid cycle.
     """
@@ -141,8 +141,9 @@ class SolveConfig:
     max_iter: int = 10_000
 
     def __post_init__(self) -> None:
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            bound = "finite" if self.eps > 0.0 else "positive"
+            raise ValueError(f"eps must be {bound}, got {self.eps}")
         if not self.tol_residual > 0.0:
             raise ValueError("tol_residual must be positive")
         if self.max_iter < 1:

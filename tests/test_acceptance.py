@@ -335,7 +335,7 @@ def test_reaction_band_shrinks_linearly_and_tracks_limit_boundary():
         u, _ = _tiled(eps, -1.0, 1.0, 401)
         limit = halfplane(u.grid)
         gaps.append(l1_gap(u, limit, term, eps))
-        band = level_region(u, term, eps, "F", term.tau)
+        band = np.argwhere(level_region(u, term, eps, "F", term.tau))
         boundary = np.argwhere(_limit_boundary(limit.values))
         d = hausdorff_distance(band, boundary, u.grid.h)
         assert d <= term.T * eps + u.grid.h

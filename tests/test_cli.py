@@ -397,6 +397,8 @@ def test_solve_rejects_grid_coarser_than_layer(tmp_path, capsys):
         ("--max-iter", "0", "max_iter must be at least 1"),
         ("--eps", "0", "eps must be positive"),
         ("--eps", "nan", "eps must be positive"),
+        # inf used to build the fields and exit 1 on "field values must be finite".
+        ("--eps", "inf", "eps must be finite, got inf"),
     ],
 )
 def test_solve_rejects_settings_as_usage_errors(tmp_path, capsys, flag, value, message):
@@ -1029,6 +1031,49 @@ def test_failed_run_removes_only_the_empty_out_it_made(tmp_path, capsys, argv, c
     assert main([*argv, "--out", str(kept / "c" / "d")]) == code
     assert kept.is_dir() and not any(kept.iterdir())
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--eps", "inf"], "eps_new must be finite, got inf"),
+        (["--wedge", "--s", "0.5", "--h", "inf"], "got t_max = 30.0, h = inf"),
+        (["--t-max", "inf"], "need finite t_min < 0 < t_max, got [-inf, inf]"),
+        (["--wedge", "--s", "0.5", "--eps", "inf"], "eps must be finite, got inf"),
+    ],
+)
+def test_profile_refuses_a_scale_that_is_not_finite_before_writing(
+    tmp_path, capsys, argv, message
+):
+    # Before, --eps inf wrote a profile.csv of inf and --h inf one of nan
+    # times; --t-max inf and the wedge's --eps inf failed converting a step
+    # count to an integer, without naming the value.
+    out = tmp_path / "p"
+    assert main(["profile", *argv, "--out", str(out)]) == 1
+    assert message in json.loads(capsys.readouterr().out)["error"]["message"]
+    assert not (out / "profile.csv").exists()
+
+
+def test_vary_refuses_an_infinite_eps(tmp_path, capsys):
+    # Before, the report was computed with F_eps = F(0) = 0 on every node (exit 0).
+    field = _layer_file(tmp_path)
+    spec = _spec_file(tmp_path)
+    out = tmp_path / "v"
+    rc = main(["vary", "--field", str(field), "--x", str(spec), "--eps", "inf", "--out", str(out)])
+    assert rc == 1
+    assert "eps must be finite, got inf" in json.loads(capsys.readouterr().out)["error"]["message"]
+    assert not out.exists()
+
+
+def test_cone_takes_no_T(tmp_path, capsys):
+    # Its eps = 0 fields and forms read no reaction term, so --T set nothing.
+    assert main(["cone", "--T", "2", "--out", str(tmp_path / "c")]) == 2
+    assert "unrecognized arguments: --T 2" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text('{"T": 2.0}', encoding="utf-8")
+    assert main(["cone", "--config", str(config), "--out", str(tmp_path / "c")]) == 2
+    assert "unknown config keys: ['T']" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("h", ["0", "nan"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from onephase.field import (
+    _nodes,
     PolyBump,
     ScalarField,
     VectorFieldSpec,
@@ -55,14 +56,14 @@ def test_level_region_of_zero_field():
     u = ScalarField(grid=grid, values=np.zeros(grid.shape))
     z = level_region(u, TERM, 0.1, "Z", TAU)
     f = level_region(u, TERM, 0.1, "F", TAU)
-    assert len(z) == grid.shape[0] * grid.shape[1]
-    assert len(f) == 0
+    assert z.shape == f.shape == grid.shape
+    assert z.all() and not f.any()
 
 
 def test_level_region_strip_indices():
     u = _halfplane(201)
     eps = 0.1
-    region = level_region(u, TERM, eps, "F", TAU)
+    region = np.argwhere(level_region(u, TERM, eps, "F", TAU))
     rows = np.unique(region[:, 1])
     ys = u.grid.axes()[1][rows]
     h = u.grid.h
@@ -81,22 +82,20 @@ def test_level_region_bands_overlap_at_theta():
     eps = 0.1
     z = level_region(u, TERM, eps, "Z", TAU)
     f = level_region(u, TERM, eps, "F", TAU)
-    zset = set(map(tuple, z))
-    fset = set(map(tuple, f))
-    assert zset & fset == {(2,)}
-    below_t = set(map(tuple, np.argwhere(u.values <= TERM.T * eps)))
-    assert (zset | fset) == below_t
+    assert np.array_equal(np.argwhere(z & f), [[2]])
+    assert np.array_equal(z | f, u.values <= TERM.T * eps)
 
 
 def test_level_region_monotone_in_theta():
     u = _profile_field(0.2, -1.0, 1.0, 101)
     counts = [
-        len(level_region(u, TERM, 0.2, "Z", th)) for th in (TAU / 4, TAU / 2, TAU, 1.0)
+        np.count_nonzero(level_region(u, TERM, 0.2, "Z", th))
+        for th in (TAU / 4, TAU / 2, TAU, 1.0)
     ]
     assert counts == sorted(counts)
-    quarter = set(map(tuple, level_region(u, TERM, 0.2, "Z", TAU / 4)))
-    full = set(map(tuple, level_region(u, TERM, 0.2, "Z", TAU)))
-    assert quarter <= full
+    quarter = level_region(u, TERM, 0.2, "Z", TAU / 4)
+    full = level_region(u, TERM, 0.2, "Z", TAU)
+    assert not np.any(quarter & ~full)
 
 
 def test_level_region_validation():
@@ -350,7 +349,7 @@ def test_exit_radius_is_the_distance_to_the_nearest_hit_node(dim):
     u = ScalarField(grid=grid, values=0.1 * np.maximum(mesh[-1] + 0.8 + wave, 0.0))
     p = np.array([0.05, -0.6][-dim:])
     hit = u.values >= TAU * 0.1
-    want = float(np.min(np.linalg.norm(grid.nodes()[hit.ravel()] - p, axis=1)))
+    want = float(np.min(np.linalg.norm(_nodes(grid.axes())[hit.ravel()] - p, axis=1)))
     assert exit_radius(u, TERM, 0.1, 0.0001, p) == want
     assert 0.0 < want < 1.0
 
@@ -385,7 +384,7 @@ def test_poincare_ratio_is_second_order_in_h():
 
 def test_poincare_random_bumps_bounded():
     grid = make_grid((-1.0, -1.0), (1.0, 1.0), 101)
-    nodes = grid.nodes()
+    nodes = _nodes(grid.axes())
     rng = np.random.default_rng(11)
     zero = PolyBump(coeffs=np.zeros((4, 4)), center=(0.0, 0.0), halfwidths=(0.3, 0.3))
     for _ in range(50):
@@ -539,7 +538,7 @@ def test_hausdorff_band_tracks_limit_boundary():
     f0 = np.argwhere(_limit_boundary(limit.values))
     for eps in (0.2, 0.1, 0.05):
         u = _profile_field(eps, -1.0, 1.0, 201)
-        band = level_region(u, TERM, eps, "F", TAU)
+        band = np.argwhere(level_region(u, TERM, eps, "F", TAU))
         d = hausdorff_distance(band, f0, u.grid.h)
         assert d <= TERM.T * eps + u.grid.h + 1e-12
 

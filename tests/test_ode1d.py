@@ -204,6 +204,10 @@ def test_wedge_rejects_degenerate_slopes():
         (1.0, 0.0, 1e-3, "t_max and h must be positive"),
         (1.0, math.nan, 1e-3, "t_max and h must be positive"),
         (1.0, 1.0, -1e-3, "t_max and h must be positive"),
+        # An infinite step gave nan times, an infinite eps a nan step count.
+        (1.0, 1.0, math.inf, "t_max and h must be positive and finite, got t_max = 1.0, h = inf"),
+        (1.0, math.inf, 1e-3, "t_max and h must be positive and finite, got t_max = inf"),
+        (math.inf, 1.0, 1e-3, "eps must be finite, got inf"),
     ],
 )
 def test_wedge_refuses_malformed_scales(eps, t_max, h, message):
@@ -216,6 +220,18 @@ def test_degenerate_wedge_family_stays_below_twice_eps():
     for eps in (0.1, 0.05):
         p = solve_wedge(term, eps=eps, s=eps, t_max=1.0, h=eps / 50.0)
         assert float(np.max(p.V)) <= 2.0 * eps
+
+
+def test_monotone_and_rescale_refuse_unbounded_inputs():
+    # An infinite span failed converting its step count to an integer, and
+    # an infinite eps_new rescaled every sample to inf.
+    with pytest.raises(ValueError, match=r"need finite t_min < 0 < t_max, got \[-inf, inf\]"):
+        solve_monotone(_term(), -math.inf, math.inf, 1e-3)
+    p = solve_monotone(_term(), -1.0, 1.0, 1e-3)
+    with pytest.raises(ValueError, match="eps_new must be finite, got inf"):
+        rescale(p, math.inf)
+    with pytest.raises(ValueError, match="eps_new must be positive, got nan"):
+        rescale(p, math.nan)
 
 
 def test_rescale_identity():
